@@ -17,13 +17,11 @@ from .estimates import (
     PhiBarrier,
     ball_confinement_check,
     ball_samples,
-    build_phi,
     convex_well_check,
     diagonal_system_check,
     gl_pointwise_bound,
     modica_defect,
     ode_bound_check,
-    pde_inequality_residual,
     polygon_confinement_check,
     speed_envelope_check,
 )
@@ -71,13 +69,11 @@ __all__ = [
     "PhiBarrier",
     "ball_confinement_check",
     "ball_samples",
-    "build_phi",
     "convex_well_check",
     "diagonal_system_check",
     "gl_pointwise_bound",
     "modica_defect",
     "ode_bound_check",
-    "pde_inequality_residual",
     "polygon_confinement_check",
     "speed_envelope_check",
     "CATALOG_IDS",

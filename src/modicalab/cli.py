@@ -14,6 +14,7 @@ console only, never stored.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -187,15 +188,20 @@ def cmd_counterexample(args) -> int:
 # orbit
 
 
+def _circular_orbit(R: float, dt: float):
+    """One period of the circular orbit at R with step dt: (family, trajectory)."""
+    fam = dynamics.orbit_family(R)
+    p = potentials.make_potential("ginzburg_landau", m=2)
+    steps = int(math.ceil(fam.period / dt))
+    return fam, dynamics.integrate(p, fam.start_state(), dt, steps, drift_tol=math.inf)
+
+
 def cmd_orbit(args) -> int:
     if not 0.0 < args.R < 1.0:
         print("orbit: --R must lie strictly between 0 and 1", file=sys.stderr)
         return EXIT_USAGE
     dt = args.dt if args.dt is not None else 1e-3
-    fam = dynamics.orbit_family(args.R)
-    p = potentials.make_potential("ginzburg_landau", m=2)
-    steps = int(math.ceil(fam.period / dt))
-    traj = dynamics.integrate(p, fam.start_state(), dt, steps, drift_tol=math.inf)
+    fam, traj = _circular_orbit(args.R, dt)
     drift = traj.drift()
     report = {
         "R": args.R,
@@ -204,7 +210,7 @@ def cmd_orbit(args) -> int:
         "mu": fam.mu,
         "period": fam.period,
         "dt": dt,
-        "steps": steps,
+        "steps": len(traj.times) - 1,
         "measured_H_mean": float(np.mean(traj.H)),
         "drift": drift,
         "positive_defect": fam.H > 0.0,
@@ -289,24 +295,11 @@ def _run_theorem_34(args, params) -> tuple[estimates.DefectReport, int]:
     dt = args.dt if args.dt is not None else 1e-3
     R = float(params.get("R", 0.5))
     eps = float(params.get("eps", 0.01))
-    fam = dynamics.orbit_family(R)
-    p = potentials.make_potential("ginzburg_landau", m=2)
-    steps = int(math.ceil(fam.period / dt))
-    traj = dynamics.integrate(p, fam.start_state(), dt, steps, drift_tol=math.inf)
-    barrier = estimates.build_phi(eps)
-    barrier_stats = barrier.validate()
-    report = estimates.ode_bound_check(traj, p, tol=tol)
-    constants = dict(report.constants)
-    constants["barrier"] = barrier_stats
-    constants["eps"] = eps
-    report = estimates.DefectReport(
-        check_id=report.check_id,
-        samples=report.samples,
-        worst_margin=report.worst_margin,
-        worst_point=report.worst_point,
-        verdict=report.verdict,
-        tol=report.tol,
-        constants=constants,
+    _, traj = _circular_orbit(R, dt)
+    barrier_stats = estimates.PhiBarrier(eps=eps).validate()
+    report = estimates.ode_bound_check(traj, potentials.make_potential("ginzburg_landau", m=2), tol=tol)
+    report = dataclasses.replace(
+        report, constants={**report.constants, "barrier": barrier_stats, "eps": eps}
     )
     return report, _report_exit(report, args)
 
@@ -374,7 +367,7 @@ def cmd_estimates(args, parser) -> int:
 # planar operations
 
 
-def _planar_grid(f, p, h: float, box: float = 1.0) -> fields.GridField:
+def _planar_grid(f, h: float, box: float = 1.0) -> fields.GridField:
     n = int(round(2.0 * box / h)) + 1
     return fields.sample_field(f, origin=(-box, -box), spacing=(h, h), extents=(n, n))
 
@@ -400,9 +393,9 @@ def cmd_planar(args, parser) -> int:
 
     if args.op == "tensor":
         pair = planar.divergence_pair(
-            lambda hh: _planar_grid(f, p, hh), p, h, gate=solution_gate
+            lambda hh: _planar_grid(f, hh), p, h, gate=solution_gate
         )
-        grid = _planar_grid(f, p, h)
+        grid = _planar_grid(f, h)
         pair["compatibility_residual"] = planar.compatibility_residual(grid, p)
         if out is not None:
             write_json(out / "tensor.json", pair)
@@ -416,7 +409,7 @@ def cmd_planar(args, parser) -> int:
         return EXIT_OK if ok else EXIT_VIOLATION
 
     if args.op == "ufield":
-        grid = _planar_grid(f, p, h)
+        grid = _planar_grid(f, h)
         rec = planar.reconstruct_U(grid, p, gate=solution_gate)
         gate = tol if tol is not None else 50.0 * h * h
         report = {
@@ -550,10 +543,7 @@ def cmd_suite(args) -> int:
     step("counterexample-violation", _counterexample)
 
     def _orbit():
-        fam = dynamics.orbit_family(0.5)
-        p = potentials.make_potential("ginzburg_landau", m=2)
-        steps = int(math.ceil(fam.period / 1e-3))
-        traj = dynamics.integrate(p, fam.start_state(), 1e-3, steps, drift_tol=math.inf)
+        fam, traj = _circular_orbit(0.5, 1e-3)
         report = {"R": 0.5, "H": fam.H, "drift": traj.drift(), "period": fam.period}
         write_json(out / "orbit.json", report)
         traj.to_csv(out / "orbit_trajectory.csv")
@@ -639,7 +629,7 @@ def cmd_suite(args) -> int:
     step("planar-divergence-decay", _tensor)
 
     def _ufield():
-        grid = _planar_grid(gl, glp, 0.02)
+        grid = _planar_grid(gl, 0.02)
         rec = planar.reconstruct_U(grid, glp)
         report = {"path_defect": rec.path_defect, "laplacian_defect": rec.laplacian_defect}
         write_json(out / "ufield.json", report)

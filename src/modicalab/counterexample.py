@@ -42,7 +42,6 @@ __all__ = [
     "SegmentSolution",
     "PeriodicConnection",
     "ConstructionError",
-    "build_rho",
     "lambda_from_hamiltonian",
     "solve_segment",
     "build_curve",
@@ -94,10 +93,6 @@ class RhoSpec:
         return out
 
 
-def build_rho() -> RhoSpec:
-    return RhoSpec()
-
-
 def lambda_from_hamiltonian() -> float:
     """Patch plateau level forced by energy bookkeeping on the segment orbit.
 
@@ -130,7 +125,7 @@ def solve_segment(lam: float, dt: float = 1e-3, rho: RhoSpec | None = None) -> S
     sampled at dt.  Errors out if the measured Hamiltonian drift exceeds
     1e-8 per unit time, i.e. if dt is too coarse for the tolerance budget.
     """
-    rho = rho or build_rho()
+    rho = rho or RhoSpec()
 
     def rhs(_, s):
         y, v = s
@@ -648,10 +643,6 @@ class PeriodicConnection:
         g = self.orbit_grad(self.times[:-1])
         return float(np.max(np.abs(upp - g)))
 
-    def report(self, tol: float = 1e-7) -> dict:
-        check = verify_counterexample(self, tol)
-        return check
-
 
 def assemble(
     lam: float | None = None,
@@ -661,7 +652,7 @@ def assemble(
 ) -> PeriodicConnection:
     """Build the full periodic connection and run junction consistency checks."""
     lam = lambda_from_hamiltonian() if lam is None else float(lam)
-    rho = build_rho()
+    rho = RhoSpec()
     seg = solve_segment(lam, dt=segment_dt, rho=rho)
     curve = build_curve(panels=curve_panels)
     eps = min(0.1, lam / (2.0 * curve.max_kappa))

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from . import smooth
 from .dynamics import Trajectory, integrate, PhasePoint, shoot_heteroclinic
-from .fields import GridField, Jet2, grid_jets
+from .fields import GridField, Jet2, _laplacian, grid_jets
 from .potentials import Potential, make_potential
 
 __all__ = [
@@ -31,12 +31,10 @@ __all__ = [
     "modica_defect",
     "gl_pointwise_bound",
     "gl_bound_rhs",
-    "pde_inequality_residual",
     "scalar_p_residual",
     "gl_p_residual",
     "diagonal_p_residual",
     "ode_phi_p_residual",
-    "build_phi",
     "ode_bound_check",
     "speed_envelope_check",
     "diagonal_system_check",
@@ -49,6 +47,15 @@ __all__ = [
 
 class HypothesisError(ValueError):
     """A checker's standing hypothesis failed on the supplied data."""
+
+
+def _solution_gate(resid, gate: float, what: str) -> float:
+    """sup |resid| of a field's equation residual; raises HypothesisError
+    naming the measured value and the threshold when it exceeds `gate`."""
+    worst = float(np.max(np.abs(resid)))
+    if worst > gate:
+        raise HypothesisError(f"{what}: residual {worst:.3e} > {gate:g}")
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +166,6 @@ def scalar_p_residual(f, x, p: Potential, h: float = 1e-3) -> float:
     )
 
 
-def _interior_p_laplacian(g: GridField, p_values: np.ndarray):
-    """5-point Laplacian of a scalar field defined on the interior nodes of g;
-    valid two nodes away from the original boundary."""
-    h1, h2 = g.spacing
-    core = p_values[1:-1, 1:-1]
-    lap = (p_values[2:, 1:-1] - 2.0 * core + p_values[:-2, 1:-1]) / h1**2 + (
-        p_values[1:-1, 2:] - 2.0 * core + p_values[1:-1, :-2]
-    ) / h2**2
-    return lap
-
-
 def gl_p_residual(g: GridField, tol_solution: float = 1e-4) -> np.ndarray:
     """Residual array of Lap P >= 2(2Q+1) P for the GL system on a planar
     grid, with P = 0.5|grad u|^2 + Q and Q = (|u|^2-1)/2.
@@ -177,15 +173,12 @@ def gl_p_residual(g: GridField, tol_solution: float = 1e-4) -> np.ndarray:
     Evaluated on the deep interior (two nodes in).  The true gap equals the
     squared-second-derivative term B, so values should be >= -O(h^2).
     """
-    jets = grid_jets(g, order=2)
+    jets = grid_jets(g)
     u = jets.u
     q = 0.5 * (np.sum(u**2, axis=-1) - 1.0)
-    gradsq = jets.grad_sq()
-    gate = float(np.max(np.abs(jets.laplacian() - 2.0 * q[..., None] * u)))
-    if gate > tol_solution:
-        raise HypothesisError(f"grid is not a GL solution: residual {gate:.3e}")
-    p_vals = 0.5 * gradsq + q
-    lap_p = _interior_p_laplacian(g, p_vals)
+    _solution_gate(jets.laplacian() - 2.0 * q[..., None] * u, tol_solution, "grid is not a GL solution")
+    p_vals = 0.5 * jets.grad_sq() + q
+    lap_p = _laplacian(p_vals, g.spacing)
     core = p_vals[1:-1, 1:-1]
     q_core = q[1:-1, 1:-1]
     return lap_p - 2.0 * (2.0 * q_core + 1.0) * core
@@ -257,26 +250,29 @@ class DiagonalSystemConfig:
         return float(np.max(expr) / self.c)
 
 
+def _diagonal_solution(g: GridField, cfg: DiagonalSystemConfig, gate: float):
+    """Interior jets of g, <Au,u> at each node, and the sup-norm of the
+    system residual D Lap u + (1 - <Au,u>) u, gated at `gate`."""
+    jets = grid_jets(g)
+    u = jets.u
+    quad = np.sum(np.einsum("ij,...j->...i", cfg.A, u) * u, axis=-1)
+    resid = np.einsum("jk,...k->...j", cfg.D, jets.laplacian()) + (1.0 - quad)[..., None] * u
+    return jets, quad, _solution_gate(resid, gate, "grid does not solve the diagonal system")
+
+
 def diagonal_p_residual(g: GridField, cfg: DiagonalSystemConfig, lam: float | None = None,
                         tol_solution: float = 1e-5) -> np.ndarray:
     """Residual array of Lap P >= B + <Su,u> P on the deep interior, for
     P = sum_j (nu_j/2)|grad u^j|^2 + (lam/2)(<Au,u> - 1)."""
-    jets = grid_jets(g, order=2)
-    u = jets.u
-    au = np.einsum("ij,...j->...i", cfg.A, u)
-    quad = np.sum(au * u, axis=-1)
-    sys_resid = np.einsum("jk,...k->...j", cfg.D, jets.laplacian()) + (1.0 - quad)[..., None] * u
-    gate = float(np.max(np.abs(sys_resid)))
-    if gate > tol_solution:
-        raise HypothesisError(f"grid does not solve the diagonal system: residual {gate:.3e}")
+    jets, quad, _ = _diagonal_solution(g, cfg, tol_solution)
     lam = cfg.lambda_multiplier() if lam is None else float(lam)
     nu = cfg.nu
     gradsq_j = np.sum(jets.du**2, axis=-1)  # (ni, nj, m)
     p_vals = 0.5 * np.sum(nu * gradsq_j, axis=-1) + 0.5 * lam * (quad - 1.0)
-    lap_p = _interior_p_laplacian(g, p_vals)
+    lap_p = _laplacian(p_vals, g.spacing)
     b_term = np.sum(nu[:, None, None] * jets.d2u**2, axis=(-3, -2, -1))
-    su = np.einsum("ij,...j->...i", cfg.S, u)
-    h_factor = np.sum(su * u, axis=-1)
+    su = np.einsum("ij,...j->...i", cfg.S, jets.u)
+    h_factor = np.sum(su * jets.u, axis=-1)
     core = slice(1, -1)
     return lap_p - b_term[core, core] - h_factor[core, core] * p_vals[core, core]
 
@@ -291,27 +287,6 @@ def ode_phi_p_residual(traj: Trajectory, barrier: "PhiBarrier", p: Potential) ->
     p_dd = (p_series[2:] - 2.0 * p_series[1:-1] + p_series[:-2]) / dt**2
     h = 2.0 * barrier.rho(6.0 * q[1:-1] + 1.0)
     return p_dd - h * p_series[1:-1]
-
-
-_PDE_VARIANTS = ("scalar_P", "theorem0_P", "gl_P", "ode_phi_P")
-
-
-def pde_inequality_residual(variant: str, **kw) -> float:
-    """Worst-case residual of the chosen differential inequality.
-
-    Dispatch by variant: scalar_P(f, x, p[, h]); theorem0_P(g, cfg[, lam]);
-    gl_P(g); ode_phi_P(traj, barrier, p).  Nonnegative within tolerance
-    certifies the inequality on the sampled set.
-    """
-    if variant == "scalar_P":
-        return float(scalar_p_residual(kw["f"], kw["x"], kw["p"], kw.get("h", 1e-3)))
-    if variant == "theorem0_P":
-        return float(np.min(diagonal_p_residual(kw["g"], kw["cfg"], kw.get("lam"))))
-    if variant == "gl_P":
-        return float(np.min(gl_p_residual(kw["g"])))
-    if variant == "ode_phi_P":
-        return float(np.min(ode_phi_p_residual(kw["traj"], kw["barrier"], kw["p"])))
-    raise ValueError(f"unknown variant {variant!r}; known: {', '.join(_PDE_VARIANTS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +326,8 @@ def _field_states(obj):
         pts = obj.times[:, None]
         return u, gradsq, pts
     if isinstance(obj, GridField):
-        jets = grid_jets(obj, order=2)
-        ni, nj = jets.u.shape[:2]
-        u = jets.u.reshape(ni * nj, -1)
-        gradsq = jets.grad_sq().reshape(ni * nj)
-        pts = jets.x.reshape(ni * nj, 2)
-        return u, gradsq, pts
+        jets = grid_jets(obj)
+        return jets.u.reshape(-1, jets.m), jets.grad_sq().reshape(-1), jets.x.reshape(-1, jets.n)
     raise TypeError(f"expected Trajectory or GridField, got {type(obj).__name__}")
 
 
@@ -381,20 +352,13 @@ def diagonal_system_check(cfg: DiagonalSystemConfig, g: GridField | None = None,
     }
     if g is None:
         return lam, DefectReport("diagonal-system", 0, math.inf, None, "vacuous", tol, constants)
-    jets = grid_jets(g, order=2)
-    u = jets.u
-    au = np.einsum("ij,...j->...i", cfg.A, u)
-    quad = np.sum(au * u, axis=-1)
-    sys_resid = np.einsum("jk,...k->...j", cfg.D, jets.laplacian()) + (1.0 - quad)[..., None] * u
-    gate = float(np.max(np.abs(sys_resid)))
-    if gate > 1e-4:
-        raise HypothesisError(f"grid does not solve the diagonal system: residual {gate:.3e}")
-    constants["solution_residual"] = gate
+    jets, quad, residual = _diagonal_solution(g, cfg, 1e-4)
+    constants["solution_residual"] = residual
     gradsq_j = np.sum(jets.du**2, axis=-1)
     lhs = 0.5 * np.sum(cfg.nu * gradsq_j, axis=-1)
     margins = (0.5 * lam * (1.0 - quad) - lhs).ravel()
     conf = (1.0 - quad).ravel()
-    pts = jets.x.reshape(-1, 2)
+    pts = jets.x.reshape(-1, jets.n)
     all_margins = np.concatenate([margins, conf])
     all_pts = np.concatenate([pts, pts])
     constants["confinement_worst"] = float(np.min(conf))
@@ -688,10 +652,6 @@ class PhiBarrier:
         if bad or out["min_second_difference"] < -curv_floor:
             raise HypothesisError(f"barrier validation failed: {out}")
         return out
-
-
-def build_phi(eps: float) -> PhiBarrier:
-    return PhiBarrier(eps=float(eps))
 
 
 def _require_gl(p: Potential, u: np.ndarray, tol: float = 1e-10) -> None:

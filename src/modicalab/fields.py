@@ -3,7 +3,8 @@
 Two flavours of field live here: closed-form catalog entries (with analytic
 jets) and rectangular grid samples (with central-difference jets).  The jet is
 the common currency every pointwise check downstream consumes: value, first
-derivatives and second derivatives of a map u: R^n -> R^m at one point.
+derivatives and second derivatives of a map u: R^n -> R^m at one point, or at
+every interior node of a grid at once.
 """
 
 from __future__ import annotations
@@ -32,14 +33,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Jet2:
-    """Second-order jet of a field at a point.
+    """Second-order jet of a field at a point, or at a batch of points when
+    every attribute carries the same leading node axes.
 
     Attributes
     ----------
-    x : (n,) evaluation point
-    u : (m,) field value
-    du : (m, n) first derivatives, du[j, i] = d u^j / d x_i
-    d2u : (m, n, n) second derivatives
+    x : (..., n) evaluation point
+    u : (..., m) field value
+    du : (..., m, n) first derivatives, du[..., j, i] = d u^j / d x_i
+    d2u : (..., m, n, n) second derivatives
     """
 
     x: np.ndarray
@@ -53,29 +55,34 @@ class Jet2:
         object.__setattr__(self, "du", np.asarray(self.du, float))
         object.__setattr__(self, "d2u", np.asarray(self.d2u, float))
         m, n = self.m, self.n
-        if self.du.shape != (m, n) or self.d2u.shape != (m, n, n):
+        nodes = self.x.shape[:-1]
+        if (self.u.shape[:-1] != nodes or self.du.shape != nodes + (m, n)
+                or self.d2u.shape != nodes + (m, n, n)):
             raise ValueError(
-                f"jet shapes inconsistent: u {self.u.shape}, du {self.du.shape}, d2u {self.d2u.shape}"
+                f"jet shapes inconsistent: x {self.x.shape}, u {self.u.shape},"
+                f" du {self.du.shape}, d2u {self.d2u.shape}"
             )
 
     @property
     def n(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.u.size
+        return self.u.shape[-1]
 
-    def grad_sq(self) -> float:
-        """|grad u|^2 summed over all components and directions."""
-        return float(np.sum(self.du**2))
+    def grad_sq(self):
+        """|grad u|^2 summed over all components and directions, per point."""
+        if self.du.ndim == 2:
+            return float(np.sum(self.du**2))
+        return np.sum(self.du**2, axis=(-2, -1))
 
     def laplacian(self) -> np.ndarray:
-        """(m,) componentwise Laplacian, the trace of d2u over space axes."""
-        return np.trace(self.d2u, axis1=1, axis2=2)
+        """(..., m) componentwise Laplacian, the trace of d2u over space axes."""
+        return np.trace(self.d2u, axis1=-2, axis2=-1)
 
     def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.d2u - np.swapaxes(self.d2u, 1, 2))))
+        return float(np.max(np.abs(self.d2u - np.swapaxes(self.d2u, -2, -1))))
 
 
 @dataclass(frozen=True)
@@ -317,60 +324,52 @@ def sample_field(cf: ClosedFormField, origin, spacing, extents, meta=None) -> Gr
     return GridField(origin, spacing, vals, meta or {"sampled_from": cf.name, "params": cf.params})
 
 
-def fd_jet(g: GridField, idx, order: int = 2) -> Jet2:
-    """Central-difference jet at an interior node of a grid field.
+def _central_differences(v: np.ndarray, h) -> tuple:
+    """Second-order central differences at the interior nodes of a grid array.
 
-    order=2 uses the classical 3-point second derivative and 4-point cross
-    stencils (exact on quadratics); order=4 upgrades both to fourth order and
-    needs two layers of support.
+    v has shape extents + (m,) with n = len(h) node axes, n in {1, 2}.  Uses
+    the 3-point first and second differences and the 4-point cross stencil
+    (exact on quadratics); returns u, du, d2u with leading node axes.
     """
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    idx = tuple(int(i) for i in np.atleast_1d(idx))
-    margin = 1 if order == 2 else 2
-    for i, e in zip(idx, g.extents):
-        if i < margin or i > e - 1 - margin:
-            raise ValueError(f"node {idx} lacks stencil support (order {order})")
+    n = len(h)
 
-    v = g.values
-    h = g.spacing
-    n, m = g.n, g.m
-    x = g.node_position(idx)
-    u = v[idx].copy()
-    du = np.zeros((m, n))
-    d2u = np.zeros((m, n, n))
+    def at(*offset):
+        return v[tuple(slice(1 + o, v.shape[k] - 1 + o) for k, o in enumerate(offset))]
 
-    def at(*offsets):
-        return v[tuple(idx[k] + offsets[k] for k in range(n))]
-
+    u = at(*(0,) * n).copy()
+    du = np.empty(u.shape + (n,))
+    d2u = np.empty(u.shape + (n, n))
     for i in range(n):
-        off_p = tuple(1 if k == i else 0 for k in range(n))
-        off_m = tuple(-1 if k == i else 0 for k in range(n))
-        if order == 2:
-            du[:, i] = (at(*off_p) - at(*off_m)) / (2 * h[i])
-            d2u[:, i, i] = (at(*off_p) - 2 * u + at(*off_m)) / h[i] ** 2
-        else:
-            off_p2 = tuple(2 if k == i else 0 for k in range(n))
-            off_m2 = tuple(-2 if k == i else 0 for k in range(n))
-            du[:, i] = (-at(*off_p2) + 8 * at(*off_p) - 8 * at(*off_m) + at(*off_m2)) / (12 * h[i])
-            d2u[:, i, i] = (
-                -at(*off_p2) + 16 * at(*off_p) - 30 * u + 16 * at(*off_m) - at(*off_m2)
-            ) / (12 * h[i] ** 2)
-
+        plus = at(*(1 if k == i else 0 for k in range(n)))
+        minus = at(*(-1 if k == i else 0 for k in range(n)))
+        du[..., i] = (plus - minus) / (2 * h[i])
+        d2u[..., i, i] = (plus - 2 * u + minus) / h[i] ** 2
     if n == 2:
-        if order == 2:
-            mixed = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h[0] * h[1])
-        else:
-            mixed = (
-                64 * (at(1, 1) + at(-1, -1) - at(1, -1) - at(-1, 1))
-                + 8 * (at(1, -2) + at(2, -1) + at(-2, 1) + at(-1, 2))
-                - 8 * (at(-1, -2) + at(-2, -1) + at(1, 2) + at(2, 1))
-                + (at(2, -2) + at(-2, 2) - at(-2, -2) - at(2, 2))
-            ) / (144 * h[0] * h[1])
-        d2u[:, 0, 1] = mixed
-        d2u[:, 1, 0] = mixed
+        mixed = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h[0] * h[1])
+        d2u[..., 0, 1] = mixed
+        d2u[..., 1, 0] = mixed
+    return u, du, d2u
 
-    return Jet2(x=x, u=u, du=du, d2u=d2u)
+
+def _laplacian(v: np.ndarray, h) -> np.ndarray:
+    """Five-point Laplacian of v over the interior nodes of its two leading
+    axes; trailing axes are carried along."""
+    if len(h) != 2:
+        raise ValueError("the five-point Laplacian needs a planar grid")
+    h1, h2 = h
+    core = v[1:-1, 1:-1]
+    return (v[2:, 1:-1] - 2 * core + v[:-2, 1:-1]) / h1**2 + (v[1:-1, 2:] - 2 * core + v[1:-1, :-2]) / h2**2
+
+
+def fd_jet(g: GridField, idx) -> Jet2:
+    """Central-difference jet at an interior node of a grid field: the
+    grid-jet kernel applied to the 3^n window around the node."""
+    idx = tuple(int(i) for i in np.atleast_1d(idx))
+    if any(i < 1 or i > e - 2 for i, e in zip(idx, g.extents)):
+        raise ValueError(f"node {idx} lacks stencil support")
+    window = g.values[tuple(slice(i - 1, i + 2) for i in idx)]
+    u, du, d2u = (a[(0,) * g.n] for a in _central_differences(window, g.spacing))
+    return Jet2(x=g.node_position(idx), u=u, du=du, d2u=d2u)
 
 
 def jet(f, x) -> Jet2:
@@ -383,49 +382,12 @@ def jet(f, x) -> Jet2:
     raise TypeError(f"cannot take a jet of {type(f).__name__}")
 
 
-class InteriorJets:
-    """Vectorized jets at every interior node of a 2-d grid field."""
-
-    def __init__(self, g: GridField, order: int = 2):
-        if g.n != 2:
-            raise ValueError("InteriorJets requires n = 2")
-        margin = 1 if order == 2 else 2
-        v = g.values
-        h = g.spacing
-        c = (slice(margin, v.shape[0] - margin), slice(margin, v.shape[1] - margin))
-
-        def sh(di, dj):
-            return v[c[0].start + di : v.shape[0] - margin + di, c[1].start + dj : v.shape[1] - margin + dj]
-
-        u = sh(0, 0)
-        ux = (sh(1, 0) - sh(-1, 0)) / (2 * h[0])
-        uy = (sh(0, 1) - sh(0, -1)) / (2 * h[1])
-        uxx = (sh(1, 0) - 2 * u + sh(-1, 0)) / h[0] ** 2
-        uyy = (sh(0, 1) - 2 * u + sh(0, -1)) / h[1] ** 2
-        uxy = (sh(1, 1) - sh(1, -1) - sh(-1, 1) + sh(-1, -1)) / (4 * h[0] * h[1])
-
-        axes = g.axes()
-        X, Y = np.meshgrid(axes[0][margin:-margin], axes[1][margin:-margin], indexing="ij")
-        self.x = np.stack([X, Y], axis=-1)  # (ni, nj, 2)
-        self.u = u  # (ni, nj, m)
-        self.du = np.stack([ux, uy], axis=-1)  # (ni, nj, m, 2)
-        d2 = np.empty(u.shape + (2, 2))
-        d2[..., 0, 0] = uxx
-        d2[..., 1, 1] = uyy
-        d2[..., 0, 1] = uxy
-        d2[..., 1, 0] = uxy
-        self.d2u = d2  # (ni, nj, m, 2, 2)
-        self.margin = margin
-
-    def grad_sq(self):
-        return np.sum(self.du**2, axis=(-2, -1))
-
-    def laplacian(self):
-        return self.d2u[..., 0, 0] + self.d2u[..., 1, 1]
-
-
-def grid_jets(g: GridField, order: int = 2) -> InteriorJets:
-    return InteriorJets(g, order)
+def grid_jets(g: GridField) -> Jet2:
+    """Central-difference jets at every interior node, node axes leading:
+    .x is (ni, [nj,] n) and .u is (ni, [nj,] m)."""
+    u, du, d2u = _central_differences(g.values, g.spacing)
+    x = np.stack(np.meshgrid(*(ax[1:-1] for ax in g.axes()), indexing="ij"), axis=-1)
+    return Jet2(x=x, u=u, du=du, d2u=d2u)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ the radial monotonicity profiles that follow.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import HypothesisError
-from .fields import ClosedFormField, GridField, Jet2, grid_jets, jet as field_jet
+from .estimates import _solution_gate
+from .fields import ClosedFormField, GridField, Jet2, _laplacian, grid_jets
 from .potentials import Potential
 
 __all__ = [
@@ -61,9 +60,15 @@ def stress_decomposition(jet: Jet2, p: Potential) -> tuple[float, np.ndarray]:
     return -(0.5 * jet.grad_sq() + float(p.w(jet.u))), du.T @ du
 
 
+def _planar_jets(g: GridField) -> Jet2:
+    if g.n != 2:
+        raise ValueError("stress-energy fields require a planar grid")
+    return grid_jets(g)
+
+
 def _tensor_fields(g: GridField, p: Potential):
     """Stress tensor entries over the interior nodes, as (ni, nj, 2, 2)."""
-    jets = grid_jets(g, order=2)
+    jets = _planar_jets(g)
     du = jets.du  # (ni, nj, m, 2)
     gram = np.einsum("...mi,...mj->...ij", du, du)
     w = np.asarray(p.w(jets.u))
@@ -82,13 +87,8 @@ def divergence_residual(g: GridField, p: Potential, gate: float = 1e-5,
     solution puts corner singularities into the field, and interior elliptic
     regularity only controls derivatives a fixed distance away from them.
     """
-    if g.n != 2:
-        raise ValueError("divergence_residual requires a planar grid")
     jets, T = _tensor_fields(g, p)
-    resid = jets.laplacian() - np.asarray(p.grad(jets.u))
-    worst = float(np.max(np.abs(resid)))
-    if worst > gate:
-        raise HypothesisError(f"field does not solve the system: residual {worst:.3e} > {gate:g}")
+    _solution_gate(jets.laplacian() - np.asarray(p.grad(jets.u)), gate, "field does not solve the system")
     h1, h2 = g.spacing
     div1 = (T[2:, 1:-1, 0, 0] - T[:-2, 1:-1, 0, 0]) / (2 * h1) + (
         T[1:-1, 2:, 0, 1] - T[1:-1, :-2, 0, 1]
@@ -137,7 +137,7 @@ def hessian_U(jet: Jet2, p: Potential) -> np.ndarray:
 
 
 def _hessian_entry_fields(g: GridField, p: Potential):
-    jets = grid_jets(g, order=2)
+    jets = _planar_jets(g)
     du = jets.du
     a = np.sum(du[..., 0] ** 2, axis=-1)
     b = np.sum(du[..., 1] ** 2, axis=-1)
@@ -188,10 +188,7 @@ def reconstruct_U(g: GridField, p: Potential, gauge: tuple | None = None,
     and reported rather than assumed.
     """
     jets, h11, h12, h22 = _hessian_entry_fields(g, p)
-    resid = jets.laplacian() - np.asarray(p.grad(jets.u))
-    worst = float(np.max(np.abs(resid)))
-    if worst > gate:
-        raise HypothesisError(f"field does not solve the system: residual {worst:.3e} > {gate:g}")
+    _solution_gate(jets.laplacian() - np.asarray(p.grad(jets.u)), gate, "field does not solve the system")
     h1, h2 = g.spacing
     ni, nj = h11.shape
     i0, j0 = (ni // 2, nj // 2) if gauge is None else gauge
@@ -212,9 +209,7 @@ def reconstruct_U(g: GridField, p: Potential, gauge: tuple | None = None,
     u_field, defect3 = integrate_from_gauge(ux1, ux2)
     path_defect = max(defect1, defect2, defect3)
 
-    lap = (u_field[2:, 1:-1] - 2 * u_field[1:-1, 1:-1] + u_field[:-2, 1:-1]) / h1**2 + (
-        u_field[1:-1, 2:] - 2 * u_field[1:-1, 1:-1] + u_field[1:-1, :-2]
-    ) / h2**2
+    lap = _laplacian(u_field, g.spacing)
     w_interior = np.asarray(p.w(jets.u))[1:-1, 1:-1]
     lap_defect = float(np.max(np.abs(lap - 4.0 * w_interior)))
 
@@ -289,19 +284,17 @@ def green_boundary_identity(f: ClosedFormField, p: Potential, center, R: float,
     lhs = disk_integral(density, center, R, n_r=n_r, n_theta=n_theta)
 
     ang = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    worst_resid = 0.0
     integrand = np.empty(n_theta)
+    resid = np.empty((n_theta, f.m))
     for k, t in enumerate(ang):
         nu = np.array([math.cos(t), math.sin(t)])
         tau = np.array([-math.sin(t), math.cos(t)])
         jet = f.jet(center + R * nu)
         u_tau = jet.du @ tau
         u_nu = jet.du @ nu
-        resid = np.max(np.abs(jet.laplacian() - np.asarray(p.grad(jet.u))))
-        worst_resid = max(worst_resid, float(resid))
+        resid[k] = jet.laplacian() - np.asarray(p.grad(jet.u))
         integrand[k] = float(np.sum(u_tau**2) - np.sum(u_nu**2) + 2.0 * p.w(jet.u))
-    if worst_resid > gate:
-        raise HypothesisError(f"field does not solve the system on the boundary: {worst_resid:.3e}")
+    _solution_gate(resid, gate, "field does not solve the system on the boundary")
     rhs = R * R * float(integrand.mean() * 2.0 * math.pi)
     return {
         "lhs": lhs,
@@ -392,6 +385,3 @@ def monotonicity_profile(density: str, f: ClosedFormField | None, p: Potential |
         density=density,
     )
 
-
-def identity_json(result: dict) -> str:
-    return json.dumps(result, sort_keys=True)

@@ -110,10 +110,3 @@ def bump01_d(t):
     q = ti * (1.0 - ti)
     out[inside] = np.exp(-1.0 / q) * (1.0 - 2.0 * ti) / q**2
     return out
-
-
-def gauss_legendre_panel(f, a, b, order=32):
-    """Fixed-order Gauss-Legendre integral of a vectorized f over [a, b]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    t = 0.5 * (b - a) * (nodes + 1.0) + a
-    return 0.5 * (b - a) * float(np.dot(f(t), weights))

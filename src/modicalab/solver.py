@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ClosedFormField, GridField
+from .fields import ClosedFormField, GridField, _laplacian
 from .potentials import Potential
 
 __all__ = [
@@ -99,16 +99,9 @@ def _apply_boundary(u: np.ndarray, bc: dict) -> None:
     u[:, -1] = bc["top"]
 
 
-def _laplacian_interior(u: np.ndarray, h1: float, h2: float) -> np.ndarray:
-    return (u[2:, 1:-1] - 2 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / h1**2 + (
-        u[1:-1, 2:] - 2 * u[1:-1, 1:-1] + u[1:-1, :-2]
-    ) / h2**2
-
-
 def residual(g: GridField, p: Potential) -> float:
     """sup-norm of Lap_h u - grad W(u) over the interior nodes."""
-    h1, h2 = g.spacing
-    lap = _laplacian_interior(g.values, h1, h2)
+    lap = _laplacian(g.values, g.spacing)
     gw = np.asarray(p.grad(g.values[1:-1, 1:-1]))
     return float(np.max(np.abs(lap - gw)))
 
@@ -199,7 +192,7 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
     sweeps = 0
     for sweeps in range(1, cfg.max_iters + 1):
         for color in (colors, ~colors):
-            lap = _laplacian_interior(u, h1, h2)
+            lap = _laplacian(u, cfg.spacing)
             gw = np.asarray(p.grad(u[1:-1, 1:-1]))
             step = tau * (lap - gw)
             u[1:-1, 1:-1][color] += step[color]
@@ -210,7 +203,7 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
             raise RelaxError(
                 f"flow energy increased at sweep {sweeps}: {e_prev!r} -> {e_now!r}"
             )
-        lap = _laplacian_interior(u, h1, h2)
+        lap = _laplacian(u, cfg.spacing)
         gw = np.asarray(p.grad(u[1:-1, 1:-1]))
         r = float(np.max(np.abs(lap - gw)))
         energies.append(e_now)

@@ -11,7 +11,7 @@ def test_plateau_level_from_energy_bookkeeping():
 
 
 def test_rho_profile_shape():
-    rho = cx.build_rho()
+    rho = cx.RhoSpec()
     a = np.linspace(-0.5, 2.0, 501)
     r = rho.rho(a)
     assert np.all(r[a <= 0.25] == a[a <= 0.25])  # identity below the blend
@@ -23,7 +23,7 @@ def test_rho_profile_shape():
 
 
 def test_rho_derivative_consistency():
-    rho = cx.build_rho()
+    rho = cx.RhoSpec()
     a = np.linspace(0.26, 0.74, 97)
     h = 1e-6
     fd = (rho.rho(a + h) - rho.rho(a - h)) / (2 * h)

@@ -87,9 +87,14 @@ def test_gl_p_residual_gates_on_solutions():
         estimates.gl_p_residual(g)
 
 
-def test_pde_inequality_residual_dispatch():
-    with pytest.raises(ValueError, match="unknown variant"):
-        estimates.pde_inequality_residual("maximum")
+def test_grid_checks_on_a_line_grid():
+    """Pointwise bounds take line grids; the P-function residuals need a plane."""
+    g = fields.sample_field(fields.make_field("gl_circle", R=0.5), (-1.0,), (0.05,), (41,))
+    _, report = estimates.ball_confinement_check(GL, g, R=1.0, M=1.0)
+    assert report.verdict == "holds" and report.samples == 2 * 39
+    assert report.constants["confinement_worst"] == pytest.approx(0.75)
+    with pytest.raises(ValueError, match="planar"):
+        estimates.gl_p_residual(g)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +250,7 @@ def test_phi_barrier_eps_domain():
 
 
 def test_phi_barrier_plateaus_exact():
-    bar = estimates.build_phi(0.01)
+    bar = estimates.PhiBarrier(eps=0.01)
     out = bar.validate()
     assert out["plateau_left_exact"] == 0.0
     assert out["plateau_right_exact"] == 0.0
@@ -254,7 +259,7 @@ def test_phi_barrier_plateaus_exact():
 
 
 def test_phi_matches_quadratic_outside_blend():
-    bar = estimates.build_phi(0.02)
+    bar = estimates.PhiBarrier(eps=0.02)
     s = np.linspace((2 * 0.02 - 1.0) / 6.0 + 1e-9, 0.5, 101)
     assert np.max(np.abs(bar.phi_eps(s) - (3.0 * s**2 + s))) < 1e-13
 
@@ -266,7 +271,7 @@ def test_phi_limit_closed_form():
 
 
 def test_phi_uniform_convergence():
-    devs = [estimates.build_phi(e).sup_deviation() for e in (1.0 / 12.0, 0.05, 0.02, 0.01)]
+    devs = [estimates.PhiBarrier(eps=e).sup_deviation() for e in (1.0 / 12.0, 0.05, 0.02, 0.01)]
     assert all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
     assert devs[-1] <= 0.05
 
@@ -311,7 +316,7 @@ def test_ode_bound_requires_gl_form():
 
 
 def test_ode_phi_p_residual_on_circle():
-    bar = estimates.build_phi(1.0 / 12.0)
+    bar = estimates.PhiBarrier(eps=1.0 / 12.0)
     traj = _circle_trajectory(0.9, n=4001)
     resid = estimates.ode_phi_p_residual(traj, bar, GL)
     assert float(np.min(resid)) > -1e-5

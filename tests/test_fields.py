@@ -156,13 +156,36 @@ def test_fd_jet_symmetrized_cross_terms():
 
 
 def test_grid_jets_match_pointwise_fd():
+    """One kernel: the grid jets equal the pointwise jets bit for bit at
+    every interior node, on a planar grid and on a line."""
+    for name, origin, spacing, extents in (
+        ("gl_circle_planar", (0.0, 0.0), (0.05, 0.07), (9, 8)),
+        ("gl_circle", (-0.3,), (0.05,), (12,)),
+    ):
+        g = fields.sample_field(fields.make_field(name, R=0.4), origin, spacing, extents)
+        jets = fields.grid_jets(g)
+        assert jets.u.shape == tuple(e - 2 for e in extents) + (2,)
+        for idx in np.ndindex(*jets.u.shape[:-1]):
+            j = fields.fd_jet(g, tuple(i + 1 for i in idx))
+            for attr in ("x", "u", "du", "d2u"):
+                assert np.array_equal(getattr(jets, attr)[idx], getattr(j, attr)), (name, idx, attr)
+            assert jets.grad_sq()[idx] == j.grad_sq()
+            assert np.array_equal(jets.laplacian()[idx], j.laplacian())
+
+
+def test_grid_jets_has_no_order_knob():
     g = fields.sample_field(fields.make_field("gl_circle_planar", R=0.4), (0.0, 0.0), (0.05, 0.05), (9, 9))
-    jets = fields.grid_jets(g)
-    j = fields.fd_jet(g, (3, 4))
-    assert np.allclose(jets.u[2, 3], j.u)
-    assert np.allclose(jets.du[2, 3], j.du)
-    assert np.allclose(jets.d2u[2, 3], j.d2u)
-    assert np.allclose(jets.x[2, 3], g.node_position((3, 4)))
+    with pytest.raises(TypeError):
+        fields.grid_jets(g, order=4)
+    with pytest.raises(TypeError):
+        fields.fd_jet(g, (4, 4), order=4)
+
+
+def test_fd_jet_needs_stencil_support():
+    g = fields.sample_field(fields.make_field("gl_circle_planar", R=0.4), (0.0, 0.0), (0.05, 0.05), (9, 9))
+    for idx in ((0, 4), (4, 8)):
+        with pytest.raises(ValueError, match="stencil support"):
+            fields.fd_jet(g, idx)
 
 
 def test_grid_jets_reductions():

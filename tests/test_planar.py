@@ -1,12 +1,12 @@
 """Stress tensor, auxiliary function U, Green identity, monotone profiles."""
 
-import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from modicalab import fields, planar, potentials
+from modicalab import estimates, fields, planar, potentials
 from modicalab.estimates import HypothesisError
 
 
@@ -283,6 +283,65 @@ def test_green_identity_gates_on_the_boundary():
 
 
 # ---------------------------------------------------------------------------
+# the solves-the-system gate, shared by every check that needs a solution
+
+GL = potentials.make_potential("ginzburg_landau", m=2)
+DIAG = estimates.DiagonalSystemConfig(D=np.ones(2), A=np.eye(2))  # D Lap u + (1-|u|^2) u = 0 is GL
+
+
+def _bent_circle(eps):
+    """The GL circle solution plus eps |x|^2 on its first component, which
+    adds 4 eps to that component's Laplacian."""
+    f = fields.make_field("gl_circle_planar", R=0.6)
+
+    def jet_fn(x):
+        u, du, d2u = f._jet(x)
+        u[0] += eps * float(x @ x)
+        du[0] += 2.0 * eps * x
+        d2u[0] += 2.0 * eps * np.eye(2)
+        return u, du, d2u
+
+    def values(X):
+        out = f.values(X)
+        out[..., 0] += eps * np.sum(X**2, axis=-1)
+        return out
+
+    return fields.ClosedFormField("bent_circle", 2, 2, {"eps": eps}, jet_fn, values)
+
+
+def _gate_grid(f):
+    return fields.sample_field(f, origin=(-0.5, -0.5), spacing=(0.05, 0.05), extents=(21, 21))
+
+
+# site -> (call(field, gate), gate, message substring); diagonal_system_check's gate is fixed
+GATE_SITES = {
+    "gl_p_residual": (lambda f, gate: estimates.gl_p_residual(_gate_grid(f), tol_solution=gate),
+                      1e-3, "not a GL solution"),
+    "diagonal_p_residual": (lambda f, gate: estimates.diagonal_p_residual(_gate_grid(f), DIAG, tol_solution=gate),
+                            1e-3, "does not solve"),
+    "diagonal_system_check": (lambda f, gate: estimates.diagonal_system_check(DIAG, _gate_grid(f)),
+                              1e-4, "does not solve"),
+    "divergence_residual": (lambda f, gate: planar.divergence_residual(_gate_grid(f), GL, gate=gate),
+                            1e-3, "does not solve"),
+    "reconstruct_U": (lambda f, gate: planar.reconstruct_U(_gate_grid(f), GL, gate=gate),
+                      1e-3, "does not solve"),
+    "green_boundary_identity": (lambda f, gate: planar.green_boundary_identity(f, GL, (0.0, 0.0), 0.5, gate=gate),
+                                1e-5, "on the boundary"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(GATE_SITES))
+def test_solution_gate_reports_residual_and_threshold(site):
+    call, gate, phrase = GATE_SITES[site]
+    call(_bent_circle(0.0), gate)  # the solution itself passes the gate
+    with pytest.raises(HypothesisError, match=phrase) as info:
+        call(_bent_circle(1e-2), gate)
+    measured, threshold = re.search(r"residual (\S+) > (\S+)$", str(info.value)).groups()
+    assert threshold == f"{gate:g}"
+    assert float(measured) > 10.0 * gate  # Lap grows by 0.04 on the bent component
+
+
+# ---------------------------------------------------------------------------
 # monotone radial profiles
 
 
@@ -342,11 +401,3 @@ def test_profile_csv_format(tmp_path):
     assert float(r) == 0.5
     assert float(m) == prof.values[0]
     assert float(e) == prof.errors[0]
-
-
-def test_identity_json_sorted_and_stable():
-    payload = {"rhs": 2.0, "lhs": 1.0, "defect": 1.0}
-    s = planar.identity_json(payload)
-    assert s == planar.identity_json(dict(reversed(list(payload.items()))))
-    assert json.loads(s) == payload
-    assert s.index('"defect"') < s.index('"lhs"') < s.index('"rhs"')

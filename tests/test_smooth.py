@@ -84,8 +84,3 @@ def test_bump01_d_matches_finite_difference():
     h = 1e-6
     fd = (smooth.bump01(t + h) - smooth.bump01(t - h)) / (2.0 * h)
     assert np.max(np.abs(fd - smooth.bump01_d(t))) < 1e-8
-
-
-def test_gauss_legendre_panel_polynomial_and_sine():
-    assert abs(smooth.gauss_legendre_panel(lambda t: t**3, 0.0, 1.0) - 0.25) < 1e-15
-    assert abs(smooth.gauss_legendre_panel(np.sin, 0.0, np.pi) - 2.0) < 1e-13
