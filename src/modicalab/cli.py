@@ -162,7 +162,7 @@ def _write_connection_artifacts(pc, report, out: Path, prefix: str = "counterexa
 def cmd_counterexample(args) -> int:
     tol = args.tol if args.tol is not None else 1e-7
     dt = args.dt if args.dt is not None else 1e-3
-    pc = cx.assemble(segment_dt=dt, sample_dt=dt)
+    pc = cx.assemble(dt=dt)
     report = cx.verify_counterexample(pc, tol=tol)
     out = _out_dir(args)
     if out is not None:
@@ -240,7 +240,7 @@ def _run_modica(args, params) -> tuple[estimates.DefectReport, int]:
     name = args.field or "tanh_planar"
     if name == "counterexample":
         dt = args.dt if args.dt is not None else 1e-3
-        pc = cx.assemble(segment_dt=dt, sample_dt=dt)
+        pc = cx.assemble(dt=dt)
         kin = 0.5 * np.sum(pc.v**2, axis=1)
         w = pc.orbit_w(pc.times)
         report = estimates.DefectReport.from_margins(
@@ -663,6 +663,14 @@ def cmd_suite(args) -> int:
 # parser
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type of --dt and --h: a positive, finite float."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _add_common(sp, *, dt=False, h=False, field=False):
     sp.add_argument("--tol", type=float, default=None, help="override the check tolerance")
     sp.add_argument("--out", default=None, help="directory for artifacts")
@@ -671,9 +679,9 @@ def _add_common(sp, *, dt=False, h=False, field=False):
     sp.add_argument("--expect-violation", action="store_true",
                     help="exit 0 iff the check reports a violation")
     if dt:
-        sp.add_argument("--dt", type=float, default=None, help="integration step")
+        sp.add_argument("--dt", type=_positive_finite, default=None, help="integration step")
     if h:
-        sp.add_argument("--h", type=float, default=None, help="grid spacing")
+        sp.add_argument("--h", type=_positive_finite, default=None, help="grid spacing")
     if field:
         sp.add_argument("--field", default=None, help="catalog field id")
         sp.add_argument("--params", default=None, help="JSON object of parameters")

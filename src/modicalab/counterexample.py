@@ -8,12 +8,16 @@ Construction, in the order the code builds it:
     glued by a flat C-infinity blend.  The two wells a+- = (+-2, 0) carry the
     square patches W(u) = 2 lam rho(|u - a|^2) on |u1 -+ 2| <= 1, |u2| <= 1.
 2.  The vertical segment orbit u = (2, y(x)) with y'' = 4 lam rho'(y^2) y,
-    launched from the well with speed 1/2.  The level lam = 3/8 is the unique
-    choice making the speed hit exactly 1 when the patch plateaus, so the
-    orbit coasts onto the connecting curve at unit speed.
+    launched from the well with speed 1/2.  Its energy is conserved, so
+    y' = sqrt(1/4 + 4 lam rho(y^2)): the time t(y) is a quadrature and y(x)
+    its Newton inverse.  The level lam = 3/8 is the unique choice making the
+    speed hit exactly 1 when the patch plateaus, so the orbit coasts onto the
+    connecting curve at unit speed.
 3.  A closed C-infinity curve containing both segments: the upper arc is laid
-    out by its tangent angle, with curvature a flat bump calibrated by a
-    scalar root-find so the arc closes onto the far segment.
+    out by its tangent angle, with curvature a flat bump.  The angle depends
+    on arclength only through s / ell, so the arc's end moves linearly with
+    its half-length ell, and the ell that closes the arc onto the far segment
+    is a closed form in one integral.
 4.  A tube potential W = lam + mu kappa(s) in arc/offset coordinates around
     the arc, blended back to the constant lam at the tube edge; with tube
     half-width eps <= lam / (2 max kappa) it stays >= lam / 2.
@@ -26,11 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import smooth
 from .potentials import Potential
@@ -51,6 +52,7 @@ __all__ = [
 
 A_PLUS = np.array([2.0, 0.0])
 A_MINUS = np.array([-2.0, 0.0])
+_ARC_START = np.array([2.0, 1.0])
 
 
 class ConstructionError(RuntimeError):
@@ -114,84 +116,53 @@ class SegmentSolution:
     times: np.ndarray
     y: np.ndarray
     v: np.ndarray
-    drift_per_unit_time: float
-    sol: Callable  # dense solution, sol(t) -> (y, v)
+    inversion_residual: float  # sup_k |t(y(t_k)) - t_k| over the sample times
+    _clock: smooth._PanelIntegral = field(repr=False)  # t(y), integrand 1 / y'
+
+    def sol(self, t):
+        """(y, v) at times t in [0, t2]: Newton inversion of t(y), v = y'."""
+        y = self._clock.inverse(t)
+        return y, 1.0 / self._clock.f(y)
 
 
 def solve_segment(lam: float, dt: float = 1e-3, rho: RhoSpec | None = None) -> SegmentSolution:
-    """Integrate y'' = 4 lam rho'(y^2) y from (y, y') = (0, 1/2) up to y = 1.
+    """The orbit of y'' = 4 lam rho'(y^2) y from (y, y') = (0, 1/2) up to y = 1.
 
-    Returns crossing times t1 (y = sqrt(3)/2) and t2 (y = 1) plus the profile
-    sampled at dt.  Errors out if the measured Hamiltonian drift exceeds
-    1e-8 per unit time, i.e. if dt is too coarse for the tolerance budget.
+    Energy conservation gives y' = sqrt(1/4 + 4 lam rho(y^2)), so the time
+    t(y) is a quadrature and y(t) its inverse.  Returns the crossing times
+    t1 = t(sqrt(3)/2) and t2 = t(1) plus the profile sampled at step dt.
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     rho = rho or RhoSpec()
+    # rho is nondecreasing with rho(0) = 0, so (y')^2 is least at y = 0 or y = 1
+    floor = 0.25 + min(0.0, 4.0 * lam * float(rho.rho(1.0)))
+    if floor <= 0.0:
+        raise ConstructionError(f"segment orbit stalls before y = 1: (y')^2 reaches {floor:.3e}")
 
-    def rhs(_, s):
-        y, v = s
-        return (v, 4.0 * lam * float(rho.drho(y * y)) * y)
+    def slowness(y):
+        return 1.0 / np.sqrt(0.25 + 4.0 * lam * rho.rho(y * y))
 
-    def ev_t1(_, s):
-        return s[0] - math.sqrt(0.75)
-
-    def ev_t2(_, s):
-        return s[0] - 1.0
-
-    ev_t2.terminal = True
-    res = solve_ivp(
-        rhs,
-        (0.0, 10.0),
-        (0.0, 0.5),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        max_step=dt,
-        dense_output=True,
-        events=(ev_t1, ev_t2),
-    )
-    if res.t_events[1].size == 0:
-        raise ConstructionError("segment orbit never reached y = 1")
-    t1 = float(res.t_events[0][0])
-    t2 = float(res.t_events[1][0])
-
+    clock = smooth._PanelIntegral(slowness, 0.0, 1.0, panels=256)
+    t2 = float(clock.total)
     times = np.arange(0.0, t2, dt)
-    states = res.sol(times)
-    y, v = states[0], states[1]
-    if np.any(np.diff(y) <= 0.0):
-        raise ConstructionError("segment profile is not strictly increasing")
-    H = 0.5 * v**2 - 2.0 * lam * rho.rho(y**2)
-    drift = float(np.max(np.abs(H - 0.125))) / max(t2, 1.0)
-    if drift > 1e-8:
-        raise ConstructionError(f"dt too large: Hamiltonian drift {drift:.3e} per unit time")
-    return SegmentSolution(t1=t1, t2=t2, times=times, y=y, v=v, drift_per_unit_time=drift, sol=res.sol)
+    y = clock.inverse(times)
+    residual = float(np.max(np.abs(clock(y) - times)))
+    if residual > 1e-12:
+        raise ConstructionError(f"segment inversion residual {residual:.3e} exceeds 1e-12")
+    return SegmentSolution(
+        t1=float(clock(math.sqrt(0.75))), t2=t2, times=times, y=y, v=1.0 / slowness(y),
+        inversion_residual=residual, _clock=clock,
+    )
 
 
 # ---------------------------------------------------------------------------
 # connecting curve
 
 
-class _BumpIntegral:
-    """Machine-accurate cumulative integral of the unit bump on [0, 1]:
-    a panel table of Gauss-Legendre prefix sums plus a partial-panel query."""
-
-    def __init__(self, panels: int = 8192, order: int = 8):
-        self.K = panels
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        a, b = edges[:-1], edges[1:]
-        t = 0.5 * (b - a)[:, None] * (nodes[None, :] + 1.0) + a[:, None]
-        panel_ints = 0.5 * (b - a) * (smooth.bump01(t) @ weights)
-        self.table = np.concatenate([[0.0], np.cumsum(panel_ints)])
-        self.nodes, self.weights = nodes, weights
-        self.total = float(self.table[-1])
-
-    def __call__(self, x):
-        x = np.clip(np.asarray(x, float), 0.0, 1.0)
-        k = np.minimum((x * self.K).astype(int), self.K - 1)
-        a = k / self.K
-        t = 0.5 * (x - a)[..., None] * (self.nodes + 1.0) + a[..., None]
-        partial = 0.5 * (x - a) * (smooth.bump01(t) @ self.weights)
-        return self.table[k] + partial
+def _tangent_angle(ieta, sigma):
+    """Half-arc tangent angle at sigma = s / ell: a quarter turn from pi/2 to pi."""
+    return 0.5 * math.pi * (1.0 + ieta(sigma) / ieta.total)
 
 
 @dataclass(frozen=True)
@@ -208,10 +179,9 @@ class CurveSpec:
     amplitude: float
     closure_defect: float
     max_kappa: float
-    _ieta: _BumpIntegral = field(repr=False)
-    _s_nodes: np.ndarray = field(repr=False)
-    _gamma_nodes: np.ndarray = field(repr=False)
-    _gl: tuple = field(repr=False)
+    _ieta: smooth._PanelIntegral = field(repr=False)  # integral of the unit bump
+    _arc: smooth._PanelIntegral = field(repr=False)  # unit half-arc in sigma = s / ell
+    _gamma_nodes: np.ndarray = field(repr=False)  # the half-arc at the arc table's edges
 
     @property
     def L(self) -> float:
@@ -235,7 +205,7 @@ class CurveSpec:
 
     def theta(self, s):
         sf, mirrored = self._fold(s)
-        base = 0.5 * math.pi * (1.0 + self._ieta(sf / self.ell) / self._ieta.total)
+        base = _tangent_angle(self._ieta, sf / self.ell)
         return np.where(mirrored, 2.0 * math.pi - base, base)
 
     def kappa(self, s):
@@ -257,28 +227,11 @@ class CurveSpec:
         return np.stack([-np.sin(th), np.cos(th)], axis=-1)
 
     def gamma(self, s):
-        s = np.asarray(s, float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        sf = np.where(s > self.ell, self.L - s, s)
-        out = self._gamma_half(sf)
-        mirrored = s > self.ell
-        out[mirrored, 0] *= -1.0
-        return out[0] if scalar else out
-
-    def _gamma_half(self, s):
-        """Positions on the half-arc [0, ell] via table + partial-panel GL."""
-        s = np.clip(np.asarray(s, float), 0.0, self.ell)
-        Np = len(self._s_nodes) - 1
-        delta = self.ell / Np
-        j = np.minimum((s / delta).astype(int), Np - 1)
-        a = self._s_nodes[j]
-        nodes, weights = self._gl
-        t = 0.5 * (s - a)[:, None] * (nodes + 1.0) + a[:, None]
-        th = self.theta(t.ravel()).reshape(t.shape)
-        dx = 0.5 * (s - a) * (np.cos(th) @ weights)
-        dy = 0.5 * (s - a) * (np.sin(th) @ weights)
-        return self._gamma_nodes[j] + np.stack([dx, dy], axis=-1)
+        """Positions: ell times the unit half-arc at s / ell, mirrored past ell."""
+        sf, mirrored = self._fold(s)
+        out = _ARC_START + self.ell * np.moveaxis(self._arc(sf / self.ell), 0, -1)
+        out[..., 0] = np.where(mirrored, -out[..., 0], out[..., 0])
+        return out
 
     # -- closest-point projection -------------------------------------------
 
@@ -292,7 +245,8 @@ class CurveSpec:
         full_nodes = np.concatenate(
             [self._gamma_nodes, self._gamma_nodes[::-1][1:] * np.array([-1.0, 1.0])]
         )
-        full_s = np.concatenate([self._s_nodes, self.L - self._s_nodes[::-1][1:]])
+        s_nodes = self.ell * self._arc.edges
+        full_s = np.concatenate([s_nodes, self.L - s_nodes[::-1][1:]])
         stride = max(1, len(full_nodes) // 1024)
         cand_s = full_s[::stride]
         cand = full_nodes[::stride]
@@ -318,56 +272,36 @@ class CurveSpec:
         return s, mu, dist
 
 
-def build_curve(panels: int = 16384, bracket=(0.2, 40.0)) -> CurveSpec:
-    """Lay out the upper arc and calibrate its half-length by a root-find.
+def build_curve() -> CurveSpec:
+    """Lay out the upper arc and close it with its half-length in closed form.
 
-    The tangent angle profile is fixed (flat bump curvature, quarter turn per
-    half-arc); the single free parameter ell is chosen so the half-arc ends
-    exactly on the symmetry axis u1 = 0, which closes the full curve.
+    The tangent angle depends on s only through sigma = s / ell (flat bump
+    curvature, a quarter turn per half-arc), so the half-arc is ell times one
+    unit arc G(sigma) = integral of (cos theta, sin theta) over [0, sigma].
+    It ends at u1 = 2 + ell C with C = G(1)_1 < 0, which puts the end on the
+    symmetry axis u1 = 0, and so closes the full curve, for ell = -2 / C.
     """
-    ieta = _BumpIntegral()
-    gl = np.polynomial.legendre.leggauss(8)
+    ieta = smooth._PanelIntegral(smooth.bump01, 0.0, 1.0, panels=8192)
 
-    def half_arc_endpoint_x(ell, n_panels):
-        s_nodes, gamma_nodes = _integrate_half(ieta, gl, ell, n_panels)
-        return gamma_nodes[-1, 0], (s_nodes, gamma_nodes)
+    def unit_tangent(sigma):
+        th = _tangent_angle(ieta, sigma)
+        return np.stack([np.cos(th), np.sin(th)])
 
-    def residual(ell):
-        x_end, _ = half_arc_endpoint_x(ell, 2048)
-        return x_end
-
-    ell = brentq(residual, bracket[0], bracket[1], xtol=1e-13, rtol=8.9e-16)
-    x_end, (s_nodes, gamma_nodes) = half_arc_endpoint_x(ell, panels)
-    amplitude = 0.5 * math.pi / (ell * ieta.total)
-    max_kappa = amplitude * float(smooth.bump01(np.array(0.5)))
+    arc = smooth._PanelIntegral(unit_tangent, 0.0, 1.0, panels=16384)
+    ell = -2.0 / float(arc.total[0])
+    # column-major (the table's transpose): `project`'s nearest-node search then
+    # sums two contiguous coordinate planes, much faster than a length-2 axis
+    gamma_nodes = (_ARC_START[:, None] + ell * arc.table).T
+    amplitude = 0.5 * math.pi / (ell * float(ieta.total))
     return CurveSpec(
         ell=ell,
         amplitude=amplitude,
-        closure_defect=abs(x_end),
-        max_kappa=max_kappa,
+        closure_defect=abs(float(gamma_nodes[-1, 0])),
+        max_kappa=amplitude * float(smooth.bump01(np.array(0.5))),
         _ieta=ieta,
-        _s_nodes=s_nodes,
+        _arc=arc,
         _gamma_nodes=gamma_nodes,
-        _gl=gl,
     )
-
-
-def _integrate_half(ieta, gl, ell, n_panels):
-    """Gauss-Legendre prefix sums of (cos theta, sin theta) on [0, ell]."""
-    nodes, weights = gl
-    s_nodes = np.linspace(0.0, ell, n_panels + 1)
-    a, b = s_nodes[:-1], s_nodes[1:]
-    t = 0.5 * (b - a)[:, None] * (nodes[None, :] + 1.0) + a[:, None]
-    th = 0.5 * math.pi * (1.0 + ieta(t.ravel() / ell) / ieta.total)
-    th = th.reshape(t.shape)
-    half = 0.5 * (b - a)
-    dx = half * (np.cos(th) @ weights)
-    dy = half * (np.sin(th) @ weights)
-    gamma_nodes = np.empty((n_panels + 1, 2))
-    gamma_nodes[0] = (2.0, 1.0)
-    gamma_nodes[1:, 0] = 2.0 + np.cumsum(dx)
-    gamma_nodes[1:, 1] = 1.0 + np.cumsum(dy)
-    return s_nodes, gamma_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -644,17 +578,13 @@ class PeriodicConnection:
         return float(np.max(np.abs(upp - g)))
 
 
-def assemble(
-    lam: float | None = None,
-    segment_dt: float = 1e-3,
-    sample_dt: float = 1e-3,
-    curve_panels: int = 16384,
-) -> PeriodicConnection:
-    """Build the full periodic connection and run junction consistency checks."""
+def assemble(lam: float | None = None, dt: float = 1e-3) -> PeriodicConnection:
+    """Build the full periodic connection, sampled at step about dt, and run
+    junction consistency checks."""
     lam = lambda_from_hamiltonian() if lam is None else float(lam)
     rho = RhoSpec()
-    seg = solve_segment(lam, dt=segment_dt, rho=rho)
-    curve = build_curve(panels=curve_panels)
+    seg = solve_segment(lam, dt=dt, rho=rho)
+    curve = build_curve()
     eps = min(0.1, lam / (2.0 * curve.max_kappa))
 
     t1, t2 = seg.t1, seg.t2
@@ -662,7 +592,7 @@ def assemble(
     T = 2.0 * (t2 + t3)
     glob = _GlobalPotential(rho, curve, lam, eps)
 
-    n = int(round(T / sample_dt))
+    n = int(round(T / dt))
     times = (T / n) * np.arange(n + 1)
 
     pc = PeriodicConnection(

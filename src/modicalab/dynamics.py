@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import smooth
 from .potentials import Potential
 
 __all__ = [
@@ -168,11 +168,16 @@ def shoot_heteroclinic(
 ) -> Trajectory:
     """Scalar connection between adjacent zeros via the equipartition reduction.
 
-    On a monotone heteroclinic the Hamiltonian vanishes, so u' = sqrt(2 W(u));
-    we integrate that first-order equation from the midpoint of (a-, a+) both
-    ways until within `tol` of the wells and resample on a uniform grid.
+    On a monotone heteroclinic the Hamiltonian vanishes, so u' = sqrt(2 W(u)),
+    and the time to go from the midpoint of (a-, a+) to u is a quadrature.
+    On each side the substitution u = a - (a - mid) e^(-sigma) turns the
+    logarithmic singularity at the well a into a smooth, bounded integrand on
+    uniform sigma panels, up to sigma = log(|a - mid| / tol), i.e. to within
+    `tol` of the well.  The uniform time grid is inverted by Newton in sigma
+    and clamped beyond the wells.
 
-    Raises if W vanishes somewhere strictly between the wells (no connection).
+    Raises if W vanishes somewhere strictly between the wells (no connection)
+    or if either side needs more time than `max_span` (a degenerate well).
     """
     if p.m != 1:
         raise ValueError("heteroclinic shooting is implemented for scalar potentials")
@@ -190,44 +195,28 @@ def shoot_heteroclinic(
 
     mid = 0.5 * (a_minus + a_plus)
 
-    def speed(u):
-        return math.sqrt(max(2.0 * float(p.w(np.array([u]))), 0.0))
+    def side(a):
+        """u(sigma) and the time table t(sigma) on the side of the well a."""
+        def u_of(sigma):
+            return a - (a - mid) * np.exp(-sigma)
 
-    def rhs_fwd(_, y):
-        return [speed(y[0])]
+        def dt_dsigma(sigma):
+            return abs(a - mid) * np.exp(-sigma) / np.sqrt(2.0 * p.w(u_of(sigma)[..., None]))
 
-    def rhs_bwd(_, y):
-        return [-speed(y[0])]
+        clock = smooth._PanelIntegral(dt_dsigma, 0.0, math.log(abs(a - mid) / tol), panels=256)
+        span = float(clock.total)
+        if not span <= max_span:
+            raise RuntimeError(f"connection did not reach the wells within max_span: {span:.3e} > {max_span:g}")
+        return u_of, clock
 
-    def make_event(target, sign):
-        def ev(_, y):
-            return sign * (y[0] - target)
-
-        ev.terminal = True
-        ev.direction = 0
-        return ev
-
-    kw = dict(rtol=1e-12, atol=1e-14, dense_output=True, max_step=0.25)
-    fwd = solve_ivp(rhs_fwd, (0.0, max_span), [mid], events=make_event(a_plus - tol, 1.0), **kw)
-    bwd = solve_ivp(rhs_bwd, (0.0, max_span), [mid], events=make_event(a_minus + tol, -1.0), **kw)
-    if fwd.t_events[0].size == 0 or bwd.t_events[0].size == 0:
-        raise RuntimeError("connection did not reach the wells within max_span")
-    t_plus = float(fwd.t_events[0][0])
-    t_minus = float(bwd.t_events[0][0])
-
-    n_neg = int(math.ceil(t_minus / dt))
-    n_pos = int(math.ceil(t_plus / dt))
+    (u_minus, c_minus), (u_plus, c_plus) = side(a_minus), side(a_plus)
+    n_neg = int(math.ceil(float(c_minus.total) / dt))
+    n_pos = int(math.ceil(float(c_plus.total) / dt))
     times = dt * np.arange(-n_neg, n_pos + 1)
+    neg = times < 0.0
     uu = np.empty((times.size, 1))
-    for i, t in enumerate(times):
-        if t < -t_minus:
-            uu[i, 0] = bwd.sol(t_minus)[0]
-        elif t < 0:
-            uu[i, 0] = bwd.sol(-t)[0]
-        elif t <= t_plus:
-            uu[i, 0] = fwd.sol(t)[0]
-        else:
-            uu[i, 0] = fwd.sol(t_plus)[0]
+    uu[neg, 0] = u_minus(c_minus.inverse(np.minimum(-times[neg], c_minus.total)))
+    uu[~neg, 0] = u_plus(c_plus.inverse(np.minimum(times[~neg], c_plus.total)))
     vv = np.sqrt(2.0 * np.clip(p.w(uu), 0.0, None))[:, None]
     H = 0.5 * vv[:, 0] ** 2 - p.w(uu)
     return Trajectory(times=times, u=uu, v=vv, H=H, drift_tol=tol)

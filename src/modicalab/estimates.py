@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import smooth
 from .dynamics import Trajectory, integrate, PhasePoint, shoot_heteroclinic
@@ -450,13 +449,17 @@ def _convexity_floor_1d(p: Potential, lo: float, hi: float, n_grid: int) -> tupl
     if not np.any(outside):
         return math.inf, ()
     best = float(np.min(w_vals[outside]))
-    roots = []
-    sign_change = np.nonzero(np.diff(np.signbit(hess)))[0]
-    for k in sign_change:
-        root = brentq(lambda t: float(p.hess(np.array([t]))[0, 0]), grid[k], grid[k + 1], xtol=1e-14)
-        roots.append(root)
-        best = min(best, float(p.w(np.array([root]))))
-    return best, tuple(roots)
+    # bisect every sign-change bracket of W'' at once, to 1e-14 + 4 eps |x|
+    k = np.nonzero(np.diff(np.signbit(hess)))[0]
+    lo, hi, lo_neg = grid[k], grid[k + 1], np.signbit(hess[k])
+    while np.any(hi - lo > 1e-14 + 4.0 * np.finfo(float).eps * np.abs(lo)):
+        mid = 0.5 * (lo + hi)
+        left = np.signbit(p.hess(mid[:, None])[:, 0, 0]) == lo_neg
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    roots = 0.5 * (lo + hi)
+    if roots.size:
+        best = min(best, float(np.min(p.w(roots[:, None]))))
+    return best, tuple(float(r) for r in roots)
 
 
 def convex_well_check(p: Potential, obj=None, box: float = 2.0, n_grid: int = 4001,
@@ -589,21 +592,15 @@ class PhiBarrier:
         x = np.asarray(x, float)
         e = self.eps
         nodes, weights = np.polynomial.legendre.leggauss(32)
-        xc = np.clip(x, 0.0, 2.0 * e)
+        # the blend on [0, clip(x)] and, as its last entry, on [0, 2 eps]
+        xc = np.append(np.clip(x, 0.0, 2.0 * e), 2.0 * e)
         t = 0.5 * xc[..., None] * (nodes + 1.0)
         blend = 0.5 * xc * ((2.0 * e * smooth.smoothstep_integral(t / (2.0 * e))) @ weights)
         r_mid = e * xc + blend
-        r2e = self._r2e
+        r_mid, r2e = r_mid[:-1].reshape(x.shape), r_mid[-1]
         return np.where(
             x <= 0.0, e * x, np.where(x >= 2.0 * e, r2e + 0.5 * (x**2 - 4.0 * e**2), r_mid)
         )
-
-    @property
-    def _r2e(self) -> float:
-        e = self.eps
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        t = e * (nodes + 1.0)
-        return float(2.0 * e * e + e * ((2.0 * e * smooth.smoothstep_integral(t / (2.0 * e))) @ weights))
 
     # -- the barrier and its limit -------------------------------------------
 

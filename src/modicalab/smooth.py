@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 _GL64 = np.polynomial.legendre.leggauss(64)
+_GL8 = np.polynomial.legendre.leggauss(8)
 
 
 def flat_exp(t):
@@ -89,6 +90,43 @@ def smoothstep_integral(x):
         out[mid] = base + integ
 
     return out[0] if scalar else out
+
+
+class _PanelIntegral:
+    """Cumulative Gauss-Legendre integral F(x) = integral of f from a to x on
+    [a, b]: a table of prefix sums over uniform panels plus one partial panel
+    per query, each with the 8-point rule.  f maps abscissae of shape (..., 8)
+    to values of the same shape, or of shape (d, ..., 8) for a d-vector
+    integrand, in which case F has the components on its leading axis too."""
+
+    def __init__(self, f, a: float, b: float, panels: int):
+        self.f, self.a, self.panels = f, a, panels
+        self.h = (b - a) / panels
+        self.nodes, self.weights = _GL8
+        self.edges = np.linspace(a, b, panels + 1)
+        lo = self.edges[:-1]
+        sums = np.cumsum(self._panel(lo, self.edges[1:] - lo), axis=-1)
+        self.table = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
+        self.total = self.table[..., -1]
+
+    def _panel(self, lo, width):
+        t = 0.5 * width[..., None] * (self.nodes + 1.0) + lo[..., None]
+        return 0.5 * width * (self.f(t) @ self.weights)
+
+    def __call__(self, x):
+        x = np.clip(np.asarray(x, float), self.edges[0], self.edges[-1])
+        k = np.minimum(((x - self.a) / self.h).astype(int), self.panels - 1)
+        lo = self.edges[k]
+        return self.table[..., k] + self._panel(lo, x - lo)
+
+    def inverse(self, F):
+        """x with F(x) = F for a positive scalar integrand: three Newton steps,
+        whose derivative is f itself, from linear interpolation of the table."""
+        F = np.asarray(F, float)
+        x = np.interp(F, self.table, self.edges)
+        for _ in range(3):
+            x = x - (self(x) - F) / self.f(x)
+        return x
 
 
 def bump01(t):

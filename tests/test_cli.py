@@ -41,6 +41,40 @@ def test_orbit_rejects_radius_outside_unit_interval():
     assert run_cli("orbit", "--R", "0").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbit", "--R", "0.5", "--dt", "0"),
+        ("estimates", "--theorem", "3.4", "--dt", "0"),
+        ("planar", "tensor", "--h", "0"),
+        ("counterexample", "verify", "--dt", "0"),
+        ("orbit", "--R", "0.5", "--dt", "nan"),
+    ],
+)
+def test_step_sizes_must_be_positive_and_finite(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "positive and finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_suite_runs_without_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(name + ' is blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
+        "from modicalab.cli import main\n"
+        "sys.exit(main(['suite', '--out', sys.argv[1]]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "suite: 15/15 checks passed" in proc.stdout
+
+
 def test_orbit_artifacts_are_byte_reproducible(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

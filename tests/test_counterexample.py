@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modicalab import counterexample as cx
+from modicalab import smooth
 
 
 def test_plateau_level_from_energy_bookkeeping():
@@ -40,7 +41,40 @@ def test_segment_crossings_and_drift(assembled):
     y2, v2 = seg.sol(seg.t2)
     assert abs(y2 - 1.0) < 1e-10
     assert abs(v2 - 1.0) < 1e-8  # unit speed at hand-off (H = 1/8, W = 3/8)
-    assert seg.drift_per_unit_time <= 1e-8
+    assert seg.inversion_residual <= 1e-12
+
+
+def test_segment_rejects_bad_step_and_stalling_level():
+    for dt in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            cx.solve_segment(0.375, dt=dt)
+    # (y')^2 = 1/4 + 4 lam rho(y^2) reaches 0 before y = 1 once lam <= -1/8
+    with pytest.raises(cx.ConstructionError, match="stalls"):
+        cx.solve_segment(-0.125)
+
+
+def test_construction_numbers_are_pinned(assembled):
+    pc = assembled.pc
+    assert abs(pc.t1 - 1.236139355377995) < 1e-12
+    assert abs(pc.t2 - 1.3701139515935563) < 1e-12
+    assert abs(pc.curve.ell - 3.542611664357815) < 1e-12
+
+
+def test_half_length_closes_the_arc(assembled):
+    """ell = -2 / C with C the mean of cos theta over the unit half-arc,
+    computed here by cumulative Simpson sums of the bump on a fine grid."""
+    curve = assembled.pc.curve
+    sigma = np.linspace(0.0, 1.0, 2 * 4096 + 1)
+    h = sigma[1] - sigma[0]
+    b = smooth.bump01(sigma)
+    pair = (h / 3.0) * (b[:-2:2] + 4.0 * b[1:-1:2] + b[2::2])  # Simpson over [2j h, (2j + 2) h]
+    B = np.concatenate([[0.0], np.cumsum(pair)])  # at the even nodes
+    theta = 0.5 * math.pi * (1.0 + B / B[-1])
+    c = np.cos(theta)
+    H = 2.0 * h
+    C = (H / 3.0) * (c[0] + 4.0 * np.sum(c[1:-1:2]) + 2.0 * np.sum(c[2:-1:2]) + c[-1])
+    assert abs(curve.ell + 2.0 / C) < 1e-12
+    assert abs(curve.gamma(curve.ell)[0]) < 1e-12
 
 
 def test_segment_profile_monotone(assembled):
@@ -144,8 +178,3 @@ def test_verify_counterexample_report(assembled):
     assert rep["w_at_start"] == 0.0
     assert rep["oscillation"] > 1.0
     assert rep["curve"]["profile"] == "exp-flat-bump"
-
-
-def test_build_curve_needs_a_bracket():
-    with pytest.raises(ValueError):
-        cx.build_curve(panels=256, bracket=(0.2, 0.25))

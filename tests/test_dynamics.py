@@ -100,12 +100,10 @@ def test_trajectory_csv_format(tmp_path):
 
 def test_heteroclinic_matches_tanh_profile():
     traj = dynamics.shoot_heteroclinic(DW, -1.0, 1.0)
-    # centre the profile at its zero crossing and compare with tanh(x/sqrt 2)
-    k0 = int(np.argmin(np.abs(traj.u[:, 0])))
-    ts = traj.times - traj.times[k0]
-    ref = np.tanh(ts / math.sqrt(2.0))
-    mask = np.abs(ts) < 5.0
-    assert np.max(np.abs(traj.u[mask, 0] - ref[mask])) < 1e-5
+    # time 0 is the midpoint u = 0, so the profile is tanh(t / sqrt 2) as it stands
+    mask = np.abs(traj.times) < 15.0
+    ref = np.tanh(traj.times[mask] / math.sqrt(2.0))
+    assert np.max(np.abs(traj.u[mask, 0] - ref)) < 1e-10
 
 
 def test_heteroclinic_equipartition():
@@ -143,4 +141,23 @@ def test_heteroclinic_rejects_interior_zero():
     p = potentials.Potential("triple", 1, {}, (np.array([-1.0]), np.array([0.0]), np.array([1.0])),
                              w, grad, hess)
     with pytest.raises(ValueError, match="vanishes between the wells"):
+        dynamics.shoot_heteroclinic(p, -1.0, 1.0)
+
+
+def test_heteroclinic_rejects_a_degenerate_well():
+    # W = (1 - u^2)^4 / 4 vanishes to fourth order at the wells: the time to
+    # come within tol of them grows like 1 / tol and exceeds max_span
+    def w(u):
+        return 0.25 * (1.0 - u[..., 0] ** 2) ** 4
+
+    def grad(u):
+        x = u[..., :1]
+        return -2.0 * x * (1.0 - x**2) ** 3
+
+    def hess(u):
+        x = u[..., 0]
+        return (-2.0 * (1.0 - x**2) ** 3 + 12.0 * x**2 * (1.0 - x**2) ** 2)[..., None, None]
+
+    p = potentials.Potential("quartic_wells", 1, {}, (np.array([-1.0]), np.array([1.0])), w, grad, hess)
+    with pytest.raises(RuntimeError, match="max_span"):
         dynamics.shoot_heteroclinic(p, -1.0, 1.0)
