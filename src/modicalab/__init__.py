@@ -9,7 +9,7 @@ monotonicity formulas.
 """
 
 from .counterexample import PeriodicConnection, assemble, verify_counterexample
-from .dynamics import OrbitFamily, PhasePoint, Trajectory, integrate, orbit_family
+from .dynamics import OrbitFamily, PhasePoint, Trajectory, integrate, integrate_many, orbit_family
 from .estimates import (
     DefectReport,
     DiagonalSystemConfig,
@@ -62,6 +62,7 @@ __all__ = [
     "PhasePoint",
     "Trajectory",
     "integrate",
+    "integrate_many",
     "orbit_family",
     "DefectReport",
     "DiagonalSystemConfig",

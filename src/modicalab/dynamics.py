@@ -3,7 +3,10 @@
 The conserved quantity throughout is H = |u'|^2 / 2 - W(u) (note the minus
 sign: the system is Newtonian in the inverted potential -W).  Orbits are
 integrated with position Verlet, which preserves H up to a bounded O(dt^2)
-oscillation, so a drift check is a meaningful diagnostic of step size.
+oscillation, so a drift check is a meaningful diagnostic of step size:
+integration raises when max |H - H_0| exceeds its `drift_tol`.  One loop,
+`integrate_many`, advances a batch of starting states together; `integrate`
+is its single-start case, and batching changes no trajectory by a bit.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "BlowUpError",
     "hamiltonian",
     "integrate",
+    "integrate_many",
     "orbit_family",
     "shoot_heteroclinic",
 ]
@@ -97,6 +101,65 @@ def _trajectory(p, times, uu, vv, drift_tol):
     return Trajectory(times=times, u=uu, v=vv, H=H, drift_tol=drift_tol)
 
 
+def integrate_many(
+    p: Potential,
+    starts,
+    dt: float,
+    steps: int,
+    drift_tol: float = 1e-6,
+    blowup: float = 1e6,
+) -> list[Trajectory]:
+    """Position-Verlet integration of u'' = grad W(u) from every start at once.
+
+    The B starting states advance together as one (B, m) state, and each
+    returned trajectory is bit-identical to its run on its own: the update
+    is elementwise per row, and a potential evaluates each point on its
+    own.  The run is recorded in (B, steps + 1, m) buffers, so every
+    Trajectory's u and v are contiguous views.
+
+    Raises BlowUpError at the first step where a trajectory leaves
+    |u| <= blowup or stops being finite, attaching that trajectory's valid
+    prefix, and after the last step for the first trajectory whose energy
+    drift max |H - H_0| exceeds `drift_tol`, attaching the whole trajectory.
+    With more than one start the message names the trajectory's index.
+    """
+    if not (dt > 0 and steps >= 1 and drift_tol >= 0):
+        raise ValueError("need dt > 0, steps >= 1 and drift_tol >= 0")
+    starts = list(starts)
+    if not starts:
+        raise ValueError("need at least one starting state")
+    m = starts[0].u.size
+    if any(s.u.size != m for s in starts):
+        raise ValueError("all starting states must have the same dimension m")
+    B = len(starts)
+
+    def which(i):
+        return f"trajectory {i}: " if B > 1 else ""
+
+    uu = np.empty((B, steps + 1, m))
+    vv = np.empty((B, steps + 1, m))
+    u = np.array([s.u for s in starts])
+    v = np.array([s.v for s in starts])
+    uu[:, 0], vv[:, 0] = u, v
+    half = 0.5 * dt
+    for k in range(1, steps + 1):
+        u_mid = u + half * v
+        v = v + dt * p.grad(u_mid)
+        u = u_mid + half * v
+        inside = np.abs(u) <= blowup  # False on inf and nan as well
+        if not inside.all():
+            i = int(np.argmin(inside.all(axis=1)))
+            partial = _trajectory(p, dt * np.arange(k), uu[i, :k], vv[i, :k], drift_tol)
+            raise BlowUpError(which(i) + f"blow-up at step {k} (t = {k * dt:g})", partial)
+        uu[:, k], vv[:, k] = u, v
+    times = dt * np.arange(steps + 1)
+    trajectories = [_trajectory(p, times, uu[i], vv[i], drift_tol) for i in range(B)]
+    for i, traj in enumerate(trajectories):
+        if traj.drift() > drift_tol:
+            raise BlowUpError(which(i) + f"energy drift {traj.drift():.3e} > drift_tol {drift_tol:g}", traj)
+    return trajectories
+
+
 def integrate(
     p: Potential,
     start: PhasePoint,
@@ -109,28 +172,10 @@ def integrate(
 
     Returns the synchronized (u_k, v_k) samples at t_k = k dt together with
     the measured Hamiltonian series.  Raises BlowUpError when the state
-    leaves |u| <= blowup or stops being finite, attaching the valid prefix.
+    leaves |u| <= blowup or stops being finite, attaching the valid prefix,
+    and when the energy drift exceeds `drift_tol` (see `integrate_many`).
     """
-    if dt <= 0 or steps < 1:
-        raise ValueError("need dt > 0 and steps >= 1")
-    m = start.u.size
-    uu = np.empty((steps + 1, m))
-    vv = np.empty((steps + 1, m))
-    uu[0], vv[0] = start.u, start.v
-    u = start.u.copy()
-    v = start.v.copy()
-    half = 0.5 * dt
-    for k in range(1, steps + 1):
-        u_mid = u + half * v
-        v = v + dt * p.grad(u_mid)
-        u = u_mid + half * v
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > blowup:
-            times = dt * np.arange(k)
-            partial = _trajectory(p, times, uu[:k], vv[:k], drift_tol)
-            raise BlowUpError(f"blow-up at step {k} (t = {k * dt:g})", partial)
-        uu[k], vv[k] = u, v
-    times = dt * np.arange(steps + 1)
-    return _trajectory(p, times, uu, vv, drift_tol)
+    return integrate_many(p, [start], dt, steps, drift_tol, blowup)[0]
 
 
 @dataclass(frozen=True)

@@ -67,17 +67,82 @@ def test_integrate_is_time_reversible():
 def test_integrate_argument_validation():
     with pytest.raises(ValueError):
         dynamics.integrate(GL, dynamics.orbit_family(0.5).start_state(), -1.0, 10)
+    for bad in ({"dt": math.nan}, {"drift_tol": math.nan}, {"drift_tol": -1.0}):
+        kw = {"dt": 1e-3, "steps": 10, **bad}
+        with pytest.raises(ValueError):
+            dynamics.integrate(GL, dynamics.orbit_family(0.5).start_state(), **kw)
 
 
 def test_blowup_carries_partial_trajectory():
     # u'' = u along the unstable direction grows like e^t and must trip the guard
     quad = potentials.make_potential("quadratic", m=1)
     start = dynamics.PhasePoint(np.array([1.0]), np.array([1.0]))
-    with pytest.raises(dynamics.BlowUpError) as info:
+    with pytest.raises(dynamics.BlowUpError, match=r"^blow-up at step \d+ \(t = ") as info:
         dynamics.integrate(quad, start, 1e-2, 5000, blowup=1e4)
     partial = info.value.trajectory
     assert len(partial.times) < 5001
     assert np.all(np.abs(partial.u) <= 1e4)
+
+
+def test_drift_tol_is_enforced():
+    # dt = 0.1 is far too coarse for this orbit: H drifts by about 1e-4
+    start = dynamics.PhasePoint(np.array([0.5, 0.0]), np.array([0.1, 0.3]))
+    with pytest.raises(dynamics.BlowUpError, match=r"energy drift 1\.0\d\de-04 > drift_tol 1e-06") as info:
+        dynamics.integrate(GL, start, 0.1, 200, drift_tol=1e-6)
+    assert len(info.value.trajectory.times) == 201
+    assert info.value.trajectory.drift() > 1e-6
+    loose = dynamics.integrate(GL, start, 0.1, 200, drift_tol=math.inf)
+    assert np.array_equal(loose.H, info.value.trajectory.H)
+
+
+def _verlet_reference(p, start, dt, steps):
+    """Single-state position Verlet, step for step as integrate ran unbatched."""
+    u, v = start.u.copy(), start.v.copy()
+    uu, vv = [u], [v]
+    for _ in range(steps):
+        u_mid = u + 0.5 * dt * v
+        v = v + dt * p.grad(u_mid)
+        u = u_mid + 0.5 * dt * v
+        uu.append(u)
+        vv.append(v)
+    return np.array(uu), np.array(vv)
+
+
+def test_integrate_many_matches_unbatched_runs():
+    # the R^2 grid of the speed-envelope check, radially unstable R^2 > 2/3 included
+    R_grid = np.sqrt(np.linspace(0.05, 0.95, 19))
+    starts = [dynamics.orbit_family(float(R)).start_state() for R in R_grid]
+    batch = dynamics.integrate_many(GL, starts, 1e-3, 6000)
+    assert len(batch) == len(starts)
+    for start, traj in zip(starts, batch):
+        alone = dynamics.integrate(GL, start, 1e-3, 6000)
+        assert np.array_equal(traj.u, alone.u)
+        assert np.array_equal(traj.v, alone.v)
+        assert np.array_equal(traj.H, alone.H)
+        assert np.array_equal(traj.times, alone.times)
+        ref_u, ref_v = _verlet_reference(GL, start, 1e-3, 6000)
+        assert np.array_equal(traj.u, ref_u) and np.array_equal(traj.v, ref_v)
+        assert traj.u.flags.c_contiguous and traj.u.base is not None  # a view of the batch buffer
+
+
+def test_integrate_many_blowup_names_the_trajectory():
+    quad = potentials.make_potential("quadratic", m=2)
+    calm = [dynamics.PhasePoint(np.array([0.0, 0.0]), np.array([0.0, 0.0]))] * 2
+    wild = dynamics.PhasePoint(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(dynamics.BlowUpError, match=r"^trajectory 2: blow-up at step \d+") as info:
+        dynamics.integrate_many(quad, calm + [wild], 1e-2, 5000, blowup=1e4)
+    partial = info.value.trajectory
+    assert 1 < len(partial.times) < 5001
+    assert np.all(np.abs(partial.u) <= 1e4)
+    assert np.array_equal(partial.u[0], wild.u)
+
+
+def test_integrate_many_rejects_bad_batches():
+    with pytest.raises(ValueError, match="at least one"):
+        dynamics.integrate_many(GL, [], 1e-3, 10)
+    mixed = [dynamics.orbit_family(0.5).start_state(), dynamics.PhasePoint([0.1], [0.0])]
+    with pytest.raises(ValueError, match="same dimension"):
+        dynamics.integrate_many(GL, mixed, 1e-3, 10)
 
 
 def test_trajectory_csv_format(tmp_path):
