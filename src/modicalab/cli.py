@@ -510,7 +510,7 @@ def cmd_relax(args) -> int:
         write_json(out / "relax.json", log)
         fields.save_gridfield(result.field, out / "relax_field.txt")
     _emit(args, log, [
-        f"relaxed {log['iters']} sweeps, residual {log['residual']:.3e},"
+        f"relaxed {log['iters']} cycles on {result.levels} levels, residual {log['residual']:.3e},"
         f" energy {log['energy_first']!r} -> {log['energy_last']!r}",
     ])
     return EXIT_OK if result.converged else EXIT_VIOLATION

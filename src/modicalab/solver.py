@@ -1,14 +1,22 @@
 """Relaxation solver for Lap u = grad W(u) on rectangles with Dirichlet data.
 
-Explicit damped gradient flow of the discrete energy: red-black sweeps of
+Nonlinear full-approximation-scheme (FAS) multigrid V-cycles whose smoother
+is the explicit damped gradient flow of the discrete energy, red-black
+sweeps of
 
-    u_ij += tau * (Lap_h u_ij - grad W(u_ij))
+    u_ij += tau * (Lap_h u_ij - grad W(u_ij) + f_ij)
 
-with the step size chosen from the sampled stiffness of W so the discrete
-flow energy is a Lyapunov function.  The flow energy (edge-based gradient
-plus node-based W) decreases monotonically by construction and is checked
-every sweep; any increase beyond roundoff aborts the run, as does value
-blow-up.
+where f is 0 on the finest grid and the FAS forcing on coarser ones.  Every
+level takes its step size from one sampled stiffness bound of W, so the
+discrete flow energy is a Lyapunov function of the sweeps.
+The grid halves while both node counts minus one are even and the coarse
+grid keeps an interior node; a grid that cannot coarsen is one level, where
+a cycle is one sweep of the plain flow.  A coarse correction is kept only
+if it does not raise the energy beyond roundoff, so the fine flow energy
+(edge-based gradient plus node-based W) is nonincreasing from cycle to
+cycle up to roundoff.  It is checked every cycle: any increase beyond roundoff aborts the
+run, as does value blow-up.  The number of cycles to a given residual does
+not grow as h shrinks (A. Brandt, Math. Comp. 31, 1977).
 """
 
 from __future__ import annotations
@@ -139,27 +147,138 @@ def energy(g: GridField, p: Potential) -> float:
 @dataclass(frozen=True)
 class RelaxResult:
     field: GridField
-    iterations: int
+    iterations: int  # cycles
     converged: bool
-    tau: float
+    tau: float  # step of the finest level
     stiffness: float
-    residuals: np.ndarray  # recorded per sweep
-    energies: np.ndarray  # flow energy per sweep (nonincreasing)
+    residuals: np.ndarray  # recorded per cycle
+    energies: np.ndarray  # flow energy per cycle (nonincreasing)
+    levels: int  # grids in the multigrid hierarchy; 1 is the plain flow
 
     @property
     def final_residual(self) -> float:
         return float(self.residuals[-1])
 
 
+# The cycle shape: smoothing sweeps before and after each coarse correction,
+# and the sweeps that stand in for a solve on the coarsest grid.
+_PRE_SWEEPS = 2
+_POST_SWEEPS = 2
+_COARSEST_SWEEPS = 16
+# Relative rise of a level's energy that a coarse correction may cause and
+# still be kept: the roundoff of summing the energy, far below the 1e-12
+# that aborts a run.  Near convergence a correction gains less than roundoff.
+_ENERGY_ROUNDOFF = 1e-14
+
+
+@dataclass(frozen=True)
+class _Level:
+    spacing: tuple
+    tau: float
+    colors: tuple  # checkerboard masks of the interior nodes, in sweep order
+
+
+def _hierarchy(shape, spacing, safety: float, L: float) -> list[_Level]:
+    """Grids from fine to coarse: halve while n1 - 1 and n2 - 1 are both
+    even and the coarse grid keeps an interior node.  Every level steps with
+    tau = safety h^2 / (4 + h^2 L), which keeps the flow a descent there."""
+    (n1, n2), (h1, h2) = shape, spacing
+    levels = []
+    while True:
+        h = min(h1, h2)
+        ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
+        colors = ((ii + jj) % 2 == 0)
+        levels.append(_Level((h1, h2), safety * h * h / (4.0 + h * h * L), (colors, ~colors)))
+        if (n1 - 1) % 2 or (n2 - 1) % 2 or min(n1, n2) < 5:
+            return levels
+        n1, n2, h1, h2 = (n1 - 1) // 2 + 1, (n2 - 1) // 2 + 1, 2.0 * h1, 2.0 * h2
+
+
+def _defect(u: np.ndarray, p: Potential, spacing, f) -> np.ndarray:
+    """Lap_h u - grad W(u) + f over the interior nodes (f = None is zero)."""
+    a = _laplacian(u, spacing) - np.asarray(p.grad(u[1:-1, 1:-1]))
+    return a if f is None else a + f
+
+
+def _level_energy(u: np.ndarray, p: Potential, spacing, f) -> float:
+    """The flow energy minus the forcing's work: its interior gradient is
+    -h1 h2 (Lap_h u - grad W + f), so a level's sweeps descend it."""
+    e = flow_energy(u, p, spacing)
+    return e if f is None else e - spacing[0] * spacing[1] * float(np.sum(f * u[1:-1, 1:-1]))
+
+
+def _smooth(u: np.ndarray, p: Potential, lvl: _Level, f, sweeps: int, a=None) -> None:
+    """Red-black sweeps of u += tau (Lap_h u - grad W(u) + f) in place;
+    `a` is the defect of u when the caller already has it."""
+    inner = u[1:-1, 1:-1]
+    for _ in range(sweeps):
+        for color in lvl.colors:
+            if a is None:
+                a = _defect(u, p, lvl.spacing, f)
+            inner[color] += lvl.tau * a[color]
+            a = None
+
+
+def _restrict(r: np.ndarray) -> np.ndarray:
+    """Full weighting of fine interior values onto the coarse interior nodes."""
+    rows = 0.25 * (r[:-2:2] + 2.0 * r[1::2] + r[2::2])
+    return 0.25 * (rows[:, :-2:2] + 2.0 * rows[:, 1::2] + rows[:, 2::2])
+
+
+def _prolong(e: np.ndarray, shape) -> np.ndarray:
+    """Bilinear interpolation of coarse nodal values onto the fine grid."""
+    fine = np.empty(shape)
+    fine[::2, ::2] = e
+    fine[1::2, ::2] = 0.5 * (e[:-1] + e[1:])
+    fine[:, 1::2] = 0.5 * (fine[:, :-1:2] + fine[:, 2::2])
+    return fine
+
+
+def _vcycle(u: np.ndarray, p: Potential, levels: list, f, a=None) -> None:
+    """One FAS V-cycle for Lap_h u - grad W(u) + f = 0 on levels[0], in place;
+    `a` is the defect of u when the caller already has it.
+
+    The coarse problem is Lap_H v - grad W(v) + f_H = 0 with
+    f_H = R(Lap_h u - grad W(u) + f) - (Lap_H - grad W)(u_hat), where R is
+    full weighting and u_hat the injected u (Dirichlet data included); u
+    gains the bilinear prolongation of v - u_hat unless that would raise
+    the level's energy beyond roundoff, so a cycle keeps the descent of its
+    sweeps."""
+    lvl = levels[0]
+    if len(levels) == 1:
+        _smooth(u, p, lvl, f, _COARSEST_SWEEPS)
+        return
+    _smooth(u, p, lvl, f, _PRE_SWEEPS, a)
+    u_hat = u[::2, ::2].copy()
+    f_H = _restrict(_defect(u, p, lvl.spacing, f)) - _defect(u_hat, p, levels[1].spacing, None)
+    v = u_hat.copy()
+    _vcycle(v, p, levels[1:], f_H)
+    trial = u + _prolong(v - u_hat, u.shape)
+    e = _level_energy(u, p, lvl.spacing, f)
+    # `<=` is False on nan, so a correction that overflowed is dropped too
+    if _level_energy(trial, p, lvl.spacing, f) <= e + _ENERGY_ROUNDOFF * max(1.0, abs(e)):
+        u[...] = trial
+    _smooth(u, p, lvl, f, _POST_SWEEPS)
+
+
 def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> RelaxResult:
-    """Run the damped gradient flow until the residual drops below cfg.tol
-    or cfg.max_iters sweeps elapse.  Each sweep updates the two checkerboard
-    colors in a fixed order, so runs are bit-reproducible."""
+    """Run FAS multigrid cycles until the residual drops below cfg.tol or
+    cfg.max_iters cycles elapse.  On a grid that cannot coarsen a cycle is one
+    sweep of the damped flow.  Sweeps update the two checkerboard colors in a
+    fixed order, so runs are bit-reproducible."""
     if len(cfg.shape) != 2:
         raise ValueError("relax works on planar grids")
     n1, n2 = cfg.shape
     if n1 < 3 or n2 < 3:
         raise ValueError("grid must have interior nodes")
+    if cfg.max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {cfg.max_iters!r}")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {cfg.tol!r}")
+    if not all(math.isfinite(hk) and hk > 0 for hk in cfg.spacing):
+        raise ValueError(f"spacing must be positive and finite, got {tuple(cfg.spacing)!r}")
+    if not 0 < cfg.safety <= 1:
+        raise ValueError(f"safety must lie in (0, 1], got {cfg.safety!r}")
     h1, h2 = cfg.spacing
     m = p.m
 
@@ -179,33 +298,28 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
     lo = u.reshape(-1, m).min(axis=0) - cfg.value_margin
     hi = u.reshape(-1, m).max(axis=0) + cfg.value_margin
     L = stiffness_bound(p, lo, hi)
-    h = min(h1, h2)
-    tau = cfg.safety * h * h / (4.0 + h * h * L)
-
-    ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
-    colors = ((ii + jj) % 2 == 0)
+    levels = _hierarchy((n1, n2), (h1, h2), cfg.safety, L)
+    fine = levels[0]
 
     energies = []
     residuals = []
     e_prev = flow_energy(u, p, (h1, h2))
     converged = False
-    sweeps = 0
-    for sweeps in range(1, cfg.max_iters + 1):
-        for color in (colors, ~colors):
-            lap = _laplacian(u, cfg.spacing)
-            gw = np.asarray(p.grad(u[1:-1, 1:-1]))
-            step = tau * (lap - gw)
-            u[1:-1, 1:-1][color] += step[color]
+    a = None  # defect of u, carried from one cycle's residual into the next sweep
+    for cycles in range(1, cfg.max_iters + 1):
+        if len(levels) == 1:
+            _smooth(u, p, fine, None, 1, a)
+        else:
+            _vcycle(u, p, levels, None, a)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e6:
-            raise RelaxError(f"values blew up after {sweeps} sweeps")
+            raise RelaxError(f"values blew up after {cycles} cycles")
         e_now = flow_energy(u, p, (h1, h2))
         if e_now > e_prev + 1e-12 * max(1.0, abs(e_prev)):
             raise RelaxError(
-                f"flow energy increased at sweep {sweeps}: {e_prev!r} -> {e_now!r}"
+                f"flow energy increased at cycle {cycles}: {e_prev!r} -> {e_now!r}"
             )
-        lap = _laplacian(u, cfg.spacing)
-        gw = np.asarray(p.grad(u[1:-1, 1:-1]))
-        r = float(np.max(np.abs(lap - gw)))
+        a = _defect(u, p, fine.spacing, None)
+        r = float(np.max(np.abs(a)))
         energies.append(e_now)
         residuals.append(r)
         e_prev = e_now
@@ -218,16 +332,17 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
         spacing=tuple(cfg.spacing),
         values=u,
         meta={"solver": "damped-gradient-flow", "potential": p.name,
-              "tau": tau, "sweeps": sweeps, **cfg.meta},
+              "tau": fine.tau, "sweeps": cycles, **cfg.meta},
     )
     return RelaxResult(
         field=g,
-        iterations=sweeps,
+        iterations=cycles,
         converged=converged,
-        tau=tau,
+        tau=fine.tau,
         stiffness=L,
         residuals=np.asarray(residuals),
         energies=np.asarray(energies),
+        levels=len(levels),
     )
 
 

@@ -231,10 +231,25 @@ def test_relax_from_config(relax_config, tmp_path):
     out = tmp_path / "art"
     proc = run_cli("relax", "--config", str(relax_config), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
+    assert "cycles on 2 levels, residual" in proc.stdout  # 41 x 5 halves once
     log = json.loads((out / "relax.json").read_text())
     assert log["converged"] is True
     g = fields.load_gridfield(out / "relax_field.txt")
     assert g.values.shape == (41, 5, 1)
+
+
+@pytest.mark.parametrize("change, reason", [
+    pytest.param({"max_iters": 0}, "max_iters", id="max_iters-0"),
+    pytest.param({"domain": {"origin": [-3.0, 0.0], "spacing": [0.0, 0.15], "shape": [41, 5]}},
+                 "spacing", id="spacing-0"),
+    pytest.param({"tol": float("nan")}, "tol", id="tol-nan"),
+])
+def test_relax_bad_numbers_are_usage_errors(relax_config, change, reason):
+    cfg = json.loads(relax_config.read_text())
+    relax_config.write_text(json.dumps({**cfg, **change}))
+    proc = run_cli("relax", "--config", str(relax_config))
+    assert proc.returncode == 2
+    assert reason in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_relax_bad_config_is_usage_error(tmp_path):

@@ -1,5 +1,6 @@
-"""Damped gradient-flow relaxation on rectangles."""
+"""FAS multigrid relaxation on rectangles, with the damped flow as smoother."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,7 +41,7 @@ def test_relax_matches_closed_form_at_second_order():
     glp = potentials.make_potential("ginzburg_landau", m=2)
     circle = fields.make_field("gl_circle_planar", R=0.5)
     errs = []
-    for h in (0.1, 0.05):
+    for h in (0.1, 0.05, 0.025):
         n = int(round(1.0 / h)) + 1
         cfg = solver.RelaxConfig(
             origin=(-0.5, -0.5), spacing=(h, h), shape=(n, n),
@@ -50,22 +51,130 @@ def test_relax_matches_closed_form_at_second_order():
         assert result.converged
         exact = fields.sample_field(circle, (-0.5, -0.5), (h, h), (n, n))
         errs.append(float(np.max(np.abs(result.field.values - exact.values))))
-    ratio = errs[0] / errs[1]
-    assert 3.0 <= ratio <= 5.0
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.0 <= coarse / fine <= 5.0
 
 
-def test_flow_energy_is_nonincreasing():
-    dw = potentials.make_potential("double_well")
-    tanh = fields.make_field("tanh_planar")
+@pytest.mark.parametrize("potential, boundary, origin, spacing, shape, levels", [
+    pytest.param(("double_well", {}), ("tanh_planar", {}), (-3.0, 0.0), 0.15, (41, 5), 2,
+                 id="strip"),
+    pytest.param(("ginzburg_landau", {"m": 2}), ("gl_circle_planar", {"R": 0.5}),
+                 (-0.5, -0.5), 0.025, (41, 41), 4, id="gl-square"),
+])
+def test_flow_energy_is_nonincreasing(potential, boundary, origin, spacing, shape, levels):
+    p = potentials.make_potential(potential[0], **potential[1])
     cfg = solver.RelaxConfig(
-        origin=(-3.0, 0.0), spacing=(0.15, 0.15), shape=(41, 5),
-        boundary=tanh, max_iters=4_000, tol=1e-9,
+        origin=origin, spacing=(spacing, spacing), shape=shape,
+        boundary=fields.make_field(boundary[0], **boundary[1]), max_iters=4_000, tol=1e-9,
     )
-    result = solver.relax(dw, cfg)
+    result = solver.relax(p, cfg)
+    assert result.converged and result.levels == levels
     e = result.energies
     scale = 1e-12 * np.maximum(1.0, np.abs(e[:-1]))
     assert np.all(np.diff(e) <= scale)
     assert len(result.residuals) == len(e) == result.iterations
+
+
+def test_cycles_to_tolerance_do_not_grow_as_h_shrinks():
+    # GL (m = 2) on [-0.5, 0.5]^2 with identity-map data, started from the
+    # data plus a uniform perturbation of amplitude 0.01
+    glp = potentials.make_potential("ginzburg_landau", m=2)
+    rng = np.random.default_rng(0)
+    cycles = []
+    for h in (0.05, 0.025, 0.0125):
+        n = int(round(1.0 / h)) + 1
+        axis = -0.5 + h * np.arange(n)
+        X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        X = X + rng.uniform(-0.01, 0.01, X.shape)
+        cfg = solver.RelaxConfig(
+            origin=(-0.5, -0.5), spacing=(h, h), shape=(n, n),
+            boundary=fields.make_field("harmonic_linear_map"), max_iters=200, tol=1e-10,
+        )
+        result = solver.relax(glp, cfg, init=fields.GridField((-0.5, -0.5), (h, h), X))
+        assert result.converged
+        cycles.append(result.iterations)
+    assert max(cycles) <= 20
+    assert max(cycles) - min(cycles) <= 3
+
+
+def test_grid_hierarchy_halves_while_node_counts_stay_odd():
+    zero = _zero_potential()
+    for shape, levels in (((81, 6), 1), ((41, 5), 2), ((9, 9), 3), ((17, 17), 4), ((81, 81), 5)):
+        cfg = solver.RelaxConfig(
+            origin=(-1.0, -1.0), spacing=(0.25, 0.25), shape=shape,
+            boundary=_linear_boundary(), tol=1e-12,
+        )
+        assert solver.relax(zero, cfg).levels == levels, shape
+
+
+def _flow_reference(p, cfg):
+    """The damped red-black gradient flow written out sweep by sweep, as the
+    solver ran it before it became multigrid (ClosedFormField data, cold
+    start)."""
+    n1, n2 = cfg.shape
+    h1, h2 = cfg.spacing
+    m = p.m
+    x1, x2 = cfg.axes()
+    pts = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
+    u = cfg.boundary.values(pts).reshape(n1, n2, m).astype(float)
+    lo = u.reshape(-1, m).min(axis=0) - cfg.value_margin
+    hi = u.reshape(-1, m).max(axis=0) + cfg.value_margin
+    L = solver.stiffness_bound(p, lo, hi)
+    h = min(h1, h2)
+    tau = cfg.safety * h * h / (4.0 + h * h * L)
+    ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
+    colors = ((ii + jj) % 2 == 0)
+
+    def lap(v):
+        core = v[1:-1, 1:-1]
+        return ((v[2:, 1:-1] - 2 * core + v[:-2, 1:-1]) / h1**2
+                + (v[1:-1, 2:] - 2 * core + v[1:-1, :-2]) / h2**2)
+
+    energies, residuals = [], []
+    for sweeps in range(1, cfg.max_iters + 1):
+        for color in (colors, ~colors):
+            step = tau * (lap(u) - np.asarray(p.grad(u[1:-1, 1:-1])))
+            u[1:-1, 1:-1][color] += step[color]
+        energies.append(solver.flow_energy(u, p, (h1, h2)))
+        residuals.append(float(np.max(np.abs(lap(u) - np.asarray(p.grad(u[1:-1, 1:-1]))))))
+        if residuals[-1] <= cfg.tol:
+            break
+    return u, np.asarray(residuals), np.asarray(energies), sweeps
+
+
+def test_one_level_cycles_are_the_plain_flow_bit_for_bit():
+    # the suite's transition strip: n2 - 1 = 5 is odd, so the grid cannot coarsen
+    dw = potentials.make_potential("double_well")
+    cfg = solver.RelaxConfig(
+        origin=(-4.0, 0.0), spacing=(0.1, 0.1), shape=(81, 6),
+        boundary=fields.make_field("tanh_planar"), max_iters=20_000, tol=1e-8,
+    )
+    result = solver.relax(dw, cfg)
+    values, residuals, energies, sweeps = _flow_reference(dw, cfg)
+    assert result.levels == 1 and result.converged
+    assert result.iterations == sweeps
+    assert np.array_equal(result.field.values, values)
+    assert np.array_equal(result.residuals, residuals)
+    assert np.array_equal(result.energies, energies)
+
+
+@pytest.mark.parametrize("change, reason", [
+    pytest.param({"max_iters": 0}, "max_iters", id="max_iters-0"),
+    pytest.param({"tol": 0.0}, "tol", id="tol-0"),
+    pytest.param({"tol": math.nan}, "tol", id="tol-nan"),
+    pytest.param({"tol": math.inf}, "tol", id="tol-inf"),
+    pytest.param({"spacing": (0.0, 0.15)}, "spacing", id="spacing-0"),
+    pytest.param({"spacing": (0.15, math.nan)}, "spacing", id="spacing-nan"),
+    pytest.param({"safety": 0.0}, "safety", id="safety-0"),
+    pytest.param({"safety": 1.5}, "safety", id="safety-1.5"),
+])
+def test_bad_relaxation_numbers_are_rejected(change, reason):
+    cfg = solver.RelaxConfig(
+        origin=(-1.0, -1.0), spacing=(0.25, 0.25), shape=(9, 9),
+        boundary=_linear_boundary(),
+    )
+    with pytest.raises(ValueError, match=reason):
+        solver.relax(_zero_potential(), dataclasses.replace(cfg, **change))
 
 
 def test_transition_strip_energy_matches_line_energy():
@@ -191,12 +300,14 @@ def test_unstable_potential_blows_up():
 
     concave = potentials.Potential("concave", 1, {}, (), w, grad, hess)
     bump = fields.make_field("constant", value=[0.1], n=2)
-    cfg = solver.RelaxConfig(
-        origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(11, 11),
-        boundary=bump, max_iters=100_000, tol=1e-14,
-    )
-    with pytest.raises(solver.RelaxError, match="blew up"):
-        solver.relax(concave, cfg)
+    # 11 x 11 runs on two levels, 17 x 17 on four
+    for n in (11, 17):
+        cfg = solver.RelaxConfig(
+            origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(n, n),
+            boundary=bump, max_iters=100_000, tol=1e-14,
+        )
+        with pytest.raises(solver.RelaxError, match="blew up"):
+            solver.relax(concave, cfg)
 
 
 def test_non_converged_run_reports_false():
