@@ -102,15 +102,16 @@ class DefectReport:
 # pointwise quantities
 
 
-def modica_defect(jet: Jet2, p: Potential) -> float:
-    """Gradient excess 0.5|grad u|^2 - W(u); positive means the scalar
-    pointwise bound is violated at this jet."""
-    return 0.5 * jet.grad_sq() - float(p.w(jet.u))
+def modica_defect(jet: Jet2, p: Potential):
+    """Gradient excess 0.5|grad u|^2 - W(u), per node of a batched jet;
+    positive means the scalar pointwise bound is violated there."""
+    return 0.5 * jet.grad_sq() - p.w(jet.u)
 
 
-def gl_pointwise_bound(jet: Jet2) -> float:
-    """Margin of the sharp Ginzburg-Landau bound 0.5|grad u|^2 <= (1-|u|^2)/2."""
-    return 0.5 * (1.0 - float(np.sum(jet.u**2))) - 0.5 * jet.grad_sq()
+def gl_pointwise_bound(jet: Jet2):
+    """Margin of the sharp Ginzburg-Landau bound 0.5|grad u|^2 <= (1-|u|^2)/2,
+    per node of a batched jet."""
+    return 0.5 * (1.0 - np.sum(jet.u**2, axis=-1)) - 0.5 * jet.grad_sq()
 
 
 def gl_bound_rhs(u, m: int | None = None) -> dict:
@@ -613,9 +614,6 @@ class PhiBarrier:
     def phi(s):
         s = np.asarray(s, float)
         return np.where(s >= -1.0 / 6.0, 3.0 * s**2 + s, -1.0 / 12.0)
-
-    def phi_prime(self, s):
-        return self.rho(6.0 * np.asarray(s, float) + 1.0)
 
     def sup_deviation(self, n: int = 2001) -> float:
         s = np.linspace(-0.5, 0.0, n)

@@ -9,6 +9,7 @@ every interior node of a grid at once.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ __all__ = [
     "ClosedFormField",
     "GridField",
     "make_field",
+    "field_keys",
     "jet",
     "fd_jet",
     "grid_jets",
@@ -87,45 +89,62 @@ class Jet2:
 
 @dataclass(frozen=True)
 class ClosedFormField:
-    """A catalog field with analytic jets and vectorized point evaluation."""
+    """A catalog field with vectorized values and analytic jets.
+
+    `_values` maps points (..., n) to values (..., m) and `_derivatives` maps
+    them to (du, d2u) with the same leading node axes, so the value in a jet
+    is the value `values` returns.
+    """
 
     name: str
     n: int
     m: int
     params: dict
-    _jet: Callable[[np.ndarray], tuple]
+    _derivatives: Callable[[np.ndarray], tuple]
     _values: Callable[[np.ndarray], np.ndarray]
 
-    def jet(self, x) -> Jet2:
-        x = np.atleast_1d(np.asarray(x, float))
-        if x.shape != (self.n,):
-            raise ValueError(f"{self.name}: expected point in R^{self.n}, got shape {x.shape}")
-        u, du, d2u = self._jet(x)
-        return Jet2(x=x, u=u, du=du, d2u=d2u)
+    def _points(self, X) -> np.ndarray:
+        X = np.asarray(X, float)
+        if X.shape[-1:] != (self.n,):
+            raise ValueError(f"{self.name}: trailing axis must have length {self.n}, got shape {X.shape}")
+        return X
 
     def values(self, X) -> np.ndarray:
         """Evaluate at an array of points, shape (..., n) -> (..., m)."""
-        X = np.asarray(X, float)
-        if X.shape[-1] != self.n:
-            raise ValueError(f"{self.name}: trailing axis must have length {self.n}")
-        return self._values(X)
+        return self._values(self._points(X))
+
+    def jets(self, X) -> Jet2:
+        """Analytic jets at an array of points (..., n), node axes leading."""
+        X = self._points(X)
+        return Jet2(X, self._values(X), *self._derivatives(X))
+
+    def jet(self, x) -> Jet2:
+        """The jet at one point of R^n: `jets` with no node axes."""
+        x = np.atleast_1d(np.asarray(x, float))
+        if x.shape != (self.n,):
+            raise ValueError(f"{self.name}: expected point in R^{self.n}, got shape {x.shape}")
+        return self.jets(x)
 
 
 def _omega(R: float) -> float:
     return math.sqrt(1.0 - R * R)
 
 
+def _zeros(X, *shape):
+    return np.zeros(X.shape[:-1] + shape)
+
+
 def _make_constant(value, n=1):
     value = np.atleast_1d(np.asarray(value, float))
     m = value.size
 
-    def jet_fn(x):
-        return value.copy(), np.zeros((m, n)), np.zeros((m, n, n))
-
     def values(X):
         return np.broadcast_to(value, X.shape[:-1] + (m,)).copy()
 
-    return ClosedFormField("constant", n, m, {"value": value.tolist(), "n": n}, jet_fn, values)
+    def derivatives(X):
+        return _zeros(X, m, n), _zeros(X, m, n, n)
+
+    return ClosedFormField("constant", n, m, {"value": value.tolist(), "n": n}, derivatives, values)
 
 
 def _make_linear(A, b=None, n=None):
@@ -136,21 +155,13 @@ def _make_linear(A, b=None, n=None):
     n = n_
     b = np.zeros(m) if b is None else np.atleast_1d(np.asarray(b, float))
 
-    def jet_fn(x):
-        return A @ x + b, A.copy(), np.zeros((m, n, n))
-
     def values(X):
         return X @ A.T + b
 
-    return ClosedFormField("linear", n, m, {"A": A.tolist(), "b": b.tolist()}, jet_fn, values)
+    def derivatives(X):
+        return np.broadcast_to(A, X.shape[:-1] + (m, n)).copy(), _zeros(X, m, n, n)
 
-
-def _gl_circle_jet(R, omega, x1):
-    c, s = math.cos(omega * x1), math.sin(omega * x1)
-    u = np.array([R * c, R * s])
-    du1 = np.array([-R * omega * s, R * omega * c])
-    d2u11 = np.array([-R * omega**2 * c, -R * omega**2 * s])
-    return u, du1, d2u11
+    return ClosedFormField("linear", n, m, {"A": A.tolist(), "b": b.tolist()}, derivatives, values)
 
 
 def _make_gl_circle(R=0.5, planar=False):
@@ -161,19 +172,19 @@ def _make_gl_circle(R=0.5, planar=False):
     n = 2 if planar else 1
     name = "gl_circle_planar" if planar else "gl_circle"
 
-    def jet_fn(x):
-        u, du1, d2u11 = _gl_circle_jet(R, omega, x[0])
-        du = np.zeros((2, n))
-        d2u = np.zeros((2, n, n))
-        du[:, 0] = du1
-        d2u[:, 0, 0] = d2u11
-        return u, du, d2u
-
     def values(X):
         phase = omega * X[..., 0]
         return np.stack([R * np.cos(phase), R * np.sin(phase)], axis=-1)
 
-    return ClosedFormField(name, n, 2, {"R": R}, jet_fn, values)
+    def derivatives(X):
+        phase = omega * X[..., 0]
+        c, s = np.cos(phase), np.sin(phase)
+        du, d2u = _zeros(X, 2, n), _zeros(X, 2, n, n)
+        du[..., 0] = np.stack([-R * omega * s, R * omega * c], axis=-1)
+        d2u[..., 0, 0] = np.stack([-R * omega**2 * c, -R * omega**2 * s], axis=-1)
+        return du, d2u
+
+    return ClosedFormField(name, n, 2, {"R": R}, derivatives, values)
 
 
 def _make_tanh(planar=False):
@@ -181,20 +192,18 @@ def _make_tanh(planar=False):
     name = "tanh_planar" if planar else "tanh_profile"
     rt2 = math.sqrt(2.0)
 
-    def jet_fn(x):
-        t = math.tanh(x[0] / rt2)
-        sech2 = 1.0 - t * t
-        u = np.array([t])
-        du = np.zeros((1, n))
-        d2u = np.zeros((1, n, n))
-        du[0, 0] = sech2 / rt2
-        d2u[0, 0, 0] = -t * sech2  # (1/2) * d/dx sech^2(x/rt2) etc.
-        return u, du, d2u
-
     def values(X):
         return np.tanh(X[..., :1] / rt2)
 
-    return ClosedFormField(name, n, 1, {}, jet_fn, values)
+    def derivatives(X):
+        t = values(X)[..., 0]
+        sech2 = 1.0 - t * t
+        du, d2u = _zeros(X, 1, n), _zeros(X, 1, n, n)
+        du[..., 0, 0] = sech2 / rt2
+        d2u[..., 0, 0, 0] = -t * sech2  # (1/2) * d/dx sech^2(x/rt2) etc.
+        return du, d2u
+
+    return ClosedFormField(name, n, 1, {}, derivatives, values)
 
 
 def _make_harmonic_linear_map(A=None):
@@ -202,54 +211,52 @@ def _make_harmonic_linear_map(A=None):
     if A.shape != (2, 2):
         raise ValueError("harmonic_linear_map expects a 2x2 matrix")
     f = _make_linear(A)
-    return ClosedFormField("harmonic_linear_map", 2, 2, {"A": A.tolist()}, f._jet, f._values)
+    return ClosedFormField("harmonic_linear_map", 2, 2, {"A": A.tolist()}, f._derivatives, f._values)
 
 
 def _make_product_saddle():
-    def jet_fn(x):
-        u = np.array([x[0] * x[1]])
-        du = np.array([[x[1], x[0]]])
-        d2u = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-        return u, du, d2u
-
     def values(X):
         return (X[..., 0] * X[..., 1])[..., None]
 
-    return ClosedFormField("product_saddle", 2, 1, {}, jet_fn, values)
+    def derivatives(X):
+        hess = np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], X.shape[:-1] + (1, 2, 2))
+        return X[..., None, ::-1].copy(), hess.copy()
+
+    return ClosedFormField("product_saddle", 2, 1, {}, derivatives, values)
 
 
-CATALOG_IDS = (
-    "constant",
-    "linear",
-    "gl_circle",
-    "gl_circle_planar",
-    "tanh_profile",
-    "tanh_planar",
-    "harmonic_linear_map",
-    "product_saddle",
-)
+_BUILDERS = {
+    "constant": _make_constant,
+    "linear": _make_linear,
+    "gl_circle": lambda R=0.5: _make_gl_circle(R, planar=False),
+    "gl_circle_planar": lambda R=0.5: _make_gl_circle(R, planar=True),
+    "tanh_profile": lambda: _make_tanh(planar=False),
+    "tanh_planar": lambda: _make_tanh(planar=True),
+    "harmonic_linear_map": _make_harmonic_linear_map,
+    "product_saddle": _make_product_saddle,
+}
+
+CATALOG_IDS = tuple(_BUILDERS)
+
+
+def field_keys(name: str) -> tuple:
+    """The parameter names a catalog field takes; none for an unknown id."""
+    builder = _BUILDERS.get(name)
+    return () if builder is None else tuple(inspect.signature(builder).parameters)
 
 
 def make_field(name: str, **params) -> ClosedFormField:
     """Construct a catalog field by id.  The id set is closed; parameters are
     validated here so that downstream code can trust the object."""
-    if name == "constant":
-        return _make_constant(**params)
-    if name == "linear":
-        return _make_linear(**params)
-    if name == "gl_circle":
-        return _make_gl_circle(planar=False, **params)
-    if name == "gl_circle_planar":
-        return _make_gl_circle(planar=True, **params)
-    if name == "tanh_profile":
-        return _make_tanh(planar=False)
-    if name == "tanh_planar":
-        return _make_tanh(planar=True)
-    if name == "harmonic_linear_map":
-        return _make_harmonic_linear_map(**params)
-    if name == "product_saddle":
-        return _make_product_saddle()
-    raise ValueError(f"unknown field id {name!r}; known ids: {', '.join(CATALOG_IDS)}")
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown field id {name!r}; known ids: {', '.join(CATALOG_IDS)}")
+    unknown = sorted(set(params) - set(field_keys(name)))
+    if unknown:
+        raise ValueError(
+            f"field {name!r} takes no parameter {', '.join(map(repr, unknown))};"
+            f" accepted: {', '.join(field_keys(name)) or 'none'}"
+        )
+    return _BUILDERS[name](**params)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ __all__ = [
     "hessian_U",
     "compatibility_residual",
     "reconstruct_U",
+    "convexity_margin",
     "convexity_status",
     "green_boundary_identity",
     "monotonicity_profile",
@@ -224,20 +225,30 @@ def reconstruct_U(g: GridField, p: Potential, gauge: tuple | None = None,
                   path_defect=path_defect, laplacian_defect=lap_defect)
 
 
+def _convexity_terms(jet: Jet2, p: Potential):
+    """W(u), |u_x1|^2 - |u_x2|^2 and 2 u_x1.u_x2 per node of a planar jet."""
+    du = jet.du
+    d = np.sum(du[..., 0] ** 2, axis=-1) - np.sum(du[..., 1] ** 2, axis=-1)
+    return p.w(jet.u), d, 2.0 * np.sum(du[..., 0] * du[..., 1], axis=-1)
+
+
+def convexity_margin(jet: Jet2, p: Potential):
+    """Margin 4W^2 - (|u_x1|^2-|u_x2|^2)^2 - 4(u_x1.u_x2)^2 of the convexity
+    inequality for U, per node of a batched planar jet: det D2U written
+    without the Hessian, so U is convex where it is nonnegative."""
+    w, d, c = _convexity_terms(jet, p)
+    return 4.0 * w * w - d * d - c * c
+
+
 def convexity_status(jet: Jet2, p: Potential, tol: float = 1e-12) -> dict:
     """Convexity classification of U at a jet.
 
-    Returns both det D2U and the margin 4W^2 - (|u_x1|^2-|u_x2|^2)^2
-    - 4(u_x1.u_x2)^2 of the convexity inequality; they are the same quantity
-    written two ways, and the verdict is convex iff nonnegative.
+    Returns both det D2U and the `convexity_margin`; they are the same
+    quantity written two ways, and the verdict is convex iff nonnegative.
     """
-    H = hessian_U(jet, p)
-    det = float(np.linalg.det(H))
-    du = jet.du
-    d = float(np.sum(du[:, 0] ** 2) - np.sum(du[:, 1] ** 2))
-    c = 2.0 * float(np.sum(du[:, 0] * du[:, 1]))
-    w = float(p.w(jet.u))
-    margin = 4.0 * w * w - d * d - c * c
+    det = float(np.linalg.det(hessian_U(jet, p)))
+    w, d, c = (float(v) for v in _convexity_terms(jet, p))
+    margin = float(convexity_margin(jet, p))
     return {
         "det": det,
         "margin": margin,
@@ -284,17 +295,14 @@ def green_boundary_identity(f: ClosedFormField, p: Potential, center, R: float,
     lhs = disk_integral(density, center, R, n_r=n_r, n_theta=n_theta)
 
     ang = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    integrand = np.empty(n_theta)
-    resid = np.empty((n_theta, f.m))
-    for k, t in enumerate(ang):
-        nu = np.array([math.cos(t), math.sin(t)])
-        tau = np.array([-math.sin(t), math.cos(t)])
-        jet = f.jet(center + R * nu)
-        u_tau = jet.du @ tau
-        u_nu = jet.du @ nu
-        resid[k] = jet.laplacian() - np.asarray(p.grad(jet.u))
-        integrand[k] = float(np.sum(u_tau**2) - np.sum(u_nu**2) + 2.0 * p.w(jet.u))
-    _solution_gate(resid, gate, "field does not solve the system on the boundary")
+    nu = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    tau = np.stack([-nu[:, 1], nu[:, 0]], axis=-1)
+    jets = f.jets(center + R * nu)
+    u_tau = np.matmul(jets.du, tau[:, :, None])[..., 0]
+    u_nu = np.matmul(jets.du, nu[:, :, None])[..., 0]
+    _solution_gate(jets.laplacian() - p.grad(jets.u), gate,
+                   "field does not solve the system on the boundary")
+    integrand = np.sum(u_tau**2, axis=-1) - np.sum(u_nu**2, axis=-1) + 2.0 * p.w(jets.u)
     rhs = R * R * float(integrand.mean() * 2.0 * math.pi)
     return {
         "lhs": lhs,
@@ -361,12 +369,7 @@ def monotonicity_profile(density: str, f: ClosedFormField | None, p: Potential |
             raise ValueError("density 'grad_sq' needs a field")
 
         def fn(pts):
-            shape = pts.shape[:-1]
-            flat = pts.reshape(-1, 2)
-            out = np.empty(len(flat))
-            for i, x in enumerate(flat):
-                out[i] = f.jet(x).grad_sq()
-            return out.reshape(shape)
+            return f.jets(pts).grad_sq()
 
     else:
         raise ValueError(f"unknown density {density!r}; known: {', '.join(_DENSITIES)}")

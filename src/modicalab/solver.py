@@ -169,6 +169,10 @@ _COARSEST_SWEEPS = 16
 # still be kept: the roundoff of summing the energy, far below the 1e-12
 # that aborts a run.  Near convergence a correction gains less than roundoff.
 _ENERGY_ROUNDOFF = 1e-14
+# Cycles without a new smallest residual after which a run stops unconverged:
+# the five-point residual has a roundoff floor near eps |u| / h^2, and a tol
+# below it is never met.  Converging runs set a new minimum every cycle.
+_STALL_CYCLES = 8
 
 
 @dataclass(frozen=True)
@@ -262,8 +266,8 @@ def _vcycle(u: np.ndarray, p: Potential, levels: list, f, a=None) -> None:
 
 
 def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> RelaxResult:
-    """Run FAS multigrid cycles until the residual drops below cfg.tol or
-    cfg.max_iters cycles elapse.  On a grid that cannot coarsen a cycle is one
+    """Run FAS multigrid cycles until the residual drops below cfg.tol, stops
+    falling for _STALL_CYCLES cycles, or cfg.max_iters cycles elapse.  On a grid that cannot coarsen a cycle is one
     sweep of the damped flow.  Sweeps update the two checkerboard colors in a
     fixed order, so runs are bit-reproducible."""
     if len(cfg.shape) != 2:
@@ -305,6 +309,7 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
     residuals = []
     e_prev = flow_energy(u, p, (h1, h2))
     converged = False
+    best, since_best = math.inf, 0
     a = None  # defect of u, carried from one cycle's residual into the next sweep
     for cycles in range(1, cfg.max_iters + 1):
         if len(levels) == 1:
@@ -325,6 +330,9 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
         e_prev = e_now
         if r <= cfg.tol:
             converged = True
+            break
+        best, since_best = (r, 0) if r < best else (best, since_best + 1)
+        if since_best == _STALL_CYCLES:
             break
 
     g = GridField(

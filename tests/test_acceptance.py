@@ -33,20 +33,16 @@ def _exp_modes():
     a = np.array([math.cos(0.3), math.sin(0.3)])
     b = np.array([math.cos(1.2), math.sin(1.2)])
 
-    def jet_fn(x):
-        ea = math.exp(float(a @ x))
-        eb = 0.5 * math.exp(float(b @ x))
-        return (
-            np.array([ea, eb]),
-            np.array([ea * a, eb * b]),
-            np.array([ea * np.outer(a, a), eb * np.outer(b, b)]),
-        )
+    def derivatives(X):
+        e = values(X)  # (..., 2): the two modes
+        modes = np.stack([a, b])
+        return e[..., None] * modes, e[..., None, None] * np.einsum("ki,kj->kij", modes, modes)
 
     def values(X):
         X = np.asarray(X, float)
         return np.stack([np.exp(X @ a), 0.5 * np.exp(X @ b)], axis=-1)
 
-    return fields.ClosedFormField("exp_modes", 2, 2, {}, jet_fn, values)
+    return fields.ClosedFormField("exp_modes", 2, 2, {}, derivatives, values)
 
 
 def test_c01_periodic_connection_violates_both_bounds(assembled):

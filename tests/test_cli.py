@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, JSON output, artifacts."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from modicalab import fields
+from modicalab import cli, dynamics, fields
 
 CLI = [sys.executable, "-m", "modicalab.cli"]
 
@@ -260,3 +261,142 @@ def test_relax_bad_config_is_usage_error(tmp_path):
     garbled.write_text("{]")
     assert run_cli("relax", "--config", str(garbled)).returncode == 2
     assert run_cli("relax", "--config", str(tmp_path / "missing.json")).returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# the runner table: flags, --params keys, suite steps
+
+
+def _exit_code(argv):
+    """main's exit code, counting a parser error's SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def _relax_strip(tmp_path):
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps({
+        "potential": {"name": "double_well"},
+        "domain": {"origin": [-3.0, 0.0], "spacing": [0.15, 0.15], "shape": [41, 5]},
+        "boundary": {"field": "tanh_planar"},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["suite", "--tol", "1e-300", "--seed", "9", "--json", "--expect-violation"], "unrecognized"),
+    (["planar", "tensor", "--tol", "1e-300"], "does not read --tol"),
+    (["planar", "tensor", "--expect-violation"], "does not read --expect-violation"),
+    (["planar", "green", "--seed", "7", "--density", "grad_sq"], "unrecognized"),
+    (["planar", "green", "--density", "grad_sq"], "does not read --density"),
+    (["estimates", "--theorem", "3.1", "--field", "tanh_planar", "--dt", "5"], "does not read --dt, --field"),
+    (["estimates", "--theorem", "modica", "--dt", "0.01"], "--field counterexample"),
+    (["orbit", "--R", "0.5", "--expect-violation"], "unrecognized"),
+    (["counterexample", "build", "--expect-violation"], "does not read --expect-violation"),
+    (["relax", "--config", "{strip}", "--seed", "1"], "unrecognized"),
+])
+def test_flags_a_check_does_not_read_are_usage_errors(capsys, tmp_path, argv, reason):
+    argv = [_relax_strip(tmp_path) if a == "{strip}" else a for a in argv]
+    assert _exit_code(argv) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (["estimates", "--theorem", "3.3", "--params", '{"R": 0.9, "bogus": 1}'], "accepted keys: R"),
+    (["estimates", "--theorem", "modica", "--field", "tanh_planar", "--params", '{"R": 0.5}'],
+     "accepted keys: none"),
+    (["estimates", "--theorem", "3.5", "--params", '{"R": 0.5}'], "does not read --params"),
+    (["estimates", "--theorem", "3.4", "--params", '{"R": 0.5, "N": 3}'], "accepted keys: R, eps"),
+    (["planar", "monotone", "--params", '{"radius": 2.0}'], "accepted keys: R, center, radii"),
+    (["planar", "convexity", "--field", "product_saddle", "--params", '{"R": 0.5}'], "accepted keys: none"),
+])
+def test_unknown_params_keys_are_usage_errors(capsys, argv, accepted):
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert accepted in err and "Traceback" not in err
+
+
+class _Recording(dict):
+    """A params dict that records every key a runner looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_each_subcommand_registers_exactly_the_flags_its_runners_read(tmp_path):
+    given = {"orbit": {"R": 0.5}, "relax": {"config": _relax_strip(tmp_path)}}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(cli.COMMANDS)
+    for command, sp in subparsers.items():
+        registered = {a.dest for a in sp._actions if a.option_strings}
+        registered -= {"help", "out", "json", "theorem", "list_checks"}
+        read = set()
+        for words, check in cli.CHECKS.items():
+            if words.split(" ")[0] != command or command == "suite":
+                continue
+            params = _Recording({"orbit": cli._circular_orbit, **check.flags, **check.keys,
+                                 **given.get(words, {})})
+            check.run(params)
+            assert not set(check.flags) & set(check.keys), words
+            flags = (params.read & set(cli.FLAGS)) - set(check.keys)
+            assert flags == set(check.flags), words
+            assert params.read - flags - {"orbit"} == set(check.keys), words
+            read |= flags | ({"params"} if check.keys or "field" in flags else set())
+        assert registered == read, command
+
+
+@pytest.fixture(scope="module")
+def two_suite_runs(tmp_path_factory):
+    """Two suite runs in one process, each with the radii of the circular
+    orbits it integrated."""
+    runs = []
+    integrate = dynamics.integrate
+    with pytest.MonkeyPatch.context() as mp:
+        for k in range(2):
+            radii = []
+
+            def counting(p, start, *args, **kwargs):
+                radii.append(float(np.linalg.norm(start.u)))
+                return integrate(p, start, *args, **kwargs)
+
+            mp.setattr(dynamics, "integrate", counting)
+            out = tmp_path_factory.mktemp(f"suite{k}")
+            assert cli.main(["suite", "--out", str(out)]) == 0
+            runs.append((out, radii))
+    return runs
+
+
+def test_each_suite_run_integrates_the_shared_orbit_once(two_suite_runs):
+    for _, radii in two_suite_runs:
+        assert radii.count(0.5) == 1
+
+
+_SUBCOMMAND_STEPS = [s for s in cli.SUITE if not s[1].startswith("suite ")]
+
+
+@pytest.mark.parametrize("step, words, params", _SUBCOMMAND_STEPS, ids=[s[0] for s in _SUBCOMMAND_STEPS])
+def test_suite_step_artifacts_are_the_subcommand_artifacts(two_suite_runs, tmp_path, step, words, params):
+    command, _, selector = words.partition(" ")
+    argv = [command] + (["--theorem"] if command == "estimates" else []) + ([selector] if selector else [])
+    check, keys = cli.CHECKS[words], {}
+    for key, value in params.items():
+        if key not in check.flags:
+            keys[key] = value
+        else:
+            argv += ["--" + key.replace("_", "-")] + ([] if value is True else [repr(value)])
+    if keys:
+        argv += ["--params", json.dumps(keys)]
+    assert _exit_code(argv + ["--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written
+    suite_out = two_suite_runs[0][0]
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (suite_out / name).read_bytes(), name

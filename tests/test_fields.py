@@ -85,6 +85,34 @@ def test_product_saddle_is_harmonic():
     assert j.u[0] == 1.2 * -0.7
 
 
+_CATALOG_PARAMS = {"linear": {"A": [[1.0, -2.0], [0.5, 3.0]], "b": [0.1, 0.2]},
+                   "constant": {"value": [1.0, -1.0], "n": 2}, "gl_circle_planar": {"R": 0.7}}
+
+
+@pytest.mark.parametrize("name", fields.CATALOG_IDS)
+def test_batched_jets_are_the_values_and_the_pointwise_jets(name):
+    f = fields.make_field(name, **_CATALOG_PARAMS.get(name, {}))
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 5, f.n))
+    jets = f.jets(X)
+    assert jets.du.shape == (4, 5, f.m, f.n) and jets.d2u.shape == (4, 5, f.m, f.n, f.n)
+    assert np.array_equal(jets.u, f.values(X))
+    one = f.jet(X[2, 3])
+    for a, b in ((one.x, jets.x[2, 3]), (one.u, jets.u[2, 3]), (one.du, jets.du[2, 3]),
+                 (one.d2u, jets.d2u[2, 3])):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("tanh_planar", {"R": 0.5}),
+    ("product_saddle", {"A": [[1.0]]}),
+    ("gl_circle", {"R": 0.5, "bogus": 1}),
+])
+def test_make_field_rejects_params_the_field_does_not_take(name, params):
+    with pytest.raises(ValueError, match="accepted"):
+        fields.make_field(name, **params)
+    assert set(fields.field_keys(name)) < set(params)
+
+
 def test_values_match_jets():
     f = fields.make_field("gl_circle_planar", R=0.7)
     pts = np.random.default_rng(5).uniform(-2, 2, size=(20, 2))

@@ -29,19 +29,16 @@ def _exp_modes():
     a = np.array([math.cos(0.3), math.sin(0.3)])
     b = np.array([math.cos(1.2), math.sin(1.2)])
 
-    def jet_fn(x):
-        ea = math.exp(float(a @ x))
-        eb = 0.5 * math.exp(float(b @ x))
-        u = np.array([ea, eb])
-        du = np.array([ea * a, eb * b])
-        d2u = np.array([ea * np.outer(a, a), eb * np.outer(b, b)])
-        return u, du, d2u
+    def derivatives(X):
+        e = values(X)  # (..., 2): the two modes
+        modes = np.stack([a, b])
+        return e[..., None] * modes, e[..., None, None] * np.einsum("ki,kj->kij", modes, modes)
 
     def values(X):
         X = np.asarray(X, float)
         return np.stack([np.exp(X @ a), 0.5 * np.exp(X @ b)], axis=-1)
 
-    return fields.ClosedFormField("exp_modes", 2, 2, {}, jet_fn, values)
+    return fields.ClosedFormField("exp_modes", 2, 2, {}, derivatives, values)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +207,27 @@ def test_convexity_margin_closed_form_dichotomy():
         assert not status["conformal_vacuum"]
 
 
+@pytest.mark.parametrize("name, r_sq", [("gl_circle_planar", 0.3), ("gl_circle_planar", 0.5),
+                                         ("tanh_planar", None)])
+def test_batched_margins_equal_the_pointwise_loop(name, r_sq):
+    # the CLI's 33 x 33 sample grid, once as a batch and once point by point
+    if r_sq is None:
+        f, p = fields.make_field(name), potentials.make_potential("double_well")
+    else:
+        f, p = fields.make_field(name, R=math.sqrt(r_sq)), potentials.make_potential("ginzburg_landau", m=2)
+    xs = np.linspace(-2.0, 2.0, 33)
+    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    jets = f.jets(pts)
+    pairs = [
+        (estimates.modica_defect(jets, p), [estimates.modica_defect(f.jet(x), p) for x in pts]),
+        (planar.convexity_margin(jets, p), [planar.convexity_status(f.jet(x), p)["margin"] for x in pts]),
+        (estimates.gl_pointwise_bound(jets), [estimates.gl_pointwise_bound(f.jet(x)) for x in pts]),
+    ]
+    for batched, looped in pairs:
+        assert batched.shape == (len(pts),)
+        assert np.array_equal(batched, np.asarray(looped))
+
+
 def test_convexity_margin_equals_det():
     rng = np.random.default_rng(11)
     p = potentials.make_potential("ginzburg_landau", m=2)
@@ -294,19 +312,18 @@ def _bent_circle(eps):
     adds 4 eps to that component's Laplacian."""
     f = fields.make_field("gl_circle_planar", R=0.6)
 
-    def jet_fn(x):
-        u, du, d2u = f._jet(x)
-        u[0] += eps * float(x @ x)
-        du[0] += 2.0 * eps * x
-        d2u[0] += 2.0 * eps * np.eye(2)
-        return u, du, d2u
+    def derivatives(X):
+        du, d2u = f._derivatives(X)
+        du[..., 0, :] += 2.0 * eps * X
+        d2u[..., 0, :, :] += 2.0 * eps * np.eye(2)
+        return du, d2u
 
     def values(X):
         out = f.values(X)
         out[..., 0] += eps * np.sum(X**2, axis=-1)
         return out
 
-    return fields.ClosedFormField("bent_circle", 2, 2, {"eps": eps}, jet_fn, values)
+    return fields.ClosedFormField("bent_circle", 2, 2, {"eps": eps}, derivatives, values)
 
 
 def _gate_grid(f):

@@ -323,6 +323,21 @@ def test_non_converged_run_reports_false():
     assert len(result.residuals) == 3
 
 
+def test_a_tolerance_under_the_roundoff_floor_ends_when_the_residual_stalls():
+    # at h = 0.0125 the five-point residual bottoms out near 1.3e-12 after
+    # about 12 cycles, so tol 1e-13 is never met
+    glp = potentials.make_potential("ginzburg_landau", m=2)
+    cfg = solver.RelaxConfig(
+        origin=(-0.5, -0.5), spacing=(0.0125, 0.0125), shape=(81, 81),
+        boundary=fields.make_field("harmonic_linear_map"), max_iters=200, tol=1e-13,
+    )
+    result = solver.relax(glp, cfg)
+    assert not result.converged
+    assert result.iterations <= 30
+    assert np.min(result.residuals) > cfg.tol
+    assert result.iterations == int(np.argmin(result.residuals)) + 1 + solver._STALL_CYCLES
+
+
 def test_run_log_keys_and_values():
     cfg = solver.RelaxConfig(
         origin=(-1.0, -1.0), spacing=(0.25, 0.25), shape=(9, 9),
