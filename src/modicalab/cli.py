@@ -169,9 +169,8 @@ def _orbit(p):
 def _modica(p) -> DefectReport:
     if p["field"] == "counterexample":
         pc = cx.assemble(dt=1e-3 if p["dt"] is None else p["dt"])
-        margins = pc.orbit_w(pc.times) - 0.5 * np.sum(pc.v**2, axis=1)
         return DefectReport.from_margins(
-            "modica", margins, pc.u, p["tol"], constants={"lambda": pc.lam, "period": pc.T}
+            "modica", -pc.hamiltonian_series(), pc.u, p["tol"], constants={"lambda": pc.lam, "period": pc.T}
         )
     if p["dt"] is not None:
         raise ValueError("--dt is read only with --field counterexample")
@@ -296,7 +295,10 @@ def _relax(p):
     if not isinstance(cfg_json, dict):
         with open(cfg_json) as fh:
             cfg_json = json.load(fh)
-    pot_spec, dom, bspec = cfg_json["potential"], cfg_json["domain"], cfg_json["boundary"]
+    required = ("potential", "domain", "boundary")
+    if not (isinstance(cfg_json, dict) and all(k in cfg_json for k in required)):
+        raise ValueError("the relax config must be a JSON object with the keys " + ", ".join(required))
+    pot_spec, dom, bspec = (cfg_json[k] for k in required)
     pot = potentials.make_potential(pot_spec["name"], **pot_spec.get("params", {}))
     cfg = solver.RelaxConfig(
         origin=tuple(dom["origin"]),

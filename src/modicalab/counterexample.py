@@ -217,14 +217,18 @@ class CurveSpec:
         d = (self.amplitude / self.ell) * smooth.bump01_d(sf / self.ell)
         return np.where(mirrored, -d, d)
 
-    def tangent(self, s):
+    def _frame(self, s):
+        """(tangent, leftward normal) from one evaluation of theta."""
         th = self.theta(s)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+        c, sn = np.cos(th), np.sin(th)
+        return np.stack([c, sn], axis=-1), np.stack([-sn, c], axis=-1)
+
+    def tangent(self, s):
+        return self._frame(s)[0]
 
     def normal(self, s):
         """Leftward (inward) unit normal."""
-        th = self.theta(s)
-        return np.stack([-np.sin(th), np.cos(th)], axis=-1)
+        return self._frame(s)[1]
 
     def gamma(self, s):
         """Positions: ell times the unit half-arc at s / ell, mirrored past ell."""
@@ -242,25 +246,19 @@ class CurveSpec:
         condition <p - gamma(s), tangent(s)> = 0.  Returns (s, mu, dist).
         """
         pts = np.atleast_2d(np.asarray(pts, float))
-        full_nodes = np.concatenate(
-            [self._gamma_nodes, self._gamma_nodes[::-1][1:] * np.array([-1.0, 1.0])]
-        )
-        s_nodes = self.ell * self._arc.edges
-        full_s = np.concatenate([s_nodes, self.L - s_nodes[::-1][1:]])
-        stride = max(1, len(full_nodes) // 1024)
-        cand_s = full_s[::stride]
-        cand = full_nodes[::stride]
-        out_s = np.empty(len(pts))
+        nodes, s_nodes = self._gamma_nodes, self.ell * self._arc.edges
+        stride = max(1, (2 * len(nodes) - 1) // 1024)
+        # candidates on both halves, one contiguous array per coordinate
+        cand_s = np.concatenate([s_nodes, self.L - s_nodes[-2::-1]])[::stride]
+        cx = np.concatenate([nodes[:, 0], -nodes[-2::-1, 0]])[::stride].copy()
+        cy = np.concatenate([nodes[:, 1], nodes[-2::-1, 1]])[::stride].copy()
+        s = np.empty(len(pts))
         for lo in range(0, len(pts), 512):
-            chunk = pts[lo : lo + 512]
-            d2 = np.sum((chunk[:, None, :] - cand[None, :, :]) ** 2, axis=-1)
-            out_s[lo : lo + 512] = cand_s[np.argmin(d2, axis=1)]
-        s = out_s
+            px, py = pts[lo : lo + 512, 0, None], pts[lo : lo + 512, 1, None]
+            s[lo : lo + 512] = cand_s[np.argmin((px - cx) ** 2 + (py - cy) ** 2, axis=1)]
         for _ in range(newton_iters):
-            g = self.gamma(s)
-            tvec = self.tangent(s)
-            nvec = self.normal(s)
-            diff = pts - g
+            tvec, nvec = self._frame(s)
+            diff = pts - self.gamma(s)
             num = np.sum(diff * tvec, axis=-1)
             mu = np.sum(diff * nvec, axis=-1)
             den = 1.0 - self.kappa(s) * mu
@@ -289,8 +287,6 @@ def build_curve() -> CurveSpec:
 
     arc = smooth._PanelIntegral(unit_tangent, 0.0, 1.0, panels=16384)
     ell = -2.0 / float(arc.total[0])
-    # column-major (the table's transpose): `project`'s nearest-node search then
-    # sums two contiguous coordinate planes, much faster than a length-2 axis
     gamma_nodes = (_ARC_START[:, None] + ell * arc.table).T
     amplitude = 0.5 * math.pi / (ell * float(ieta.total))
     return CurveSpec(
@@ -333,8 +329,7 @@ class TubePotential:
         chi = self.cutoff(mu)
         w_s = mu * self.curve.kappa_prime(s) * chi
         w_mu = kap * (chi + mu * self.cutoff_d(mu))
-        tvec = self.curve.tangent(s)
-        nvec = self.curve.normal(s)
+        tvec, nvec = self.curve._frame(s)
         metric = 1.0 - mu * kap
         return (w_s / metric)[..., None] * tvec + w_mu[..., None] * nvec
 
@@ -488,94 +483,78 @@ class PeriodicConnection:
 
     # phase-resolved orbit evaluation ---------------------------------------
 
-    def orbit(self, x):
-        """(u, v) at arbitrary times, vectorized; period-wrapped."""
-        x = np.atleast_1d(np.asarray(x, float))
-        x = np.mod(x, self.T)
+    def _phases(self, x):
+        """Times folded into the first half-period: the mask of the reflected
+        second half, the folded time xr, and the masks of the right segment,
+        the arc and the left segment."""
+        x = np.mod(np.atleast_1d(np.asarray(x, float)), self.T)
         half = x >= 0.5 * self.T
         xr = np.where(half, x - 0.5 * self.T, x)
-        u = np.empty((len(x), 2))
-        v = np.empty((len(x), 2))
+        return half, xr, xr <= self.t2, (xr > self.t2) & (xr <= self.t3), xr > self.t3
 
-        ph_a = xr <= self.t2
-        ph_b = (xr > self.t2) & (xr <= self.t3)
-        ph_c = xr > self.t3
-
-        if np.any(ph_a):
-            st = self.segment.sol(xr[ph_a])
-            u[ph_a, 0] = 2.0
-            u[ph_a, 1] = st[0]
-            v[ph_a, 0] = 0.0
-            v[ph_a, 1] = st[1]
+    def orbit(self, x):
+        """(u, v) at arbitrary times, vectorized; period-wrapped."""
+        half, xr, ph_a, ph_b, ph_c = self._phases(x)
+        u = np.empty((len(xr), 2))
+        v = np.empty((len(xr), 2))
+        # up the right segment, then down the left one run backwards in time
+        for seg, side, xi in ((ph_a, 1.0, xr), (ph_c, -1.0, np.clip(self.t2 + self.t3 - xr, 0.0, self.t2))):
+            if np.any(seg):
+                y, vy = self.segment.sol(xi[seg])
+                u[seg, 0] = 2.0 * side
+                u[seg, 1] = y
+                v[seg, 0] = 0.0
+                v[seg, 1] = side * vy
         if np.any(ph_b):
             s = xr[ph_b] - self.t2
             u[ph_b] = self.curve.gamma(s)
             v[ph_b] = self.curve.tangent(s)
-        if np.any(ph_c):
-            xi = np.clip(self.t2 + self.t3 - xr[ph_c], 0.0, self.t2)
-            st = self.segment.sol(xi)
-            u[ph_c, 0] = -2.0
-            u[ph_c, 1] = st[0]
-            v[ph_c, 0] = 0.0
-            v[ph_c, 1] = -st[1]
-
         u[half] *= -1.0
         v[half] *= -1.0
         return u, v
 
+    def _along(self, x, u):
+        """(W, grad W) at times x of the orbit, whose positions there are u:
+        on the segments from the height u_2, on the arc kappa(s) n(s)."""
+        half, xr, ph_a, ph_b, ph_c = self._phases(x)
+        w = np.full(len(xr), self.lam)
+        g = np.zeros((len(xr), 2))
+        for seg in (ph_a, ph_c):
+            y = u[seg, 1]
+            w[seg] = 2.0 * self.lam * self.rho.rho(y**2)
+            g[seg, 1] = 4.0 * self.lam * self.rho.drho(y**2) * y
+        s = xr[ph_b] - self.t2
+        g[ph_b] = self.curve.kappa(s)[:, None] * self.curve.normal(s)
+        g[ph_b & half] *= -1.0
+        return w, g
+
+    @cached_property
+    def _sampled(self):
+        """(W, grad W) along the stored samples, read from the stored u."""
+        return self._along(self.times, self.u)
+
     def orbit_w(self, x):
-        """W(u(x)) using the phase decomposition (no projection needed)."""
-        x = np.atleast_1d(np.asarray(x, float))
-        xr = np.mod(x, 0.5 * self.T)
-        out = np.full(len(x), self.lam)
-        ph_a = xr <= self.t2
-        ph_c = xr > self.t3
-        if np.any(ph_a):
-            y = self.segment.sol(xr[ph_a])[0]
-            out[ph_a] = 2.0 * self.lam * self.rho.rho(y**2)
-        if np.any(ph_c):
-            xi = np.clip(self.t2 + self.t3 - xr[ph_c], 0.0, self.t2)
-            y = self.segment.sol(xi)[0]
-            out[ph_c] = 2.0 * self.lam * self.rho.rho(y**2)
-        return out
+        """W(u(x)) at off-grid times; the stored samples use `_sampled`."""
+        return self._along(x, self.orbit(x)[0])[0]
 
     def orbit_grad(self, x):
-        """grad W(u(x)) using the phase decomposition."""
-        x = np.atleast_1d(np.asarray(x, float))
-        x = np.mod(x, self.T)
-        half = x >= 0.5 * self.T
-        xr = np.where(half, x - 0.5 * self.T, x)
-        g = np.zeros((len(x), 2))
-        ph_a = xr <= self.t2
-        ph_b = (xr > self.t2) & (xr <= self.t3)
-        ph_c = xr > self.t3
-        if np.any(ph_a):
-            y = self.segment.sol(xr[ph_a])[0]
-            g[ph_a, 1] = 4.0 * self.lam * self.rho.drho(y**2) * y
-        if np.any(ph_b):
-            s = xr[ph_b] - self.t2
-            kap = self.curve.kappa(s)
-            g[ph_b] = kap[:, None] * self.curve.normal(s)
-        if np.any(ph_c):
-            xi = np.clip(self.t2 + self.t3 - xr[ph_c], 0.0, self.t2)
-            y = self.segment.sol(xi)[0]
-            g[ph_c, 1] = 4.0 * self.lam * self.rho.drho(y**2) * y
-        g[half] *= -1.0
-        return g
+        """grad W(u(x)) at off-grid times; the stored samples use `_sampled`."""
+        return self._along(x, self.orbit(x)[0])[1]
 
     # diagnostics ------------------------------------------------------------
 
     def hamiltonian_series(self):
-        return 0.5 * np.sum(self.v**2, axis=1) - self.orbit_w(self.times)
+        """0.5 |v|^2 - W(u) along the stored samples."""
+        return 0.5 * np.sum(self.v**2, axis=1) - self._sampled[0]
 
     def ode_residual(self) -> float:
-        """sup |second difference of the sampled orbit - grad W(u)| with
-        periodic wrap (the sample grid divides the period exactly)."""
+        """sup |second difference of the sampled orbit - grad W(u)| over the
+        stored samples, with periodic wrap (the sample grid divides the period
+        exactly)."""
         dt = self.times[1] - self.times[0]
         u = self.u[:-1]  # drop duplicated endpoint
         upp = (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / dt**2
-        g = self.orbit_grad(self.times[:-1])
-        return float(np.max(np.abs(upp - g)))
+        return float(np.max(np.abs(upp - self._sampled[1][:-1])))
 
 
 def assemble(lam: float | None = None, dt: float = 1e-3) -> PeriodicConnection:

@@ -11,7 +11,6 @@ is its single-start case, and batching changes no trajectory by a bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -70,17 +69,15 @@ class Trajectory:
         return PhasePoint(self.u[k], self.v[k])
 
     def to_csv(self, path: str) -> None:
+        """Rows t, u_1..u_m, v_1..v_m, H with repr floats and CRLF line ends,
+        written 1024 rows at a time."""
         m = self.m
+        header = ["t"] + [f"u_{j+1}" for j in range(m)] + [f"v_{j+1}" for j in range(m)] + ["H"]
+        rows = np.column_stack([self.times, self.u, self.v, self.H])
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t"] + [f"u_{j+1}" for j in range(m)] + [f"v_{j+1}" for j in range(m)] + ["H"])
-            for k in range(len(self.times)):
-                wr.writerow(
-                    [repr(float(self.times[k]))]
-                    + [repr(float(x)) for x in self.u[k]]
-                    + [repr(float(x)) for x in self.v[k]]
-                    + [repr(float(self.H[k]))]
-                )
+            fh.write(",".join(header) + "\r\n")
+            for lo in range(0, len(rows), 1024):
+                fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows[lo : lo + 1024].tolist()))
 
 
 class BlowUpError(RuntimeError):

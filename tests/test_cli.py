@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from modicalab import cli, dynamics, fields
+from modicalab import cli, counterexample, dynamics, fields
 
 CLI = [sys.executable, "-m", "modicalab.cli"]
 
@@ -158,6 +158,19 @@ def test_connection_verification_exit_codes():
     assert proc.returncode == 1
 
 
+def test_connection_runner_inverts_the_segment_at_most_four_times(tmp_path, monkeypatch):
+    """Only the orbit's own samples and its two endpoints invert t(y); the
+    report and the trajectory CSV read the stored samples."""
+    calls = []
+    sol = counterexample.SegmentSolution.sol
+    monkeypatch.setattr(counterexample.SegmentSolution, "sol", lambda self, t: calls.append(t) or sol(self, t))
+    _, artifacts, ok = cli.CHECKS["counterexample verify"]({"expect_violation": True})
+    cli._write_artifacts(tmp_path, artifacts)
+    assert ok
+    assert (tmp_path / "counterexample_trajectory.csv").exists()
+    assert len(calls) <= 4
+
+
 def test_planar_green_identity_passes():
     proc = run_cli("planar", "green", "--json")
     assert proc.returncode == 0, proc.stderr
@@ -261,6 +274,16 @@ def test_relax_bad_config_is_usage_error(tmp_path):
     garbled.write_text("{]")
     assert run_cli("relax", "--config", str(garbled)).returncode == 2
     assert run_cli("relax", "--config", str(tmp_path / "missing.json")).returncode == 2
+
+
+@pytest.mark.parametrize("config", [[1, 2], {}])
+def test_relax_config_needs_an_object_with_the_required_keys(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("relax", "--config", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert all(key in proc.stderr for key in ("potential", "domain", "boundary")), proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,58 @@ def test_potential_matches_phase_decomposition(assembled):
     assert np.max(np.abs(w_global - w_phase)) < 1e-8
 
 
+def _inverted_w_grad(pc, x):
+    """W and grad W along the orbit with every segment height found by
+    inverting t(y) phase by phase, without the stored samples."""
+    x = np.mod(x, pc.T)
+    half = x >= 0.5 * pc.T
+    xr = np.where(half, x - 0.5 * pc.T, x)
+    w = np.full(len(x), pc.lam)
+    g = np.zeros((len(x), 2))
+    ph_b = (xr > pc.t2) & (xr <= pc.t3)
+    for ph, xi in ((xr <= pc.t2, xr), (xr > pc.t3, np.clip(pc.t2 + pc.t3 - xr, 0.0, pc.t2))):
+        y = pc.segment.sol(xi[ph])[0]
+        w[ph] = 2.0 * pc.lam * pc.rho.rho(y**2)
+        g[ph, 1] = 4.0 * pc.lam * pc.rho.drho(y**2) * y
+    s = xr[ph_b] - pc.t2
+    g[ph_b] = pc.curve.kappa(s)[:, None] * pc.curve.normal(s)
+    g[half] *= -1.0
+    return w, g
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2e-3])
+def test_stored_samples_give_the_inverted_potential_bit_for_bit(assembled, dt):
+    pc = assembled.pc if dt == 1e-3 else cx.assemble(dt=dt)
+    w, g = pc._sampled
+    assert np.array_equal(w, pc.orbit_w(pc.times))
+    assert np.array_equal(g, pc.orbit_grad(pc.times))
+    w_inv, g_inv = _inverted_w_grad(pc, pc.times)
+    assert np.array_equal(w, w_inv)
+    assert np.array_equal(g, g_inv)
+
+
+def test_project_coarse_search_matches_the_broadcast_search(assembled):
+    pc = assembled.pc
+    curve = pc.curve
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0.0, curve.L, 700)
+    tube = curve.gamma(s) + rng.uniform(-pc.eps_tube, pc.eps_tube, 700)[:, None] * curve.normal(s)
+    patch = rng.uniform(-1.0, 1.0, (300, 2)) + np.array([2.0, 0.0])
+    background = rng.uniform([-3.5, -1.5], [3.5, 4.0], (306, 2))
+    pts = np.concatenate([tube, patch, background])
+
+    nodes = np.concatenate([curve._gamma_nodes, curve._gamma_nodes[::-1][1:] * np.array([-1.0, 1.0])])
+    s_nodes = curve.ell * curve._arc.edges
+    full_s = np.concatenate([s_nodes, curve.L - s_nodes[::-1][1:]])
+    stride = max(1, len(nodes) // 1024)
+    cand, cand_s = nodes[::stride], full_s[::stride]
+    expected = np.concatenate([
+        cand_s[np.argmin(np.sum((chunk[:, None, :] - cand[None, :, :]) ** 2, axis=-1), axis=1)]
+        for chunk in np.array_split(pts, 3)
+    ])
+    assert np.array_equal(curve.project(pts, newton_iters=0)[0], expected)
+
+
 def test_hamiltonian_series_is_constant(assembled):
     P = assembled.pc.hamiltonian_series()
     assert np.max(np.abs(P - 0.125)) < 1e-7

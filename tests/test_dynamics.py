@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -157,6 +158,36 @@ def test_trajectory_csv_format(tmp_path):
     assert float(row[1]) == 0.5  # starts on the circle
     # repr round-trip: parsing the text reproduces the stored floats exactly
     assert float(lines[3].split(",")[5]) == traj.H[2]
+
+
+def _csv_writer_rows(traj, path):
+    """The trajectory CSV as csv.writer writes it, one repr per field."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t"] + [f"u_{j+1}" for j in range(traj.m)] + [f"v_{j+1}" for j in range(traj.m)] + ["H"])
+        for k in range(len(traj.times)):
+            wr.writerow(
+                [repr(float(traj.times[k]))]
+                + [repr(float(x)) for x in traj.u[k]]
+                + [repr(float(x)) for x in traj.v[k]]
+                + [repr(float(traj.H[k]))]
+            )
+
+
+def test_trajectory_csv_is_byte_equal_to_csv_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 2500  # more than two blocks of rows
+    special = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1])
+    u = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-20, 20, (n, 2))
+    v = rng.standard_normal((n, 2))
+    H = rng.standard_normal(n)
+    u[1024 : 1024 + len(special), 0] = special
+    v[:len(special), 1] = special
+    H[-len(special):] = special
+    traj = dynamics.Trajectory(np.arange(n) * 1e-3, u, v, H, math.inf)
+    traj.to_csv(tmp_path / "new.csv")
+    _csv_writer_rows(traj, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
