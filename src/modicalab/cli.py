@@ -234,10 +234,9 @@ def _polygon(p) -> DefectReport:
 
 def _tensor(p):
     (f, pot), h = _field(p), p["h"]
-    pair = planar.divergence_pair(
-        lambda hh: _planar_grid(f, hh), pot, h, gate=_sampled_solution_gate(h)
-    )
-    pair["compatibility_residual"] = planar.compatibility_residual(_planar_grid(f, h), pot)
+    grid = functools.cache(lambda hh: _planar_grid(f, hh))
+    pair = planar.divergence_pair(grid, pot, h, gate=_sampled_solution_gate(h))
+    pair["compatibility_residual"] = planar.compatibility_residual(grid(h), pot)
     # fields with constant stress tensor sit at roundoff on both grids
     ok = pair["residual_h2"] < pair["residual_h"] or max(pair["residual_h"], pair["residual_h2"]) <= 1e-10
     return pair, {"tensor.json": pair}, ok

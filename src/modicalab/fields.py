@@ -331,30 +331,39 @@ def sample_field(cf: ClosedFormField, origin, spacing, extents, meta=None) -> Gr
     return GridField(origin, spacing, vals, meta or {"sampled_from": cf.name, "params": cf.params})
 
 
+def _at(v: np.ndarray, offset) -> np.ndarray:
+    """v at the interior nodes of its len(offset) leading axes, shifted by offset."""
+    return v[tuple(slice(1 + o, o - 1 or None) for o in offset)]
+
+
+def _first_differences(v: np.ndarray, h) -> np.ndarray:
+    """3-point central first differences at the interior nodes of the
+    n = len(h) leading node axes of v; trailing axes are carried along and
+    the derivative axis is appended, so (..., i) is d/dx_i."""
+    n = len(h)
+    d = np.empty(tuple(e - 2 for e in v.shape[:n]) + v.shape[n:] + (n,))
+    for i, step in enumerate(np.eye(n, dtype=int).tolist()):
+        d[..., i] = (_at(v, step) - _at(v, [-s for s in step])) / (2 * h[i])
+    return d
+
+
 def _central_differences(v: np.ndarray, h) -> tuple:
     """Second-order central differences at the interior nodes of a grid array.
 
-    v has shape extents + (m,) with n = len(h) node axes, n in {1, 2}.  Uses
-    the 3-point first and second differences and the 4-point cross stencil
-    (exact on quadratics); returns u, du, d2u with leading node axes.
+    v has n = len(h) leading node axes, n in {1, 2}, and its trailing axes
+    (the m field components of a grid) are carried along.  Uses the 3-point
+    first and second differences and the 4-point cross stencil (exact on
+    quadratics); returns u, du, d2u with leading node axes.
     """
     n = len(h)
-
-    def at(*offset):
-        return v[tuple(slice(1 + o, v.shape[k] - 1 + o) for k, o in enumerate(offset))]
-
-    u = at(*(0,) * n).copy()
-    du = np.empty(u.shape + (n,))
+    u = _at(v, (0,) * n).copy()
+    du = _first_differences(v, h)
     d2u = np.empty(u.shape + (n, n))
-    for i in range(n):
-        plus = at(*(1 if k == i else 0 for k in range(n)))
-        minus = at(*(-1 if k == i else 0 for k in range(n)))
-        du[..., i] = (plus - minus) / (2 * h[i])
-        d2u[..., i, i] = (plus - 2 * u + minus) / h[i] ** 2
+    for i, step in enumerate(np.eye(n, dtype=int).tolist()):
+        d2u[..., i, i] = (_at(v, step) - 2 * u + _at(v, [-s for s in step])) / h[i] ** 2
     if n == 2:
-        mixed = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h[0] * h[1])
-        d2u[..., 0, 1] = mixed
-        d2u[..., 1, 0] = mixed
+        mixed = (_at(v, (1, 1)) - _at(v, (1, -1)) - _at(v, (-1, 1)) + _at(v, (-1, -1))) / (4 * h[0] * h[1])
+        d2u[..., 0, 1] = d2u[..., 1, 0] = mixed
     return u, du, d2u
 
 

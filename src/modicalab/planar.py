@@ -7,10 +7,17 @@ the compatibility conditions for a scalar function U with prescribed Hessian
     D2U = [[ |u_x1|^2 - |u_x2|^2 + 2W ,  2 u_x1 . u_x2              ],
            [ 2 u_x1 . u_x2            ,  |u_x2|^2 - |u_x1|^2 + 2W ]]
 
-so that Lap U = 4 W(u).  This module computes T and D2U from jets,
-reconstructs U on grids by path integration, classifies its convexity
-(equivalent to det D2U >= 0), and evaluates the Green boundary identity and
-the radial monotonicity profiles that follow.
+so that D2U = -2 adj T and Lap U = 4 W(u).  This module computes T and D2U
+from jets, one node or a batch of them:
+
+    jets = grid_jets(g)            # every interior node of a planar grid
+    T = stress_tensor(jets, p)     # (ni, nj, 2, 2)
+    H = hessian_U(jets, p)         # (ni, nj, 2, 2)
+
+It takes their divergence and compatibility residuals with the grid-jet
+difference kernel, reconstructs U on grids by path integration, classifies
+its convexity (equivalent to det D2U >= 0), and evaluates the Green boundary
+identity and the radial monotonicity profiles that follow.
 """
 
 from __future__ import annotations
@@ -21,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import _solution_gate
-from .fields import ClosedFormField, GridField, Jet2, _laplacian, grid_jets
+from .fields import ClosedFormField, GridField, Jet2, _first_differences, _laplacian, grid_jets
 from .potentials import Potential
 
 __all__ = [
     "UField",
     "MonotoneProfile",
     "stress_tensor",
-    "stress_decomposition",
     "divergence_residual",
     "divergence_pair",
     "hessian_U",
@@ -43,39 +49,72 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# tensor algebra at a jet
+# tensor algebra at a jet, one node or a batch
 
 
 def stress_tensor(jet: Jet2, p: Potential) -> np.ndarray:
-    """The n x n stress-energy tensor at a jet:
-    T = -(0.5|grad u|^2 + W) I + (u_xi . u_xj)."""
-    du = jet.du  # (m, n)
-    gram = du.T @ du
-    scalar = 0.5 * jet.grad_sq() + float(p.w(jet.u))
-    return gram - scalar * np.eye(jet.n)
+    """The stress-energy tensor T = -(0.5|grad u|^2 + W) I + (u_xi . u_xj):
+    (n, n) at a single jet, (..., n, n) per node of a batched one."""
+    gram = np.einsum("...mi,...mj->...ij", jet.du, jet.du)
+    scalar = np.asarray(0.5 * jet.grad_sq() + p.w(jet.u))
+    return gram - scalar[..., None, None] * np.eye(jet.n)
 
 
-def stress_decomposition(jet: Jet2, p: Potential) -> tuple[float, np.ndarray]:
-    """The scalar and Gram-matrix parts whose sum is the stress tensor."""
+def _convexity_terms(jet: Jet2, p: Potential):
+    """W(u), |u_x1|^2 - |u_x2|^2 and 2 u_x1.u_x2 per node of a planar jet."""
     du = jet.du
-    return -(0.5 * jet.grad_sq() + float(p.w(jet.u))), du.T @ du
+    d = np.sum(du[..., 0] ** 2, axis=-1) - np.sum(du[..., 1] ** 2, axis=-1)
+    return np.asarray(p.w(jet.u)), d, 2.0 * np.sum(du[..., 0] * du[..., 1], axis=-1)
 
 
-def _planar_jets(g: GridField) -> Jet2:
+def hessian_U(jet: Jet2, p: Potential) -> np.ndarray:
+    """Prescribed Hessian of the auxiliary function U: (2, 2) at a single
+    planar jet, (..., 2, 2) per node of a batched one."""
+    if jet.n != 2:
+        raise ValueError("hessian_U requires a planar jet (n=2)")
+    w, d, c = _convexity_terms(jet, p)
+    H = np.empty(d.shape + (2, 2))
+    H[..., 0, 0], H[..., 1, 1] = d + 2.0 * w, 2.0 * w - d
+    H[..., 0, 1] = H[..., 1, 0] = c
+    return H
+
+
+def convexity_margin(jet: Jet2, p: Potential):
+    """Margin 4W^2 - (|u_x1|^2-|u_x2|^2)^2 - 4(u_x1.u_x2)^2 of the convexity
+    inequality for U, per node of a batched planar jet: det D2U written
+    without the Hessian, so U is convex where it is nonnegative."""
+    w, d, c = _convexity_terms(jet, p)
+    return 4.0 * w * w - d * d - c * c
+
+
+def convexity_status(jet: Jet2, p: Potential, tol: float = 1e-12) -> dict:
+    """Convexity classification of U at a jet.
+
+    Returns both det D2U and the `convexity_margin`; they are the same
+    quantity written two ways, and the verdict is convex iff nonnegative.
+    """
+    det = float(np.linalg.det(hessian_U(jet, p)))
+    w, d, c = (float(v) for v in _convexity_terms(jet, p))
+    margin = float(convexity_margin(jet, p))
+    return {
+        "det": det,
+        "margin": margin,
+        "convex": bool(margin >= -tol),
+        "conformal_vacuum": bool(abs(w) <= tol and abs(d) <= tol and abs(c) <= tol),
+    }
+
+
+# ---------------------------------------------------------------------------
+# the identities on grids
+
+
+def _solution_jets(g: GridField, p: Potential, gate: float) -> Jet2:
+    """Interior-node jets of a planar grid field that solves the system within `gate`."""
     if g.n != 2:
         raise ValueError("stress-energy fields require a planar grid")
-    return grid_jets(g)
-
-
-def _tensor_fields(g: GridField, p: Potential):
-    """Stress tensor entries over the interior nodes, as (ni, nj, 2, 2)."""
-    jets = _planar_jets(g)
-    du = jets.du  # (ni, nj, m, 2)
-    gram = np.einsum("...mi,...mj->...ij", du, du)
-    w = np.asarray(p.w(jets.u))
-    scalar = 0.5 * jets.grad_sq() + w
-    T = gram - scalar[..., None, None] * np.eye(2)
-    return jets, T
+    jets = grid_jets(g)
+    _solution_gate(jets.laplacian() - np.asarray(p.grad(jets.u)), gate, "field does not solve the system")
+    return jets
 
 
 def divergence_residual(g: GridField, p: Potential, gate: float = 1e-5,
@@ -88,27 +127,16 @@ def divergence_residual(g: GridField, p: Potential, gate: float = 1e-5,
     solution puts corner singularities into the field, and interior elliptic
     regularity only controls derivatives a fixed distance away from them.
     """
-    jets, T = _tensor_fields(g, p)
-    _solution_gate(jets.laplacian() - np.asarray(p.grad(jets.u)), gate, "field does not solve the system")
-    h1, h2 = g.spacing
-    div1 = (T[2:, 1:-1, 0, 0] - T[:-2, 1:-1, 0, 0]) / (2 * h1) + (
-        T[1:-1, 2:, 0, 1] - T[1:-1, :-2, 0, 1]
-    ) / (2 * h2)
-    div2 = (T[2:, 1:-1, 1, 0] - T[:-2, 1:-1, 1, 0]) / (2 * h1) + (
-        T[1:-1, 2:, 1, 1] - T[1:-1, :-2, 1, 1]
-    ) / (2 * h2)
+    jets = _solution_jets(g, p, gate)
+    # row r of div T is the trace of the difference Jacobian of row r of T
+    div = np.einsum("...ii->...", _first_differences(stress_tensor(jets, p), g.spacing))
     if margin > 0.0:
-        axes = g.axes()
-        lo = [ax[0] + margin for ax in axes]
-        hi = [ax[-1] - margin for ax in axes]
-        xs = axes[0][2:-2]
-        ys = axes[1][2:-2]
-        keep = ((xs >= lo[0]) & (xs <= hi[0]))[:, None] & ((ys >= lo[1]) & (ys <= hi[1]))[None, :]
+        inner = [(ax[2:-2] >= ax[0] + margin) & (ax[2:-2] <= ax[-1] - margin) for ax in g.axes()]
+        keep = inner[0][:, None] & inner[1][None, :]
         if not np.any(keep):
             raise ValueError("margin leaves no measurement nodes")
-        div1 = div1[keep]
-        div2 = div2[keep]
-    return float(max(np.max(np.abs(div1)), np.max(np.abs(div2))))
+        div = div[keep]
+    return float(np.max(np.abs(div)))
 
 
 def divergence_pair(make_grid, p: Potential, h: float, gate: float = 1e-5,
@@ -121,40 +149,16 @@ def divergence_pair(make_grid, p: Potential, h: float, gate: float = 1e-5,
             "ratio": r_h / r_h2 if r_h2 else math.inf}
 
 
-# ---------------------------------------------------------------------------
-# the auxiliary function U
-
-
-def hessian_U(jet: Jet2, p: Potential) -> np.ndarray:
-    """Prescribed Hessian of the auxiliary function U at a planar jet."""
-    if jet.n != 2:
-        raise ValueError("hessian_U requires a planar jet (n=2)")
-    du = jet.du
-    a = float(np.sum(du[:, 0] ** 2))
-    b = float(np.sum(du[:, 1] ** 2))
-    cross = 2.0 * float(np.sum(du[:, 0] * du[:, 1]))
-    two_w = 2.0 * float(p.w(jet.u))
-    return np.array([[a - b + two_w, cross], [cross, b - a + two_w]])
-
-
-def _hessian_entry_fields(g: GridField, p: Potential):
-    jets = _planar_jets(g)
-    du = jets.du
-    a = np.sum(du[..., 0] ** 2, axis=-1)
-    b = np.sum(du[..., 1] ** 2, axis=-1)
-    cross = 2.0 * np.sum(du[..., 0] * du[..., 1], axis=-1)
-    two_w = 2.0 * np.asarray(p.w(jets.u))
-    return jets, a - b + two_w, cross, b - a + two_w
-
-
 def compatibility_residual(g: GridField, p: Potential) -> float:
     """sup-norm of the two cross-derivative compatibility conditions
-    (equivalently div T = 0) evaluated by finite differences."""
-    jets, h11, h12, h22 = _hessian_entry_fields(g, p)
-    h1, h2 = g.spacing
-    r1 = (h11[1:-1, 2:] - h11[1:-1, :-2]) / (2 * h2) - (h12[2:, 1:-1] - h12[:-2, 1:-1]) / (2 * h1)
-    r2 = (h22[2:, 1:-1] - h22[:-2, 1:-1]) / (2 * h1) - (h12[1:-1, 2:] - h12[1:-1, :-2]) / (2 * h2)
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    (equivalently div T = 0) evaluated by finite differences: row i of D2U
+    is the gradient of U_xi, so the curl of each row vanishes."""
+    dH = _first_differences(hessian_U(grid_jets(g), p), g.spacing)
+    return float(np.max(np.abs(dH[..., 0, 1] - dH[..., 1, 0])))
+
+
+# ---------------------------------------------------------------------------
+# the auxiliary function U
 
 
 def _cumtrapz(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -188,10 +192,10 @@ def reconstruct_U(g: GridField, p: Potential, gauge: tuple | None = None,
     the discrete form of the compatibility conditions; its defect is measured
     and reported rather than assumed.
     """
-    jets, h11, h12, h22 = _hessian_entry_fields(g, p)
-    _solution_gate(jets.laplacian() - np.asarray(p.grad(jets.u)), gate, "field does not solve the system")
+    jets = _solution_jets(g, p, gate)
+    H = hessian_U(jets, p)
     h1, h2 = g.spacing
-    ni, nj = h11.shape
+    ni, nj = H.shape[:2]
     i0, j0 = (ni // 2, nj // 2) if gauge is None else gauge
 
     def integrate_from_gauge(d1, d2):
@@ -205,8 +209,9 @@ def reconstruct_U(g: GridField, p: Potential, gauge: tuple | None = None,
         path_b = p2[i0 : i0 + 1, :] + p1  # x2 first, then x1
         return 0.5 * (path_a + path_b), float(np.max(np.abs(path_a - path_b)))
 
-    ux1, defect1 = integrate_from_gauge(h11, h12)
-    ux2, defect2 = integrate_from_gauge(h12, h22)
+    # row i of D2U is the gradient of U_xi
+    ux1, defect1 = integrate_from_gauge(H[..., 0, 0], H[..., 0, 1])
+    ux2, defect2 = integrate_from_gauge(H[..., 1, 0], H[..., 1, 1])
     u_field, defect3 = integrate_from_gauge(ux1, ux2)
     path_defect = max(defect1, defect2, defect3)
 
@@ -214,47 +219,14 @@ def reconstruct_U(g: GridField, p: Potential, gauge: tuple | None = None,
     w_interior = np.asarray(p.w(jets.u))[1:-1, 1:-1]
     lap_defect = float(np.max(np.abs(lap - 4.0 * w_interior)))
 
-    origin = g.node_position((1,) * g.n)
     grid = GridField(
-        origin=origin,
+        origin=g.node_position((1, 1)),
         spacing=g.spacing,
         values=u_field[..., None],
         meta={"gauge_index": [int(i0), int(j0)], "content": "auxiliary-U"},
     )
     return UField(grid=grid, gauge_index=(int(i0), int(j0)),
                   path_defect=path_defect, laplacian_defect=lap_defect)
-
-
-def _convexity_terms(jet: Jet2, p: Potential):
-    """W(u), |u_x1|^2 - |u_x2|^2 and 2 u_x1.u_x2 per node of a planar jet."""
-    du = jet.du
-    d = np.sum(du[..., 0] ** 2, axis=-1) - np.sum(du[..., 1] ** 2, axis=-1)
-    return p.w(jet.u), d, 2.0 * np.sum(du[..., 0] * du[..., 1], axis=-1)
-
-
-def convexity_margin(jet: Jet2, p: Potential):
-    """Margin 4W^2 - (|u_x1|^2-|u_x2|^2)^2 - 4(u_x1.u_x2)^2 of the convexity
-    inequality for U, per node of a batched planar jet: det D2U written
-    without the Hessian, so U is convex where it is nonnegative."""
-    w, d, c = _convexity_terms(jet, p)
-    return 4.0 * w * w - d * d - c * c
-
-
-def convexity_status(jet: Jet2, p: Potential, tol: float = 1e-12) -> dict:
-    """Convexity classification of U at a jet.
-
-    Returns both det D2U and the `convexity_margin`; they are the same
-    quantity written two ways, and the verdict is convex iff nonnegative.
-    """
-    det = float(np.linalg.det(hessian_U(jet, p)))
-    w, d, c = (float(v) for v in _convexity_terms(jet, p))
-    margin = float(convexity_margin(jet, p))
-    return {
-        "det": det,
-        "margin": margin,
-        "convex": bool(margin >= -tol),
-        "conformal_vacuum": bool(abs(w) <= tol and abs(d) <= tol and abs(c) <= tol),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +260,7 @@ def green_boundary_identity(f: ClosedFormField, p: Potential, center, R: float,
         raise ValueError("green_boundary_identity requires a planar field")
 
     def density(pts):
-        shape = pts.shape[:-1]
-        flat = pts.reshape(-1, 2)
-        return 4.0 * np.asarray(p.w(f.values(flat))).reshape(shape)
+        return 4.0 * np.asarray(p.w(f.values(pts)))
 
     lhs = disk_integral(density, center, R, n_r=n_r, n_theta=n_theta)
 
@@ -357,8 +327,7 @@ def monotonicity_profile(density: str, f: ClosedFormField | None, p: Potential |
             raise ValueError("density 'potential' needs a field and a potential")
 
         def fn(pts):
-            shape = pts.shape[:-1]
-            return np.asarray(p.w(f.values(pts.reshape(-1, 2)))).reshape(shape)
+            return np.asarray(p.w(f.values(pts)))
 
     elif density == "laplacian_quadratic":
         def fn(pts):

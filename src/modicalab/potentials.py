@@ -69,7 +69,7 @@ class Potential:
 
 def _make_double_well():
     def w(u):
-        return 0.25 * (u[..., 0] ** 2 - 1.0) ** 2
+        return 0.25 * np.square(u[..., 0] ** 2 - 1.0)
 
     def grad(u):
         return (u[..., :1] ** 2 - 1.0) * u[..., :1]
@@ -88,7 +88,7 @@ def _make_ginzburg_landau(m=2):
         raise ValueError("ginzburg_landau needs m >= 1")
 
     def w(u):
-        return 0.25 * (np.sum(u**2, axis=-1) - 1.0) ** 2
+        return 0.25 * np.square(np.sum(u**2, axis=-1) - 1.0)
 
     def grad(u):
         q = np.sum(u**2, axis=-1) - 1.0

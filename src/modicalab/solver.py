@@ -34,7 +34,6 @@ __all__ = [
     "RelaxConfig",
     "RelaxResult",
     "relax",
-    "residual",
     "energy",
     "flow_energy",
     "stiffness_bound",
@@ -105,13 +104,6 @@ def _apply_boundary(u: np.ndarray, bc: dict) -> None:
     u[-1, :] = bc["right"]
     u[:, 0] = bc["bottom"]
     u[:, -1] = bc["top"]
-
-
-def residual(g: GridField, p: Potential) -> float:
-    """sup-norm of Lap_h u - grad W(u) over the interior nodes."""
-    lap = _laplacian(g.values, g.spacing)
-    gw = np.asarray(p.grad(g.values[1:-1, 1:-1]))
-    return float(np.max(np.abs(lap - gw)))
 
 
 def flow_energy(g_or_values, p: Potential, spacing=None) -> float:
@@ -339,8 +331,8 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
         origin=tuple(cfg.origin),
         spacing=tuple(cfg.spacing),
         values=u,
-        meta={"solver": "damped-gradient-flow", "potential": p.name,
-              "tau": fine.tau, "sweeps": cycles, **cfg.meta},
+        meta={"solver": "fas-multigrid", "potential": p.name, "tau": fine.tau,
+              "cycles": cycles, "levels": len(levels), **cfg.meta},
     )
     return RelaxResult(
         field=g,

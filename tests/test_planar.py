@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from modicalab import estimates, fields, planar, potentials
+from modicalab import estimates, fields, planar, potentials, solver
 from modicalab.estimates import HypothesisError
 
 
@@ -56,15 +56,19 @@ def test_stress_tensor_symmetric_with_trace_minus_two_w():
         assert abs(np.trace(T) + 2.0 * p.w(jet.u)) < 1e-12
 
 
-def test_stress_decomposition_sums_to_tensor():
-    rng = np.random.default_rng(8)
-    p = potentials.make_potential("double_well")
-    for _ in range(20):
-        jet = _random_jet(rng, m=1)
-        scalar, gram = planar.stress_decomposition(jet, p)
-        T = planar.stress_tensor(jet, p)
-        assert np.allclose(gram + scalar * np.eye(2), T, atol=1e-14)
-        assert scalar <= 0.0 or p.w(jet.u) < 0.0  # -(kinetic + W) with W >= 0
+@pytest.mark.parametrize("name, potential", [("gl_circle_planar", "ginzburg_landau"),
+                                             ("tanh_planar", "double_well"),
+                                             ("product_saddle", "zero")])
+def test_batched_tensors_on_grid_jets_equal_the_pointwise_ones(name, potential):
+    g = _sample_grid(name, 0.1)
+    p = potentials.make_potential(potential, m=g.m)
+    jets = fields.grid_jets(g)
+    T, H = planar.stress_tensor(jets, p), planar.hessian_U(jets, p)
+    assert T.shape == H.shape == jets.u.shape[:-1] + (2, 2)
+    for i, j in np.ndindex(*jets.u.shape[:-1]):
+        jet = fields.fd_jet(g, (i + 1, j + 1))
+        assert np.array_equal(T[i, j], planar.stress_tensor(jet, p))
+        assert np.array_equal(H[i, j], planar.hessian_U(jet, p))
 
 
 def test_hessian_u_trace_and_adjugate_relation():
@@ -142,6 +146,68 @@ def test_compatibility_residual_roundoff_on_circle_solution():
     p = potentials.make_potential("ginzburg_landau", m=2)
     g = _sample_grid("gl_circle_planar", 0.05, R=0.6)
     assert planar.compatibility_residual(g, p) < 1e-10
+
+
+def _stencil_divergence(g, p, margin):
+    """div T by the hand-written 3-point stencils the kernel replaced."""
+    jets = fields.grid_jets(g)
+    du = jets.du
+    gram = np.einsum("...mi,...mj->...ij", du, du)
+    scalar = 0.5 * jets.grad_sq() + np.asarray(p.w(jets.u))
+    T = gram - scalar[..., None, None] * np.eye(2)
+    h1, h2 = g.spacing
+    div1 = (T[2:, 1:-1, 0, 0] - T[:-2, 1:-1, 0, 0]) / (2 * h1) + (
+        T[1:-1, 2:, 0, 1] - T[1:-1, :-2, 0, 1]
+    ) / (2 * h2)
+    div2 = (T[2:, 1:-1, 1, 0] - T[:-2, 1:-1, 1, 0]) / (2 * h1) + (
+        T[1:-1, 2:, 1, 1] - T[1:-1, :-2, 1, 1]
+    ) / (2 * h2)
+    axes = g.axes()
+    xs, ys = axes[0][2:-2], axes[1][2:-2]
+    keep = (((xs >= axes[0][0] + margin) & (xs <= axes[0][-1] - margin))[:, None]
+            & ((ys >= axes[1][0] + margin) & (ys <= axes[1][-1] - margin))[None, :])
+    return float(max(np.max(np.abs(div1[keep])), np.max(np.abs(div2[keep]))))
+
+
+def _stencil_compatibility(g, p):
+    """The two compatibility residuals by the hand-written stencils."""
+    jets = fields.grid_jets(g)
+    du = jets.du
+    a = np.sum(du[..., 0] ** 2, axis=-1)
+    b = np.sum(du[..., 1] ** 2, axis=-1)
+    h12 = 2.0 * np.sum(du[..., 0] * du[..., 1], axis=-1)
+    two_w = 2.0 * np.asarray(p.w(jets.u))
+    h11, h22 = a - b + two_w, b - a + two_w
+    h1, h2 = g.spacing
+    r1 = (h11[1:-1, 2:] - h11[1:-1, :-2]) / (2 * h2) - (h12[2:, 1:-1] - h12[:-2, 1:-1]) / (2 * h1)
+    r2 = (h22[2:, 1:-1] - h22[:-2, 1:-1]) / (2 * h1) - (h12[1:-1, 2:] - h12[1:-1, :-2]) / (2 * h2)
+    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+
+
+def test_divergence_residual_equals_the_stencils_on_a_relaxed_grid():
+    # the suite's divergence-decay field: GL relaxed with linear-map data
+    cfg = solver.RelaxConfig(origin=(-0.5, -0.5), spacing=(0.05, 0.05), shape=(21, 21),
+                             boundary=fields.make_field("harmonic_linear_map"), tol=1e-10)
+    g = solver.relax(GL, cfg).field
+    assert planar.divergence_residual(g, GL, margin=0.15) == _stencil_divergence(g, GL, 0.15)
+
+
+@pytest.mark.parametrize("name, potential, params", [
+    ("gl_circle_planar", "ginzburg_landau", {"R": 0.6}),
+    ("tanh_planar", "double_well", {}),
+    ("linear", "ginzburg_landau", {"A": [[1.0, 2.0], [0.5, -1.0]], "b": [0.3, 0.1]}),
+])
+def test_compatibility_residual_equals_the_stencils(name, potential, params):
+    g = _sample_grid(name, 0.05, **params)
+    p = potentials.make_potential(potential, m=g.m)
+    assert planar.compatibility_residual(g, p) == _stencil_compatibility(g, p)
+
+
+def test_compatibility_residual_is_order_one_off_solutions():
+    # a linear map is no GL solution: its gradient terms in D2U are constant,
+    # so the residual is the gradient of 2 W(u(x)), which does not vanish
+    g = _sample_grid("linear", 0.05, A=[[1.0, 2.0], [0.5, -1.0]], b=[0.3, 0.1])
+    assert planar.compatibility_residual(g, GL) > 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,18 @@ def test_quadratic_and_zero():
     assert z.zeros == ()
 
 
+@pytest.mark.parametrize("name", ["double_well", "ginzburg_landau"])
+def test_one_point_equals_its_row_of_a_batch(name):
+    # a single point reduces to numpy scalars, whose `** 2` is the C pow and
+    # can round differently from the array square the batch takes
+    p = potentials.make_potential(name)
+    U = np.random.default_rng(3).normal(size=(500, p.m))
+    batch = p.w(U), p.grad(U), p.hess(U)
+    for k, u in enumerate(U):
+        for fn, rows in zip((p.w, p.grad, p.hess), batch):
+            assert np.array_equal(fn(u), rows[k])
+
+
 def test_wrong_dimension_raises():
     p = potentials.make_potential("ginzburg_landau", m=2)
     with pytest.raises(ValueError, match="trailing axis"):

@@ -69,6 +69,8 @@ def test_flow_energy_is_nonincreasing(potential, boundary, origin, spacing, shap
     )
     result = solver.relax(p, cfg)
     assert result.converged and result.levels == levels
+    meta = result.field.meta
+    assert (meta["solver"], meta["cycles"], meta["levels"]) == ("fas-multigrid", result.iterations, levels)
     e = result.energies
     scale = 1e-12 * np.maximum(1.0, np.abs(e[:-1]))
     assert np.all(np.diff(e) <= scale)
