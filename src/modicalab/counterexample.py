@@ -20,7 +20,11 @@ Construction, in the order the code builds it:
     is a closed form in one integral.
 4.  A tube potential W = lam + mu kappa(s) in arc/offset coordinates around
     the arc, blended back to the constant lam at the tube edge; with tube
-    half-width eps <= lam / (2 max kappa) it stays >= lam / 2.
+    half-width eps <= lam / (2 max kappa) it stays >= lam / 2.  The global
+    potential is two local pieces behind one region resolver: the patch
+    piece in the offset from the well on the side of u1 = 0, the tube piece
+    (mirrored through u2 = 0) at the arc coordinates of one closest-point
+    projection, and the constant lam everywhere else.
 5.  The full orbit: up the right segment, across the arc, down the left
     segment, then reflected through the origin for the second half-period.
 """
@@ -72,24 +76,21 @@ class RhoSpec:
     smoothstep integrates to 1/2 over [0, 1] by symmetry.
     """
 
-    lo: float = 0.25
-    hi: float = 0.75
-
     def rho(self, a):
         a = np.asarray(a, float)
-        tau = np.clip(2.0 * (a - self.lo), 0.0, 1.0)
+        tau = np.clip(2.0 * (a - 0.25), 0.0, 1.0)
         mid = a - 0.5 * smooth.smoothstep_integral(tau)
-        return np.where(a <= self.lo, a, np.where(a >= self.hi, 0.5, mid))
+        return np.where(a <= 0.25, a, np.where(a >= 0.75, 0.5, mid))
 
     def drho(self, a):
         a = np.asarray(a, float)
-        tau = 2.0 * (a - self.lo)
-        return np.where(a <= self.lo, 1.0, np.where(a >= self.hi, 0.0, 1.0 - smooth.smoothstep(tau)))
+        tau = 2.0 * (a - 0.25)
+        return np.where(a <= 0.25, 1.0, np.where(a >= 0.75, 0.0, 1.0 - smooth.smoothstep(tau)))
 
     def d2rho(self, a):
         a = np.asarray(a, float)
-        tau = 2.0 * (a - self.lo)
-        inside = (a > self.lo) & (a < self.hi)
+        tau = 2.0 * (a - 0.25)
+        inside = (a > 0.25) & (a < 0.75)
         out = np.zeros_like(a)
         out[inside] = -2.0 * smooth.smoothstep_d(tau[inside])
         return out
@@ -125,7 +126,7 @@ class SegmentSolution:
         return y, 1.0 / self._clock.f(y)
 
 
-def solve_segment(lam: float, dt: float = 1e-3, rho: RhoSpec | None = None) -> SegmentSolution:
+def solve_segment(lam: float, dt: float = 1e-3) -> SegmentSolution:
     """The orbit of y'' = 4 lam rho'(y^2) y from (y, y') = (0, 1/2) up to y = 1.
 
     Energy conservation gives y' = sqrt(1/4 + 4 lam rho(y^2)), so the time
@@ -134,7 +135,7 @@ def solve_segment(lam: float, dt: float = 1e-3, rho: RhoSpec | None = None) -> S
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    rho = rho or RhoSpec()
+    rho = RhoSpec()
     # rho is nondecreasing with rho(0) = 0, so (y')^2 is least at y = 0 or y = 1
     floor = 0.25 + min(0.0, 4.0 * lam * float(rho.rho(1.0)))
     if floor <= 0.0:
@@ -305,6 +306,26 @@ def build_curve() -> CurveSpec:
 
 
 @dataclass(frozen=True)
+class _Patch:
+    """W = 2 lam rho(|v|^2) in the offset v = u - a from a well, shape (..., 2)."""
+
+    rho: RhoSpec
+    lam: float
+
+    def w(self, v):
+        return 2.0 * self.lam * self.rho.rho(np.sum(v**2, axis=-1))
+
+    def grad(self, v):
+        return 4.0 * self.lam * self.rho.drho(np.sum(v**2, axis=-1))[..., None] * v
+
+    def hess(self, v):
+        a = np.sum(v**2, axis=-1)
+        d1 = self.rho.drho(a)[..., None, None]
+        d2 = self.rho.d2rho(a)[..., None, None]
+        return 4.0 * self.lam * (d1 * np.eye(2) + 2.0 * d2 * v[..., :, None] * v[..., None, :])
+
+
+@dataclass(frozen=True)
 class TubePotential:
     """W = lam + mu kappa(s) near the arc, faded to the constant lam across
     the outer third of the tube so the global extension is smooth."""
@@ -335,109 +356,65 @@ class TubePotential:
 
 
 class _GlobalPotential:
-    """Region-resolved evaluation of the assembled planar potential."""
+    """The assembled planar potential: the patch piece on the two squares,
+    the tube piece (mirrored below u_2 = 0) within eps of the arcs, and the
+    constant lam everywhere else."""
 
     def __init__(self, rho: RhoSpec, curve: CurveSpec, lam: float, eps: float):
-        self.rho = rho
         self.curve = curve
         self.lam = lam
+        self.patch = _Patch(rho, lam)
         self.tube = TubePotential(curve, lam, eps)
-        pts = curve._gamma_nodes
-        self._bbox = (
-            -float(np.max(np.abs(pts[:, 0]))) - eps - 0.1,
-            float(np.max(np.abs(pts[:, 0]))) + eps + 0.1,
-            float(np.min(pts[:, 1])) - eps - 0.1,
-            float(np.max(pts[:, 1])) + eps + 0.1,
-        )
+        x, y = curve._gamma_nodes.T
+        xmax = float(np.max(np.abs(x))) + eps + 0.1
+        self._bbox = (-xmax, xmax, float(np.min(y)) - eps - 0.1, float(np.max(y)) + eps + 0.1)
 
-    def _masks(self, u):
-        in_right = (np.abs(u[..., 0] - 2.0) <= 1.0) & (np.abs(u[..., 1]) <= 1.0)
-        in_left = (np.abs(u[..., 0] + 2.0) <= 1.0) & (np.abs(u[..., 1]) <= 1.0)
-        return in_right, in_left
+    def _patches(self, u):
+        """The points as rows, the mask of the rows in a square patch, and
+        each row's offset from the well on its side of u_1 = 0."""
+        flat = np.asarray(u, float).reshape(-1, 2)
+        v = flat - np.where(flat[:, :1] > 0.0, A_PLUS, A_MINUS)
+        return flat, np.all(np.abs(v) <= 1.0, axis=-1), v
 
-    def _near_arc(self, w):
+    def _regions(self, u):
+        """`_patches` plus the tube rows: their indices, their arc coordinates
+        (s, mu) on the upper arc after folding u_2 to |u_2|, and the sign of
+        u_2 that mirrors them back."""
+        flat, patch, v = self._patches(u)
+        x, y = flat[:, 0], np.abs(flat[:, 1])
         x0, x1, y0, y1 = self._bbox
-        return (w[..., 0] >= x0) & (w[..., 0] <= x1) & (w[..., 1] >= y0) & (w[..., 1] <= y1)
+        rows = np.flatnonzero(~patch & (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+        s, mu, _ = self.curve.project(np.stack([x[rows], y[rows]], axis=-1))
+        tube = np.abs(mu) <= self.tube.eps
+        rows = rows[tube]
+        return flat, patch, v, rows, s[tube], mu[tube], np.where(flat[rows, 1] < 0.0, -1.0, 1.0)
 
     def w(self, u):
-        u = np.asarray(u, float)
-        shape = u.shape[:-1]
-        flat = u.reshape(-1, 2)
+        flat, patch, v, rows, s, mu, _ = self._regions(u)
         out = np.full(len(flat), self.lam)
-        in_r, in_l = self._masks(flat)
-        for mask, center in ((in_r, A_PLUS), (in_l, A_MINUS)):
-            if np.any(mask):
-                v = flat[mask] - center
-                out[mask] = 2.0 * self.lam * self.rho.rho(np.sum(v**2, axis=-1))
-        rest = ~(in_r | in_l)
-        if np.any(rest):
-            w = flat[rest].copy()
-            w[:, 1] = np.abs(w[:, 1])
-            near = self._near_arc(w)
-            if np.any(near):
-                s, mu, _ = self.curve.project(w[near])
-                tube_vals = self.tube.w(s, mu)
-                vals = out[rest]
-                sub = vals[near]
-                sub = np.where(np.abs(mu) <= self.tube.eps, tube_vals, sub)
-                vals[near] = sub
-                out[rest] = vals
-        return out.reshape(shape)
+        out[patch] = self.patch.w(v[patch])
+        out[rows] = self.tube.w(s, mu)
+        return out.reshape(np.shape(u)[:-1])
 
     def grad(self, u):
-        u = np.asarray(u, float)
-        shape = u.shape
-        flat = u.reshape(-1, 2)
+        flat, patch, v, rows, s, mu, sign = self._regions(u)
         out = np.zeros_like(flat)
-        in_r, in_l = self._masks(flat)
-        for mask, center in ((in_r, A_PLUS), (in_l, A_MINUS)):
-            if np.any(mask):
-                v = flat[mask] - center
-                out[mask] = 4.0 * self.lam * self.rho.drho(np.sum(v**2, axis=-1))[:, None] * v
-        rest = ~(in_r | in_l)
-        if np.any(rest):
-            w = flat[rest].copy()
-            signs = np.sign(w[:, 1])
-            signs[signs == 0.0] = 1.0
-            w[:, 1] = np.abs(w[:, 1])
-            near = self._near_arc(w)
-            if np.any(near):
-                s, mu, _ = self.curve.project(w[near])
-                g_tube = self.tube.grad(s, mu)
-                g_tube[np.abs(mu) > self.tube.eps] = 0.0
-                g = out[rest]
-                sub = g[near]
-                sub[:] = g_tube
-                g[near] = sub
-                g[:, 1] *= signs
-                out[rest] = g
-        return out.reshape(shape)
+        out[patch] = self.patch.grad(v[patch])
+        g = self.tube.grad(s, mu)
+        g[:, 1] *= sign
+        out[rows] = g
+        return out.reshape(np.shape(u))
 
-    def hess(self, u, h: float = 1e-5):
-        u = np.asarray(u, float)
-        flat = u.reshape(-1, 2)
+    def hess(self, u):
+        """Closed form on the patches; elsewhere the symmetrized central
+        difference quotient of `grad` with step 1e-5."""
+        flat, patch, v = self._patches(u)
         out = np.empty((len(flat), 2, 2))
-        in_r, in_l = self._masks(flat)
-        patch = in_r | in_l
-        for mask, center in ((in_r, A_PLUS), (in_l, A_MINUS)):
-            if np.any(mask):
-                v = flat[mask] - center
-                a = np.sum(v**2, axis=-1)
-                d1 = self.rho.drho(a)
-                d2 = self.rho.d2rho(a)
-                out[mask] = 4.0 * self.lam * (
-                    d1[:, None, None] * np.eye(2) + 2.0 * d2[:, None, None] * v[:, :, None] * v[:, None, :]
-                )
-        rest = ~patch
-        if np.any(rest):
-            w = flat[rest]
-            H = np.empty((len(w), 2, 2))
-            for i in range(2):
-                e = np.zeros(2)
-                e[i] = h
-                H[:, :, i] = (self.grad(w + e) - self.grad(w - e)) / (2.0 * h)
-            out[rest] = 0.5 * (H + np.swapaxes(H, 1, 2))
-        return out.reshape(u.shape[:-1] + (2, 2))
+        out[patch] = self.patch.hess(v[patch])
+        rest, h = flat[~patch], 1e-5
+        H = np.stack([(self.grad(rest + e) - self.grad(rest - e)) / (2.0 * h) for e in h * np.eye(2)], axis=-1)
+        out[~patch] = 0.5 * (H + np.swapaxes(H, 1, 2))
+        return out.reshape(np.shape(u)[:-1] + (2, 2))
 
     def as_potential(self) -> Potential:
         return Potential(
@@ -515,14 +492,15 @@ class PeriodicConnection:
 
     def _along(self, x, u):
         """(W, grad W) at times x of the orbit, whose positions there are u:
-        on the segments from the height u_2, on the arc kappa(s) n(s)."""
+        on the segments the patch piece at the offset (0, u_2) from the well,
+        on the arc kappa(s) n(s)."""
         half, xr, ph_a, ph_b, ph_c = self._phases(x)
         w = np.full(len(xr), self.lam)
         g = np.zeros((len(xr), 2))
-        for seg in (ph_a, ph_c):
-            y = u[seg, 1]
-            w[seg] = 2.0 * self.lam * self.rho.rho(y**2)
-            g[seg, 1] = 4.0 * self.lam * self.rho.drho(y**2) * y
+        seg = ph_a | ph_c
+        v = np.stack([np.zeros(np.count_nonzero(seg)), u[seg, 1]], axis=-1)
+        w[seg] = self._global.patch.w(v)
+        g[seg] = self._global.patch.grad(v)
         s = xr[ph_b] - self.t2
         g[ph_b] = self.curve.kappa(s)[:, None] * self.curve.normal(s)
         g[ph_b & half] *= -1.0
@@ -557,12 +535,12 @@ class PeriodicConnection:
         return float(np.max(np.abs(upp - self._sampled[1][:-1])))
 
 
-def assemble(lam: float | None = None, dt: float = 1e-3) -> PeriodicConnection:
+def assemble(dt: float = 1e-3) -> PeriodicConnection:
     """Build the full periodic connection, sampled at step about dt, and run
     junction consistency checks."""
-    lam = lambda_from_hamiltonian() if lam is None else float(lam)
+    lam = lambda_from_hamiltonian()
     rho = RhoSpec()
-    seg = solve_segment(lam, dt=dt, rho=rho)
+    seg = solve_segment(lam, dt=dt)
     curve = build_curve()
     eps = min(0.1, lam / (2.0 * curve.max_kappa))
 
@@ -599,15 +577,14 @@ def assemble(lam: float | None = None, dt: float = 1e-3) -> PeriodicConnection:
 
 def _junction_consistency(pc: PeriodicConnection, tol: float = 1e-8) -> None:
     """Square-patch and tube formulas must agree where both regions apply."""
-    curve, lam, rho = pc.curve, pc.lam, pc.rho
+    curve, patch = pc.curve, pc._global.patch
     s = np.linspace(0.0, 0.05 * curve.ell, 40)
     mu = np.linspace(-pc.eps_tube, pc.eps_tube, 9)
     S, MU = np.meshgrid(s, mu, indexing="ij")
     pts = curve.gamma(S.ravel()) + MU.ravel()[:, None] * curve.normal(S.ravel())
-    inside = (np.abs(pts[:, 0] - 2.0) <= 1.0) & (np.abs(pts[:, 1]) <= 1.0)
+    _, inside, v = pc._global._patches(pts)
     if np.any(inside):
-        v = pts[inside] - A_PLUS
-        w_patch = 2.0 * lam * rho.rho(np.sum(v**2, axis=-1))
+        w_patch = patch.w(v[inside])
         w_tube = pc.tube.w(S.ravel()[inside], MU.ravel()[inside])
         worst = float(np.max(np.abs(w_patch - w_tube)))
         if worst > tol:
@@ -615,9 +592,7 @@ def _junction_consistency(pc: PeriodicConnection, tol: float = 1e-8) -> None:
     # patch boundary must already sit on the plateau (flat contact with the
     # constant background)
     edge = np.stack([np.linspace(1.0, 3.0, 101), np.ones(101)], axis=-1)
-    v = edge - A_PLUS
-    w_edge = 2.0 * lam * rho.rho(np.sum(v**2, axis=-1))
-    if float(np.max(np.abs(w_edge - lam))) > tol:
+    if float(np.max(np.abs(patch.w(edge - A_PLUS) - pc.lam))) > tol:
         raise ConstructionError("square boundary is not on the plateau level")
 
 

@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .potentials import _checked_build
+
 __all__ = [
     "Jet2",
     "ClosedFormField",
@@ -248,15 +250,7 @@ def field_keys(name: str) -> tuple:
 def make_field(name: str, **params) -> ClosedFormField:
     """Construct a catalog field by id.  The id set is closed; parameters are
     validated here so that downstream code can trust the object."""
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown field id {name!r}; known ids: {', '.join(CATALOG_IDS)}")
-    unknown = sorted(set(params) - set(field_keys(name)))
-    if unknown:
-        raise ValueError(
-            f"field {name!r} takes no parameter {', '.join(map(repr, unknown))};"
-            f" accepted: {', '.join(field_keys(name)) or 'none'}"
-        )
-    return _BUILDERS[name](**params)
+    return _checked_build("field", _BUILDERS, name, params)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,8 @@ def stress_tensor(jet: Jet2, p: Potential) -> np.ndarray:
 
 def _convexity_terms(jet: Jet2, p: Potential):
     """W(u), |u_x1|^2 - |u_x2|^2 and 2 u_x1.u_x2 per node of a planar jet."""
+    if jet.n != 2:
+        raise ValueError("the auxiliary function U needs a planar jet (n=2)")
     du = jet.du
     d = np.sum(du[..., 0] ** 2, axis=-1) - np.sum(du[..., 1] ** 2, axis=-1)
     return np.asarray(p.w(jet.u)), d, 2.0 * np.sum(du[..., 0] * du[..., 1], axis=-1)
@@ -70,8 +72,6 @@ def _convexity_terms(jet: Jet2, p: Potential):
 def hessian_U(jet: Jet2, p: Potential) -> np.ndarray:
     """Prescribed Hessian of the auxiliary function U: (2, 2) at a single
     planar jet, (..., 2, 2) per node of a batched one."""
-    if jet.n != 2:
-        raise ValueError("hessian_U requires a planar jet (n=2)")
     w, d, c = _convexity_terms(jet, p)
     H = np.empty(d.shape + (2, 2))
     H[..., 0, 0], H[..., 1, 1] = d + 2.0 * w, 2.0 * w - d

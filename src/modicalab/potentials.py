@@ -8,6 +8,7 @@ must pass.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -109,17 +110,20 @@ def _make_n_well(N=3):
         raise ValueError("n_well needs N >= 1")
 
     def _z(u):
-        return u[..., 0] + 1j * u[..., 1]
+        # always an array, even for one point: numpy's complex scalars
+        # multiply with other rounding than its complex array loops
+        flat = u.reshape(-1, 2)
+        return flat[:, 0] + 1j * flat[:, 1]
 
     def w(u):
         z = _z(u)
-        return np.abs(z**N - 1.0) ** 2
+        return (np.abs(z**N - 1.0) ** 2).reshape(u.shape[:-1])
 
     def grad(u):
         z = _z(u)
         # Wirtinger: dW/dz = N z^(N-1) (conj(z)^N - 1); real gradient = (2 Re, -2 Im)
         g = N * z ** (N - 1) * (np.conj(z) ** N - 1.0)
-        return np.stack([2.0 * g.real, -2.0 * g.imag], axis=-1)
+        return np.stack([2.0 * g.real, -2.0 * g.imag], axis=-1).reshape(u.shape)
 
     def hess(u):
         z = _z(u)
@@ -128,12 +132,7 @@ def _make_n_well(N=3):
         wxx = 2.0 * k + 2.0 * h.real
         wyy = 2.0 * k - 2.0 * h.real
         wxy = -2.0 * h.imag
-        out = np.empty(u.shape[:-1] + (2, 2))
-        out[..., 0, 0] = wxx
-        out[..., 1, 1] = wyy
-        out[..., 0, 1] = wxy
-        out[..., 1, 0] = wxy
-        return out
+        return np.stack([wxx, wxy, wxy, wyy], axis=-1).reshape(u.shape[:-1] + (2, 2))
 
     zeros = tuple(
         np.array([math.cos(2 * math.pi * k / N), math.sin(2 * math.pi * k / N)])
@@ -224,23 +223,37 @@ def _make_zero(m=2):
     return Potential("zero", m, {"m": m}, (), w, grad, hess)
 
 
-POTENTIAL_IDS = ("double_well", "ginzburg_landau", "n_well", "polygon_product", "quadratic", "zero")
+_BUILDERS = {
+    "double_well": _make_double_well,
+    "ginzburg_landau": _make_ginzburg_landau,
+    "n_well": _make_n_well,
+    "polygon_product": _make_polygon_product,
+    "quadratic": _make_quadratic,
+    "zero": _make_zero,
+}
+
+POTENTIAL_IDS = tuple(_BUILDERS)
+
+
+def _checked_build(kind: str, builders: dict, name: str, params: dict):
+    """builders[name](**params), where an unknown id, a key the builder does
+    not take and a required key left out are ValueErrors naming what it
+    accepts.  The potential and the field catalogs both build through it."""
+    if name not in builders:
+        raise ValueError(f"unknown {kind} id {name!r}; known ids: {', '.join(builders)}")
+    keys = inspect.signature(builders[name]).parameters
+    accepted = f"accepted: {', '.join(keys) or 'none'}"
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"{kind} {name!r} takes no parameter {', '.join(map(repr, unknown))}; {accepted}")
+    missing = [k for k, prm in keys.items() if prm.default is prm.empty and k not in params]
+    if missing:
+        raise ValueError(f"{kind} {name!r} needs the parameter {', '.join(map(repr, missing))}; {accepted}")
+    return builders[name](**params)
 
 
 def make_potential(name: str, **params) -> Potential:
-    if name == "double_well":
-        return _make_double_well()
-    if name == "ginzburg_landau":
-        return _make_ginzburg_landau(**params)
-    if name == "n_well":
-        return _make_n_well(**params)
-    if name == "polygon_product":
-        return _make_polygon_product(**params)
-    if name == "quadratic":
-        return _make_quadratic(**params)
-    if name == "zero":
-        return _make_zero(**params)
-    raise ValueError(f"unknown potential id {name!r}; known ids: {', '.join(POTENTIAL_IDS)}")
+    return _checked_build("potential", _BUILDERS, name, params)
 
 
 def fd_consistency(p: Potential, u, h: float = 1e-5) -> float:

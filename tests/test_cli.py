@@ -276,6 +276,16 @@ def test_relax_bad_config_is_usage_error(tmp_path):
     assert run_cli("relax", "--config", str(tmp_path / "missing.json")).returncode == 2
 
 
+@pytest.mark.parametrize("potential, accepted", [
+    ({"name": "double_well", "params": {"m": 3}}, "accepted: none"),
+    ({"name": "ginzburg_landau", "params": {"bogus": 3}}, "accepted: m"),
+])
+def test_relax_potential_params_it_does_not_take_are_usage_errors(capsys, relax_config, potential, accepted):
+    relax_config.write_text(json.dumps({**json.loads(relax_config.read_text()), "potential": potential}))
+    assert _exit_code(["relax", "--config", str(relax_config)]) == 2
+    assert accepted in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [[1, 2], {}])
 def test_relax_config_needs_an_object_with_the_required_keys(tmp_path, config):
     path = tmp_path / "config.json"
@@ -339,6 +349,21 @@ def test_unknown_params_keys_are_usage_errors(capsys, argv, accepted):
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err
     assert accepted in err and "Traceback" not in err
+
+
+def test_every_catalog_field_runs_through_every_field_check_without_raising(capsys):
+    """Each check that reads --field, run on each catalog field with its
+    default params, exits 0, 1 or 2: a field a check cannot take, or one
+    whose required params are left out, is a usage error, not a traceback."""
+    codes = {}
+    for words in (w for w, check in cli.CHECKS.items() if "field" in check.flags):
+        command, _, token = words.partition(" ")
+        selector = cli.COMMANDS[command][1]
+        argv = [command, *([selector] if selector.startswith("--") else []), token]
+        for name in fields.CATALOG_IDS:
+            codes[words, name] = cli.main(argv + ["--field", name])
+    assert len(codes) == 7 * len(fields.CATALOG_IDS)
+    assert set(codes.values()) <= {0, 1, 2}, codes
 
 
 class _Recording(dict):

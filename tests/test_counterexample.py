@@ -159,6 +159,42 @@ def test_potential_matches_phase_decomposition(assembled):
     assert np.max(np.abs(w_global - w_phase)) < 1e-8
 
 
+def test_global_potential_on_the_orbit_equals_the_phase_formulas(assembled):
+    """On the segments the global potential resolves the orbit's samples to
+    the patch piece at the same offset (0, u_2) as `_along`; on the arc it
+    projects them back onto the curve, mu = 0 up to roundoff."""
+    pc = assembled.pc
+    _, _, ph_a, ph_b, ph_c = pc._phases(pc.times)
+    w, g = pc.potential.w(pc.u), pc.potential.grad(pc.u)
+    w_s, g_s = pc._sampled
+    seg = ph_a | ph_c
+    assert np.array_equal(w[seg], w_s[seg])
+    assert np.array_equal(g[seg], g_s[seg])
+    assert np.max(np.abs(w[ph_b] - w_s[ph_b])) <= 1e-12
+    assert np.max(np.abs(g[ph_b] - g_s[ph_b])) <= 1e-12
+
+
+def test_lower_tube_mirrors_the_upper_one(assembled):
+    """w(x, -y) = w(x, y) and grad W(x, -y) = (g_1, -g_2) bit for bit, on
+    tube, patch and background points."""
+    pc = assembled.pc
+    curve, eps = pc.curve, pc.eps_tube
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.0, curve.L, 400)
+    tube = curve.gamma(s) + rng.uniform(-eps, eps, 400)[:, None] * curve.normal(s)
+    patch = rng.uniform(-1.0, 1.0, (200, 2)) + np.where(rng.random((200, 1)) < 0.5, cx.A_PLUS, cx.A_MINUS)
+    background = rng.uniform([-4.0, 0.0], [4.0, 4.0], (400, 2))
+    upper = np.concatenate([tube, patch, background])
+    lower = upper * np.array([1.0, -1.0])
+    p = pc.potential
+    assert np.array_equal(p.w(lower), p.w(upper))
+    g_up, g_low = p.grad(upper), p.grad(lower)
+    assert np.array_equal(g_low[:, 0], g_up[:, 0])
+    assert np.array_equal(g_low[:, 1], -g_up[:, 1])
+    in_tube = np.abs(curve.project(upper)[1]) <= eps
+    assert np.count_nonzero(np.any(g_up != 0.0, axis=1) & in_tube) > 100  # the tube is sampled
+
+
 def _inverted_w_grad(pc, x):
     """W and grad W along the orbit with every segment height found by
     inverting t(y) phase by phase, without the stored samples."""

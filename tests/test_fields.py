@@ -113,6 +113,15 @@ def test_make_field_rejects_params_the_field_does_not_take(name, params):
     assert set(fields.field_keys(name)) < set(params)
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("constant", {}, "needs the parameter 'value'; accepted: value, n"),
+    ("linear", {"b": [0.0]}, "needs the parameter 'A'; accepted: A, b, n"),
+])
+def test_make_field_names_the_required_params_left_out(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        fields.make_field(name, **params)
+
+
 def test_values_match_jets():
     f = fields.make_field("gl_circle_planar", R=0.7)
     pts = np.random.default_rng(5).uniform(-2, 2, size=(20, 2))

@@ -24,6 +24,11 @@ def _sample_grid(name, h, box=1.0, **params):
     return fields.sample_field(f, origin=(-box, -box), spacing=(h, h), extents=(n, n))
 
 
+def _potential(name, m):
+    """The catalog potential on R^m; double_well is scalar and takes no m."""
+    return potentials.make_potential(name, **({} if name == "double_well" else {"m": m}))
+
+
 def _exp_modes():
     """Two exponential modes solving Lap u = u; genuinely two-dimensional."""
     a = np.array([math.cos(0.3), math.sin(0.3)])
@@ -61,7 +66,7 @@ def test_stress_tensor_symmetric_with_trace_minus_two_w():
                                              ("product_saddle", "zero")])
 def test_batched_tensors_on_grid_jets_equal_the_pointwise_ones(name, potential):
     g = _sample_grid(name, 0.1)
-    p = potentials.make_potential(potential, m=g.m)
+    p = _potential(potential, g.m)
     jets = fields.grid_jets(g)
     T, H = planar.stress_tensor(jets, p), planar.hessian_U(jets, p)
     assert T.shape == H.shape == jets.u.shape[:-1] + (2, 2)
@@ -90,6 +95,8 @@ def test_hessian_u_rejects_nonplanar_jet():
     p = potentials.make_potential("double_well")
     with pytest.raises(ValueError, match="planar"):
         planar.hessian_U(jet, p)
+    with pytest.raises(ValueError, match="planar"):
+        planar.convexity_margin(jet, p)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +206,7 @@ def test_divergence_residual_equals_the_stencils_on_a_relaxed_grid():
 ])
 def test_compatibility_residual_equals_the_stencils(name, potential, params):
     g = _sample_grid(name, 0.05, **params)
-    p = potentials.make_potential(potential, m=g.m)
+    p = _potential(potential, g.m)
     assert planar.compatibility_residual(g, p) == _stencil_compatibility(g, p)
 
 

@@ -13,6 +13,16 @@ def test_catalog_is_closed():
         potentials.make_potential("sombrero")
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("double_well", {"m": 3}, "takes no parameter 'm'; accepted: none"),
+    ("ginzburg_landau", {"bogus": 3}, "takes no parameter 'bogus'; accepted: m"),
+    ("n_well", {"N": 4, "M": 2}, "takes no parameter 'M'; accepted: N"),
+])
+def test_make_potential_rejects_params_the_potential_does_not_take(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        potentials.make_potential(name, **params)
+
+
 def test_double_well_values():
     p = potentials.make_potential("double_well")
     assert p.m == 1
@@ -89,10 +99,11 @@ def test_quadratic_and_zero():
     assert z.zeros == ()
 
 
-@pytest.mark.parametrize("name", ["double_well", "ginzburg_landau"])
+@pytest.mark.parametrize("name", potentials.POTENTIAL_IDS)
 def test_one_point_equals_its_row_of_a_batch(name):
-    # a single point reduces to numpy scalars, whose `** 2` is the C pow and
-    # can round differently from the array square the batch takes
+    # a single point must not reduce to numpy scalars: a real scalar's `** 2`
+    # is the C pow, and a complex scalar multiplies with other rounding than
+    # the array loops a batch takes
     p = potentials.make_potential(name)
     U = np.random.default_rng(3).normal(size=(500, p.m))
     batch = p.w(U), p.grad(U), p.hess(U)
