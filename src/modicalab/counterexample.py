@@ -575,8 +575,9 @@ def assemble(dt: float = 1e-3) -> PeriodicConnection:
     return pc
 
 
-def _junction_consistency(pc: PeriodicConnection, tol: float = 1e-8) -> None:
-    """Square-patch and tube formulas must agree where both regions apply."""
+def _junction_consistency(pc: PeriodicConnection) -> None:
+    """Square-patch and tube formulas must agree, to 1e-8, where both regions apply."""
+    tol = 1e-8
     curve, patch = pc.curve, pc._global.patch
     s = np.linspace(0.0, 0.05 * curve.ell, 40)
     mu = np.linspace(-pc.eps_tube, pc.eps_tube, 9)

@@ -301,12 +301,12 @@ class GridField:
         idx = np.atleast_1d(np.asarray(idx, int))
         return self.origin + self.spacing * idx
 
-    def locate(self, x, snap=1e-9) -> tuple:
-        """Map a point to its node index; errors if x is not (close to) a node."""
+    def locate(self, x) -> tuple:
+        """Map a point to its node index; errors if x is not within 1e-9 of a node."""
         x = np.atleast_1d(np.asarray(x, float))
         rel = (x - self.origin) / self.spacing
         idx = np.rint(rel).astype(int)
-        if np.any(np.abs(rel - idx) > snap / np.min(self.spacing)):
+        if np.any(np.abs(rel - idx) > 1e-9 / np.min(self.spacing)):
             raise ValueError(f"point {x} is not a grid node; grid jets are node-only")
         if np.any(idx < 0) or np.any(idx >= np.array(self.extents)):
             raise ValueError(f"point {x} outside the grid")

@@ -183,10 +183,10 @@ class UField:
         return self.grid.values[..., 0]
 
 
-def reconstruct_U(g: GridField, p: Potential, gauge: tuple | None = None,
-                  gate: float = 1e-4) -> UField:
+def reconstruct_U(g: GridField, p: Potential, gate: float = 1e-4) -> UField:
     """Integrate the prescribed Hessian twice along axis paths to recover U
-    on the interior nodes, gauged so U and grad U vanish at the gauge node.
+    on the interior nodes, gauged so U and grad U vanish at the gauge node,
+    the central interior node.
 
     Path independence of the reconstruction (x1-then-x2 versus x2-then-x1) is
     the discrete form of the compatibility conditions; its defect is measured
@@ -196,7 +196,7 @@ def reconstruct_U(g: GridField, p: Potential, gauge: tuple | None = None,
     H = hessian_U(jets, p)
     h1, h2 = g.spacing
     ni, nj = H.shape[:2]
-    i0, j0 = (ni // 2, nj // 2) if gauge is None else gauge
+    i0, j0 = ni // 2, nj // 2
 
     def integrate_from_gauge(d1, d2):
         """Potential field with gradient (d1, d2), zero at the gauge node,
@@ -250,11 +250,12 @@ def disk_integral(fn, center, r: float, n_r: int = 64, n_theta: int = 256) -> fl
 
 
 def green_boundary_identity(f: ClosedFormField, p: Potential, center, R: float,
-                            n_theta: int = 256, n_r: int = 64,
                             gate: float = 1e-5) -> dict:
     """Both sides of the Green identity for the auxiliary function:
     integral over B of 4W(u) equals R times the boundary integral of
-    |u_tau|^2 - |u_nu|^2 + 2W(u)."""
+    |u_tau|^2 - |u_nu|^2 + 2W(u), with a 64-node radial rule and 256
+    boundary nodes."""
+    n_r, n_theta = 64, 256
     center = np.asarray(center, float)
     if f.n != 2:
         raise ValueError("green_boundary_identity requires a planar field")
@@ -317,31 +318,25 @@ def monotonicity_profile(density: str, f: ClosedFormField | None, p: Potential |
     "grad_sq" is |grad u|^2 for harmonic fields (monotone when |u|^2 is
     convex).
     """
+    if density not in _DENSITIES:
+        raise ValueError(f"unknown density {density!r}; known: {', '.join(_DENSITIES)}")
+    if density == "potential" and (f is None or p is None):
+        raise ValueError("density 'potential' needs a field and a potential")
+    if density == "grad_sq" and f is None:
+        raise ValueError("density 'grad_sq' needs a field")
+    if density != "laplacian_quadratic" and f.n != 2:
+        raise ValueError(f"{f.name}: density {density!r} needs a planar field (n=2)")
+    fn = {
+        "potential": lambda pts: np.asarray(p.w(f.values(pts))),
+        "laplacian_quadratic": lambda pts: np.full(pts.shape[:-1], 4.0),
+        "grad_sq": lambda pts: f.jets(pts).grad_sq(),
+    }[density]
     center = np.asarray(center, float)
     radii = tuple(float(r) for r in radii)
+    if len(radii) < 2:
+        raise ValueError(f"a profile compares at least two radii, got {len(radii)}")
     if any(r <= 0 for r in radii) or list(radii) != sorted(set(radii)):
         raise ValueError("radii must be positive and strictly increasing")
-
-    if density == "potential":
-        if f is None or p is None:
-            raise ValueError("density 'potential' needs a field and a potential")
-
-        def fn(pts):
-            return np.asarray(p.w(f.values(pts)))
-
-    elif density == "laplacian_quadratic":
-        def fn(pts):
-            return np.full(pts.shape[:-1], 4.0)
-
-    elif density == "grad_sq":
-        if f is None:
-            raise ValueError("density 'grad_sq' needs a field")
-
-        def fn(pts):
-            return f.jets(pts).grad_sq()
-
-    else:
-        raise ValueError(f"unknown density {density!r}; known: {', '.join(_DENSITIES)}")
 
     values, errors = [], []
     for r in radii:

@@ -10,19 +10,15 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Potential",
-    "RadialParams",
-    "NotRadial",
     "make_potential",
     "fd_consistency",
-    "radial_parameters",
-    "convexity_region_probe",
     "POTENTIAL_IDS",
 ]
 
@@ -51,13 +47,6 @@ class Potential:
 
     def hess(self, u):
         return self._hess(self._check(u))
-
-    def eval(self, u):
-        """(W, grad W, D2 W) at a single point."""
-        u = self._check(u)
-        if u.shape != (self.m,):
-            raise ValueError(f"eval expects a single point of R^{self.m}")
-        return float(self._w(u)), self._grad(u), self._hess(u)
 
     def _check(self, u):
         u = np.asarray(u, float)
@@ -279,65 +268,3 @@ def fd_consistency(p: Potential, u, h: float = 1e-5) -> float:
     err_g = float(np.max(np.abs(g - g_fd))) / scale_g
     err_h = float(np.max(np.abs(H - h_fd))) / scale_h
     return max(err_g, err_h)
-
-
-@dataclass(frozen=True)
-class RadialParams:
-    """Constants of a potential that is radial about the origin on a sphere
-    |u| = R: the level lambda = W, and mu with grad W = -mu u there."""
-
-    R: float
-    lam: float
-    mu: float
-    degenerate: bool
-    worst_deviation: float
-
-
-@dataclass(frozen=True)
-class NotRadial:
-    R: float
-    worst_deviation: float
-    reason: str
-
-
-def radial_parameters(p: Potential, R: float, tol: float = 1e-9, n_dirs: int = 64):
-    """Probe radial structure of W on the sphere |u| = R.
-
-    Samples directions in the plane of the first two coordinates (just +-R
-    when m = 1), checks that W is constant and grad W is antiparallel to u
-    with a constant ratio, and returns the fitted (lambda, mu) or a NotRadial
-    verdict carrying the worst deviation seen.
-    """
-    if p.m == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        ang = 2 * math.pi * np.arange(n_dirs) / n_dirs
-        dirs = np.zeros((n_dirs, p.m))
-        dirs[:, 0] = np.cos(ang)
-        dirs[:, 1] = np.sin(ang)
-    U = R * dirs
-    Wv = p.w(U)
-    G = p.grad(U)
-    lam = float(np.mean(Wv))
-    mu_samples = -np.sum(G * U, axis=-1) / R**2
-    mu = float(np.mean(mu_samples))
-    # deviation: W spread, mu spread, and non-radial gradient component
-    resid = G + mu_samples[:, None] * U
-    scale = max(1.0, abs(lam), float(np.max(np.abs(G))))
-    dev = max(
-        float(np.max(np.abs(Wv - lam))),
-        float(np.max(np.abs(mu_samples - mu))) * R**2,
-        float(np.max(np.abs(resid))) * R,
-    ) / scale
-    if dev > tol:
-        return NotRadial(R=R, worst_deviation=dev, reason="W or grad W is not radial on this sphere")
-    return RadialParams(R=R, lam=lam, mu=mu, degenerate=abs(mu) <= tol, worst_deviation=dev)
-
-
-def convexity_region_probe(p: Potential, samples) -> np.ndarray:
-    """Smallest Hessian eigenvalue of W at each sample point."""
-    U = np.asarray(samples, float)
-    if U.ndim == 1:
-        U = U[:, None] if p.m == 1 else U[None, :]
-    H = p.hess(U)
-    return np.linalg.eigvalsh(H)[..., 0]

@@ -22,7 +22,7 @@ not grow as h shrinks (A. Brandt, Math. Comp. 31, 1977).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +50,9 @@ class RelaxConfig:
     origin: tuple
     spacing: tuple
     shape: tuple  # nodes per axis, (n1, n2)
-    boundary: object  # ClosedFormField, or dict of edge arrays (left/right/bottom/top)
+    boundary: ClosedFormField  # planar, with the potential's m components
     max_iters: int = 50_000
     tol: float = 1e-8
-    safety: float = 0.9
-    value_margin: float = 0.5  # padding of the value-range box used for the stiffness bound
-    meta: dict = dc_field(default_factory=dict)
 
     def axes(self):
         return tuple(
@@ -63,57 +60,27 @@ class RelaxConfig:
         )
 
 
-def stiffness_bound(p: Potential, lo: np.ndarray, hi: np.ndarray, n_per_axis: int = 17) -> float:
-    """Sampled sup of the spectral norm of D2W over the box [lo, hi]^m."""
-    axes = [np.linspace(lo[k], hi[k], n_per_axis) for k in range(p.m)]
+# Every level steps with tau = _SAFETY h^2 / (4 + h^2 L), where L bounds D2W
+# on the value range of the start padded by _VALUE_MARGIN.
+_SAFETY = 0.9
+_VALUE_MARGIN = 0.5
+
+
+def stiffness_bound(p: Potential, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Sampled sup of the spectral norm of D2W over the box [lo, hi]^m, at
+    17 points per axis."""
+    axes = [np.linspace(lo[k], hi[k], 17) for k in range(p.m)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.m)
     H = np.asarray(p.hess(pts))
     eig = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
     return float(np.max(np.abs(eig)))
 
 
-def _boundary_values(cfg: RelaxConfig, m: int) -> dict:
-    """Dirichlet data on the four edges as arrays keyed left/right/bottom/top."""
-    x1, x2 = cfg.axes()
-    src = cfg.boundary
-    if isinstance(src, ClosedFormField):
-        def trace(points):
-            return src.values(points)
-
-        left = trace(np.stack([np.full_like(x2, x1[0]), x2], axis=-1))
-        right = trace(np.stack([np.full_like(x2, x1[-1]), x2], axis=-1))
-        bottom = trace(np.stack([x1, np.full_like(x1, x2[0])], axis=-1))
-        top = trace(np.stack([x1, np.full_like(x1, x2[-1])], axis=-1))
-        return {"left": left, "right": right, "bottom": bottom, "top": top}
-    if isinstance(src, dict):
-        out = {}
-        for key, n_expect in (("left", cfg.shape[1]), ("right", cfg.shape[1]),
-                              ("bottom", cfg.shape[0]), ("top", cfg.shape[0])):
-            arr = np.asarray(src[key], float)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            if arr.shape != (n_expect, m):
-                raise ValueError(f"boundary {key!r} must have shape {(n_expect, m)}")
-            out[key] = arr
-        return out
-    raise TypeError("boundary must be a ClosedFormField or a dict of edge arrays")
-
-
-def _apply_boundary(u: np.ndarray, bc: dict) -> None:
-    u[0, :] = bc["left"]
-    u[-1, :] = bc["right"]
-    u[:, 0] = bc["bottom"]
-    u[:, -1] = bc["top"]
-
-
-def flow_energy(g_or_values, p: Potential, spacing=None) -> float:
-    """The Lyapunov function of the discrete flow: edge-based gradient energy
-    plus node-based potential energy.  Its interior gradient is exactly
-    -h1 h2 (Lap_h u - grad W), so the damped flow cannot increase it."""
-    if isinstance(g_or_values, GridField):
-        u, (h1, h2) = g_or_values.values, g_or_values.spacing
-    else:
-        u, (h1, h2) = g_or_values, spacing
+def flow_energy(u: np.ndarray, p: Potential, spacing) -> float:
+    """The Lyapunov function of the discrete flow on grid values u: edge-based
+    gradient energy plus node-based potential energy.  Its interior gradient
+    is exactly -h1 h2 (Lap_h u - grad W), so the damped flow cannot increase it."""
+    h1, h2 = spacing
     e_grad = 0.5 * h2 / h1 * np.sum((u[1:, :] - u[:-1, :]) ** 2) + 0.5 * h1 / h2 * np.sum(
         (u[:, 1:] - u[:, :-1]) ** 2
     )
@@ -142,7 +109,6 @@ class RelaxResult:
     iterations: int  # cycles
     converged: bool
     tau: float  # step of the finest level
-    stiffness: float
     residuals: np.ndarray  # recorded per cycle
     energies: np.ndarray  # flow energy per cycle (nonincreasing)
     levels: int  # grids in the multigrid hierarchy; 1 is the plain flow
@@ -174,17 +140,17 @@ class _Level:
     colors: tuple  # checkerboard masks of the interior nodes, in sweep order
 
 
-def _hierarchy(shape, spacing, safety: float, L: float) -> list[_Level]:
+def _hierarchy(shape, spacing, L: float) -> list[_Level]:
     """Grids from fine to coarse: halve while n1 - 1 and n2 - 1 are both
     even and the coarse grid keeps an interior node.  Every level steps with
-    tau = safety h^2 / (4 + h^2 L), which keeps the flow a descent there."""
+    tau = _SAFETY h^2 / (4 + h^2 L), which keeps the flow a descent there."""
     (n1, n2), (h1, h2) = shape, spacing
     levels = []
     while True:
         h = min(h1, h2)
         ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
         colors = ((ii + jj) % 2 == 0)
-        levels.append(_Level((h1, h2), safety * h * h / (4.0 + h * h * L), (colors, ~colors)))
+        levels.append(_Level((h1, h2), _SAFETY * h * h / (4.0 + h * h * L), (colors, ~colors)))
         if (n1 - 1) % 2 or (n2 - 1) % 2 or min(n1, n2) < 5:
             return levels
         n1, n2, h1, h2 = (n1 - 1) // 2 + 1, (n2 - 1) // 2 + 1, 2.0 * h1, 2.0 * h2
@@ -259,9 +225,13 @@ def _vcycle(u: np.ndarray, p: Potential, levels: list, f, a=None) -> None:
 
 def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> RelaxResult:
     """Run FAS multigrid cycles until the residual drops below cfg.tol, stops
-    falling for _STALL_CYCLES cycles, or cfg.max_iters cycles elapse.  On a grid that cannot coarsen a cycle is one
-    sweep of the damped flow.  Sweeps update the two checkerboard colors in a
-    fixed order, so runs are bit-reproducible."""
+    falling for _STALL_CYCLES cycles, or cfg.max_iters cycles elapse.  On a
+    grid that cannot coarsen a cycle is one sweep of the damped flow.  Sweeps
+    update the two checkerboard colors in a fixed order, so runs are
+    bit-reproducible.
+
+    The start is cfg.boundary sampled on the grid; an `init` replaces its
+    interior, and the Dirichlet data stays on the edges."""
     if len(cfg.shape) != 2:
         raise ValueError("relax works on planar grids")
     n1, n2 = cfg.shape
@@ -273,28 +243,25 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
         raise ValueError(f"tol must be positive and finite, got {cfg.tol!r}")
     if not all(math.isfinite(hk) and hk > 0 for hk in cfg.spacing):
         raise ValueError(f"spacing must be positive and finite, got {tuple(cfg.spacing)!r}")
-    if not 0 < cfg.safety <= 1:
-        raise ValueError(f"safety must lie in (0, 1], got {cfg.safety!r}")
+    b = cfg.boundary
+    if not (isinstance(b, ClosedFormField) and b.n == 2 and b.m == p.m):
+        got = f"{b.name} (n = {b.n}, m = {b.m})" if isinstance(b, ClosedFormField) else type(b).__name__
+        raise ValueError(f"boundary must be a closed-form field on the plane (n = 2) with the"
+                         f" potential's m = {p.m} components, got {got}")
     h1, h2 = cfg.spacing
     m = p.m
 
-    bc = _boundary_values(cfg, m)
+    pts = np.stack(np.meshgrid(*cfg.axes(), indexing="ij"), axis=-1).reshape(-1, 2)
+    u = b.values(pts).reshape(n1, n2, m).astype(float)
     if init is not None:
         if init.values.shape != (n1, n2, m):
             raise ValueError("init shape does not match the configured grid")
-        u = init.values.astype(float).copy()
-    elif isinstance(cfg.boundary, ClosedFormField):
-        x1, x2 = cfg.axes()
-        pts = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
-        u = cfg.boundary.values(pts).reshape(n1, n2, m).astype(float)
-    else:
-        u = np.zeros((n1, n2, m))
-    _apply_boundary(u, bc)
+        u[1:-1, 1:-1] = init.values[1:-1, 1:-1]
 
-    lo = u.reshape(-1, m).min(axis=0) - cfg.value_margin
-    hi = u.reshape(-1, m).max(axis=0) + cfg.value_margin
+    lo = u.reshape(-1, m).min(axis=0) - _VALUE_MARGIN
+    hi = u.reshape(-1, m).max(axis=0) + _VALUE_MARGIN
     L = stiffness_bound(p, lo, hi)
-    levels = _hierarchy((n1, n2), (h1, h2), cfg.safety, L)
+    levels = _hierarchy((n1, n2), (h1, h2), L)
     fine = levels[0]
 
     energies = []
@@ -332,14 +299,13 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
         spacing=tuple(cfg.spacing),
         values=u,
         meta={"solver": "fas-multigrid", "potential": p.name, "tau": fine.tau,
-              "cycles": cycles, "levels": len(levels), **cfg.meta},
+              "cycles": cycles, "levels": len(levels)},
     )
     return RelaxResult(
         field=g,
         iterations=cycles,
         converged=converged,
         tau=fine.tau,
-        stiffness=L,
         residuals=np.asarray(residuals),
         energies=np.asarray(energies),
         levels=len(levels),

@@ -126,18 +126,17 @@ def test_c04_refined_kinetic_equality_and_barrier():
 
 
 def test_c05_derived_constants_and_bound_ordering():
-    consts, _ = estimates.ball_confinement_check(GL2, None, R=1.0)
-    assert abs(consts.kappa - 1.0) <= 1e-3
-    assert abs(consts.mu - 1.0) <= 1e-3
+    ball = estimates.ball_confinement_check(GL2, None, R=1.0).constants
+    assert abs(ball["kappa"] - 1.0) <= 1e-3
+    assert abs(ball["mu"] - 1.0) <= 1e-3
 
     cfg = estimates.DiagonalSystemConfig(D=np.ones(2), A=np.eye(2), M=1.0)
-    _, report = estimates.diagonal_system_check(cfg, g=None)
-    assert abs(report.constants["lambda"] - 5.0) <= 1e-6  # 2m + 1 with m = 2
+    lam = estimates.diagonal_system_check(cfg, g=None).constants["lambda"]
+    assert abs(lam - 5.0) <= 1e-6  # 2m + 1 with m = 2
 
-    states = estimates.ball_samples(2, 1.0, 2000)
-    rhs = estimates.gl_bound_rhs(states)
-    assert np.all(rhs["sharp"] <= rhs["ball"] + 1e-15)
-    assert np.all(rhs["ball"] <= rhs["diagonal"] + 1e-15)
+    # the GL right-hand sides, sharpest first: (1/2)(1-|u|^2) from the radial
+    # bound, C (1-|u|^2) from ball confinement, (lam/2)(1-|u|^2) from 3.1
+    assert 0.5 <= ball["C"] <= lam / 2.0
 
 
 def test_c06_convex_well_floor_on_small_orbit():
@@ -145,10 +144,11 @@ def test_c06_convex_well_floor_on_small_orbit():
     traj = dynamics.integrate(
         dw, dynamics.PhasePoint([0.2], [0.0]), 1e-3, 7000, drift_tol=math.inf
     )
-    cfg, report = estimates.convex_well_check(dw, traj, tol=1e-7)
-    assert abs(cfg.eps - 1.0 / 9.0) <= 1e-6
-    assert 0.0 < cfg.S < 2.0 * cfg.eps
-    assert cfg.condition
+    report = estimates.convex_well_check(dw, traj, tol=1e-7)
+    eps, S = report.constants["eps"], report.constants["S"]
+    assert abs(eps - 1.0 / 9.0) <= 1e-6
+    assert 0.0 < S < 2.0 * eps
+    assert report.constants["condition_met"]
     assert report.verdict == "holds"
     assert report.worst_margin >= -1e-7
 

@@ -158,6 +158,13 @@ def test_connection_verification_exit_codes():
     assert proc.returncode == 1
 
 
+def test_a_connection_that_fails_its_own_checks_never_passes_verify(capsys):
+    # dt = 0.002 lifts the O(dt^2) equation residual past its 1e-5 gate
+    for expect in ([], ["--expect-violation"]):
+        assert _exit_code(["counterexample", "verify", "--dt", "0.002", *expect]) == 1, expect
+        assert "internal checks pass:        False" in capsys.readouterr().out
+
+
 def test_connection_runner_inverts_the_segment_at_most_four_times(tmp_path, monkeypatch):
     """Only the orbit's own samples and its two endpoints invert t(y); the
     report and the trajectory CSV read the stored samples."""
@@ -364,6 +371,34 @@ def test_every_catalog_field_runs_through_every_field_check_without_raising(caps
             codes[words, name] = cli.main(argv + ["--field", name])
     assert len(codes) == 7 * len(fields.CATALOG_IDS)
     assert set(codes.values()) <= {0, 1, 2}, codes
+
+
+@pytest.mark.parametrize("op", ["tensor", "ufield", "monotone"])
+@pytest.mark.parametrize("name", ["gl_circle", "tanh_profile"])
+def test_planar_checks_on_a_line_field_name_the_planar_requirement(capsys, op, name):
+    assert _exit_code(["planar", op, "--field", name]) == 2
+    err = capsys.readouterr().err
+    assert "needs a planar field (n=2)" in err and "trailing axis" not in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    pytest.param(["estimates", "--theorem", "polygon", "--params", '{"vertices": [1, 2, 3]}'],
+                 "vertices must be a list of points of the plane", id="polygon-flat-vertices"),
+    pytest.param(["planar", "monotone", "--params", '{"radii": []}'], "at least two radii", id="no-radii"),
+    pytest.param(["planar", "monotone", "--params", '{"radii": [1.0]}'], "at least two radii", id="one-radius"),
+    pytest.param(["estimates", "--theorem", "3.1", "--params", '{"m": 0}'], "m x m with m >= 1", id="m-0"),
+    pytest.param(["estimates", "--theorem", "3.1", "--params", '{"M": -1}'], "M must be positive", id="M-negative"),
+    pytest.param(["relax", "--config", "{map-config}"], "potential's m = 1 components", id="relax-map-data"),
+])
+def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
+    if "{map-config}" in argv:
+        config = {"potential": {"name": "double_well"}, "boundary": {"field": "harmonic_linear_map"},
+                  "domain": {"origin": [0.0, 0.0], "spacing": [0.1, 0.1], "shape": [9, 9]}}
+        (tmp_path / "map.json").write_text(json.dumps(config))
+        argv = [str(tmp_path / "map.json") if a == "{map-config}" else a for a in argv]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
 
 
 class _Recording(dict):

@@ -237,10 +237,11 @@ def test_reconstruct_u_circle_grid_machine_zero_defects():
 def test_reconstruct_u_gauge_node_is_exact_zero():
     p = potentials.make_potential("ginzburg_landau", m=2)
     g = _sample_grid("gl_circle_planar", 0.05, R=0.5)
-    rec = planar.reconstruct_U(g, p, gauge=(3, 4))
-    assert rec.gauge_index == (3, 4)
-    assert rec.values[3, 4] == 0.0
-    assert rec.grid.meta["gauge_index"] == [3, 4]
+    rec = planar.reconstruct_U(g, p)
+    ni, nj = rec.values.shape
+    assert rec.gauge_index == (ni // 2, nj // 2) == (19, 19)  # the central interior node
+    assert rec.values[19, 19] == 0.0
+    assert rec.grid.meta["gauge_index"] == [19, 19]
 
 
 def test_reconstruct_u_path_defect_second_order():

@@ -118,15 +118,6 @@ def test_wrong_dimension_raises():
         p.w(np.zeros(3))
 
 
-def test_eval_bundle():
-    p = potentials.make_potential("double_well")
-    w, g, H = p.eval(np.array([0.5]))
-    assert w == float(p.w(np.array([0.5])))
-    assert g.shape == (1,) and H.shape == (1, 1)
-    with pytest.raises(ValueError, match="single point"):
-        p.eval(np.zeros((3, 1)))
-
-
 @pytest.mark.parametrize("name,params", [
     ("double_well", {}),
     ("ginzburg_landau", {"m": 2}),
@@ -141,40 +132,3 @@ def test_fd_consistency(name, params):
     rng = np.random.default_rng(11)
     for u in rng.uniform(-1.5, 1.5, size=(8, p.m)):
         assert potentials.fd_consistency(p, u) < 5e-9
-
-
-# ---------------------------------------------------------------------------
-# radial structure probes
-
-
-def test_radial_parameters_gl_closed_form():
-    p = potentials.make_potential("ginzburg_landau", m=2)
-    for R in (0.3, 0.5, 0.9):
-        rp = potentials.radial_parameters(p, R)
-        assert isinstance(rp, potentials.RadialParams)
-        assert abs(rp.lam - 0.25 * (R**2 - 1.0) ** 2) < 1e-14
-        assert abs(rp.mu - (1.0 - R**2)) < 1e-14
-        assert not rp.degenerate
-
-
-def test_radial_parameters_rejects_polygon():
-    p = potentials.make_potential("polygon_product")
-    out = potentials.radial_parameters(p, 0.5)
-    assert isinstance(out, potentials.NotRadial)
-    assert out.worst_deviation > 1e-9
-
-
-def test_radial_parameters_scalar_potential():
-    p = potentials.make_potential("double_well")
-    rp = potentials.radial_parameters(p, 0.5)
-    assert isinstance(rp, potentials.RadialParams)
-    assert abs(rp.lam - 0.25 * 0.75**2) < 1e-15
-
-
-def test_convexity_region_probe_double_well():
-    p = potentials.make_potential("double_well")
-    u = np.array([[0.0], [0.5], [0.6], [1.0]])
-    eig = potentials.convexity_region_probe(p, u)
-    # W'' = 3u^2 - 1 changes sign at 1/sqrt(3) ~ 0.577
-    assert eig[0] < 0 and eig[1] < 0
-    assert eig[2] > 0 and eig[3] > 0

@@ -119,11 +119,11 @@ def _flow_reference(p, cfg):
     x1, x2 = cfg.axes()
     pts = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
     u = cfg.boundary.values(pts).reshape(n1, n2, m).astype(float)
-    lo = u.reshape(-1, m).min(axis=0) - cfg.value_margin
-    hi = u.reshape(-1, m).max(axis=0) + cfg.value_margin
+    lo = u.reshape(-1, m).min(axis=0) - solver._VALUE_MARGIN
+    hi = u.reshape(-1, m).max(axis=0) + solver._VALUE_MARGIN
     L = solver.stiffness_bound(p, lo, hi)
     h = min(h1, h2)
-    tau = cfg.safety * h * h / (4.0 + h * h * L)
+    tau = solver._SAFETY * h * h / (4.0 + h * h * L)
     ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
     colors = ((ii + jj) % 2 == 0)
 
@@ -167,8 +167,6 @@ def test_one_level_cycles_are_the_plain_flow_bit_for_bit():
     pytest.param({"tol": math.inf}, "tol", id="tol-inf"),
     pytest.param({"spacing": (0.0, 0.15)}, "spacing", id="spacing-0"),
     pytest.param({"spacing": (0.15, math.nan)}, "spacing", id="spacing-nan"),
-    pytest.param({"safety": 0.0}, "safety", id="safety-0"),
-    pytest.param({"safety": 1.5}, "safety", id="safety-1.5"),
 ])
 def test_bad_relaxation_numbers_are_rejected(change, reason):
     cfg = solver.RelaxConfig(
@@ -222,46 +220,21 @@ def test_relax_runs_are_bit_reproducible():
     assert a.tau == b.tau
 
 
-def test_boundary_dict_edges():
-    x = np.linspace(-1.0, 1.0, 9)
-    line = lambda t: 1.0 * t  # noqa: E731
-    bc = {
-        "left": line(x) * 0.0 - 1.0,  # u(-1, y) for the plane wave in x only
-        "right": line(x) * 0.0 + 1.0,
-        "bottom": np.linspace(-1.0, 1.0, 9),
-        "top": np.linspace(-1.0, 1.0, 9),
-    }
+@pytest.mark.parametrize("potential, boundary, got", [
+    pytest.param(("double_well", {}), lambda: fields.make_field("harmonic_linear_map"),
+                 "harmonic_linear_map (n = 2, m = 2)", id="two-components-for-one"),
+    pytest.param(("ginzburg_landau", {"m": 2}), lambda: fields.make_field("gl_circle"),
+                 "gl_circle (n = 1, m = 2)", id="line-field"),
+    pytest.param(("zero", {"m": 1}), lambda: 42, "got int", id="not-a-field"),
+])
+def test_boundary_must_be_a_planar_field_with_the_potentials_components(potential, boundary, got):
+    p = potentials.make_potential(potential[0], **potential[1])
     cfg = solver.RelaxConfig(
-        origin=(-1.0, -1.0), spacing=(0.25, 0.25), shape=(9, 9),
-        boundary=bc, max_iters=50_000, tol=1e-12,
+        origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(9, 9), boundary=boundary(),
     )
-    result = solver.relax(_zero_potential(), cfg)
-    assert result.converged
-    # harmonic with data x on all edges -> u = x everywhere
-    exact = fields.sample_field(
-        fields.make_field("linear", A=[[1.0, 0.0]]), (-1.0, -1.0), (0.25, 0.25), (9, 9)
-    )
-    assert np.max(np.abs(result.field.values - exact.values)) < 1e-10
-
-
-def test_boundary_dict_shape_validation():
-    bad = {
-        "left": np.zeros(5), "right": np.zeros(9),
-        "bottom": np.zeros(9), "top": np.zeros(9),
-    }
-    cfg = solver.RelaxConfig(
-        origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(9, 9), boundary=bad,
-    )
-    with pytest.raises(ValueError, match="boundary 'left'"):
-        solver.relax(_zero_potential(), cfg)
-
-
-def test_boundary_type_validation():
-    cfg = solver.RelaxConfig(
-        origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(9, 9), boundary=42,
-    )
-    with pytest.raises(TypeError, match="boundary"):
-        solver.relax(_zero_potential(), cfg)
+    with pytest.raises(ValueError, match="closed-form field on the plane") as info:
+        solver.relax(p, cfg)
+    assert f"m = {p.m}" in str(info.value) and got in str(info.value)
 
 
 def test_grid_shape_validation():
@@ -353,8 +326,3 @@ def test_run_log_keys_and_values():
     assert log["residual"] == result.final_residual
     assert log["tau"] == result.tau
 
-
-def test_flow_energy_accepts_grid_or_arrays():
-    dw = potentials.make_potential("double_well")
-    g = fields.sample_field(fields.make_field("tanh_planar"), (-2.0, 0.0), (0.1, 0.1), (41, 5))
-    assert solver.flow_energy(g, dw) == solver.flow_energy(g.values, dw, g.spacing)
