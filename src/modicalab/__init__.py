@@ -31,7 +31,6 @@ from .fields import (
     GridField,
     Jet2,
     grid_jets,
-    jet,
     load_gridfield,
     make_field,
     sample_field,
@@ -40,7 +39,6 @@ from .fields import (
 from .planar import (
     MonotoneProfile,
     UField,
-    convexity_status,
     disk_integral,
     divergence_residual,
     green_boundary_identity,
@@ -82,14 +80,12 @@ __all__ = [
     "GridField",
     "Jet2",
     "grid_jets",
-    "jet",
     "load_gridfield",
     "make_field",
     "sample_field",
     "save_gridfield",
     "MonotoneProfile",
     "UField",
-    "convexity_status",
     "disk_integral",
     "divergence_residual",
     "green_boundary_identity",

@@ -79,7 +79,7 @@ def _write_artifacts(out: Path, artifacts: dict) -> None:
 
 def _write_connection_artifacts(pc, path: Path) -> None:
     """The periodic connection's trajectory CSV, in the Trajectory format."""
-    dynamics.Trajectory(pc.times, pc.u, pc.v, pc.hamiltonian_series(), math.inf).to_csv(path)
+    dynamics.Trajectory(pc.times, pc.u, pc.v, pc.hamiltonian_series()).to_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +532,14 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 # every flag a runner may read, in the order --help lists them
 FLAGS = {
     "R": dict(type=float, required=True, help="orbit radius in (0, 1)"),
@@ -539,7 +547,7 @@ FLAGS = {
     "field": dict(help="catalog field id"),
     "params": dict(help="JSON object of parameters"),
     "density": dict(choices=planar._DENSITIES, help="profile density (default potential)"),
-    "tol": dict(type=float, help="override the check tolerance"),
+    "tol": dict(type=_tolerance, help="override the check tolerance"),
     "dt": dict(type=_positive_finite, help="integration step"),
     "h": dict(type=_positive_finite, help="grid spacing"),
     "seed": dict(type=int, help="seed for sampled checks"),

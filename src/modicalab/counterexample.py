@@ -445,7 +445,6 @@ class PeriodicConnection:
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    rho: RhoSpec
     curve: CurveSpec
     segment: SegmentSolution
     _global: _GlobalPotential = field(repr=False)
@@ -511,14 +510,6 @@ class PeriodicConnection:
         """(W, grad W) along the stored samples, read from the stored u."""
         return self._along(self.times, self.u)
 
-    def orbit_w(self, x):
-        """W(u(x)) at off-grid times; the stored samples use `_sampled`."""
-        return self._along(x, self.orbit(x)[0])[0]
-
-    def orbit_grad(self, x):
-        """grad W(u(x)) at off-grid times; the stored samples use `_sampled`."""
-        return self._along(x, self.orbit(x)[0])[1]
-
     # diagnostics ------------------------------------------------------------
 
     def hamiltonian_series(self):
@@ -539,7 +530,6 @@ def assemble(dt: float = 1e-3) -> PeriodicConnection:
     """Build the full periodic connection, sampled at step about dt, and run
     junction consistency checks."""
     lam = lambda_from_hamiltonian()
-    rho = RhoSpec()
     seg = solve_segment(lam, dt=dt)
     curve = build_curve()
     eps = min(0.1, lam / (2.0 * curve.max_kappa))
@@ -547,7 +537,7 @@ def assemble(dt: float = 1e-3) -> PeriodicConnection:
     t1, t2 = seg.t1, seg.t2
     t3 = t2 + curve.L
     T = 2.0 * (t2 + t3)
-    glob = _GlobalPotential(rho, curve, lam, eps)
+    glob = _GlobalPotential(RhoSpec(), curve, lam, eps)
 
     n = int(round(T / dt))
     times = (T / n) * np.arange(n + 1)
@@ -562,7 +552,6 @@ def assemble(dt: float = 1e-3) -> PeriodicConnection:
         times=times,
         u=np.zeros((n + 1, 2)),
         v=np.zeros((n + 1, 2)),
-        rho=rho,
         curve=curve,
         segment=seg,
         _global=glob,

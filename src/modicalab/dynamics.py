@@ -24,7 +24,6 @@ __all__ = [
     "Trajectory",
     "OrbitFamily",
     "BlowUpError",
-    "hamiltonian",
     "integrate",
     "integrate_many",
     "orbit_family",
@@ -52,11 +51,6 @@ class Trajectory:
     u: np.ndarray  # (k+1, m)
     v: np.ndarray  # (k+1, m)
     H: np.ndarray  # (k+1,)
-    drift_tol: float
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def m(self) -> int:
@@ -64,9 +58,6 @@ class Trajectory:
 
     def drift(self) -> float:
         return float(np.max(np.abs(self.H - self.H[0])))
-
-    def state(self, k: int) -> PhasePoint:
-        return PhasePoint(self.u[k], self.v[k])
 
     def to_csv(self, path: str) -> None:
         """Rows t, u_1..u_m, v_1..v_m, H with repr floats and CRLF line ends,
@@ -89,13 +80,10 @@ class BlowUpError(RuntimeError):
         self.trajectory = trajectory
 
 
-def hamiltonian(p: Potential, s: PhasePoint) -> float:
-    return float(0.5 * np.sum(s.v**2) - p.w(s.u))
-
-
-def _trajectory(p, times, uu, vv, drift_tol):
+def _trajectory(p, times, uu, vv):
+    """The trajectory through the samples (uu, vv), with H = 0.5|v|^2 - W(u)."""
     H = 0.5 * np.sum(vv**2, axis=1) - p.w(uu)
-    return Trajectory(times=times, u=uu, v=vv, H=H, drift_tol=drift_tol)
+    return Trajectory(times=times, u=uu, v=vv, H=H)
 
 
 def integrate_many(
@@ -104,7 +92,6 @@ def integrate_many(
     dt: float,
     steps: int,
     drift_tol: float = 1e-6,
-    blowup: float = 1e6,
 ) -> list[Trajectory]:
     """Position-Verlet integration of u'' = grad W(u) from every start at once.
 
@@ -114,8 +101,8 @@ def integrate_many(
     own.  The run is recorded in (B, steps + 1, m) buffers, so every
     Trajectory's u and v are contiguous views.
 
-    Raises BlowUpError at the first step where a trajectory leaves
-    |u| <= blowup or stops being finite, attaching that trajectory's valid
+    Raises BlowUpError at the first step where a coordinate of a trajectory
+    leaves [-1e6, 1e6] or stops being finite, attaching that trajectory's valid
     prefix, and after the last step for the first trajectory whose energy
     drift max |H - H_0| exceeds `drift_tol`, attaching the whole trajectory.
     With more than one start the message names the trajectory's index.
@@ -129,6 +116,7 @@ def integrate_many(
     if any(s.u.size != m for s in starts):
         raise ValueError("all starting states must have the same dimension m")
     B = len(starts)
+    blowup = 1e6
 
     def which(i):
         return f"trajectory {i}: " if B > 1 else ""
@@ -146,11 +134,11 @@ def integrate_many(
         inside = np.abs(u) <= blowup  # False on inf and nan as well
         if not inside.all():
             i = int(np.argmin(inside.all(axis=1)))
-            partial = _trajectory(p, dt * np.arange(k), uu[i, :k], vv[i, :k], drift_tol)
+            partial = _trajectory(p, dt * np.arange(k), uu[i, :k], vv[i, :k])
             raise BlowUpError(which(i) + f"blow-up at step {k} (t = {k * dt:g})", partial)
         uu[:, k], vv[:, k] = u, v
     times = dt * np.arange(steps + 1)
-    trajectories = [_trajectory(p, times, uu[i], vv[i], drift_tol) for i in range(B)]
+    trajectories = [_trajectory(p, times, uu[i], vv[i]) for i in range(B)]
     for i, traj in enumerate(trajectories):
         if traj.drift() > drift_tol:
             raise BlowUpError(which(i) + f"energy drift {traj.drift():.3e} > drift_tol {drift_tol:g}", traj)
@@ -163,16 +151,15 @@ def integrate(
     dt: float,
     steps: int,
     drift_tol: float = 1e-6,
-    blowup: float = 1e6,
 ) -> Trajectory:
     """Position-Verlet integration of u'' = grad W(u) for `steps` steps.
 
     Returns the synchronized (u_k, v_k) samples at t_k = k dt together with
     the measured Hamiltonian series.  Raises BlowUpError when the state
-    leaves |u| <= blowup or stops being finite, attaching the valid prefix,
+    leaves [-1e6, 1e6]^m or stops being finite, attaching the valid prefix,
     and when the energy drift exceeds `drift_tol` (see `integrate_many`).
     """
-    return integrate_many(p, [start], dt, steps, drift_tol, blowup)[0]
+    return integrate_many(p, [start], dt, steps, drift_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -200,14 +187,7 @@ def orbit_family(R: float) -> OrbitFamily:
     return OrbitFamily(R=R, lam=lam, mu=mu, period=2.0 * math.pi / math.sqrt(mu), H=H)
 
 
-def shoot_heteroclinic(
-    p: Potential,
-    a_minus,
-    a_plus,
-    tol: float = 1e-10,
-    dt: float = 1e-3,
-    max_span: float = 60.0,
-) -> Trajectory:
+def shoot_heteroclinic(p: Potential, a_minus, a_plus, dt: float = 1e-3) -> Trajectory:
     """Scalar connection between adjacent zeros via the equipartition reduction.
 
     On a monotone heteroclinic the Hamiltonian vanishes, so u' = sqrt(2 W(u)),
@@ -215,12 +195,13 @@ def shoot_heteroclinic(
     On each side the substitution u = a - (a - mid) e^(-sigma) turns the
     logarithmic singularity at the well a into a smooth, bounded integrand on
     uniform sigma panels, up to sigma = log(|a - mid| / tol), i.e. to within
-    `tol` of the well.  The uniform time grid is inverted by Newton in sigma
-    and clamped beyond the wells.
+    tol = 1e-10 of the well.  The uniform time grid is inverted by Newton in
+    sigma and clamped beyond the wells.
 
     Raises if W vanishes somewhere strictly between the wells (no connection)
-    or if either side needs more time than `max_span` (a degenerate well).
+    or if either side needs more time than max_span = 60 (a degenerate well).
     """
+    tol, max_span = 1e-10, 60.0
     if p.m != 1:
         raise ValueError("heteroclinic shooting is implemented for scalar potentials")
     a_minus = float(np.atleast_1d(a_minus)[0])
@@ -260,5 +241,4 @@ def shoot_heteroclinic(
     uu[neg, 0] = u_minus(c_minus.inverse(np.minimum(-times[neg], c_minus.total)))
     uu[~neg, 0] = u_plus(c_plus.inverse(np.minimum(times[~neg], c_plus.total)))
     vv = np.sqrt(2.0 * np.clip(p.w(uu), 0.0, None))[:, None]
-    H = 0.5 * vv[:, 0] ** 2 - p.w(uu)
-    return Trajectory(times=times, u=uu, v=vv, H=H, drift_tol=tol)
+    return _trajectory(p, times, uu, vv)

@@ -26,10 +26,8 @@ __all__ = [
     "PhiBarrier",
     "modica_defect",
     "gl_pointwise_bound",
-    "scalar_p_residual",
     "gl_p_residual",
     "diagonal_p_residual",
-    "ode_phi_p_residual",
     "ode_bound_check",
     "speed_envelope_check",
     "diagonal_system_check",
@@ -108,41 +106,6 @@ def gl_pointwise_bound(jet: Jet2):
 
 # ---------------------------------------------------------------------------
 # differential-inequality residuals (finite differences of the P-field)
-
-
-def scalar_p_residual(f, x, p: Potential, h: float = 1e-3) -> float:
-    """Residual of the scalar P-function inequality at a point:
-    |grad u|^2 Lap P - 0.5|grad P|^2 - 2 W'(u) grad u . grad P  (m=1 only).
-
-    P = 0.5|grad u|^2 - W(u) is sampled on a 5-point star of spacing h around
-    x, so the third derivatives of u enter only through differences of P.
-    """
-    from .fields import jet as field_jet
-
-    x = np.atleast_1d(np.asarray(x, float))
-    n = x.size
-
-    def p_at(pt):
-        j = field_jet(f, pt)
-        return 0.5 * j.grad_sq() - float(p.w(j.u))
-
-    center = field_jet(f, x)
-    if center.m != 1:
-        raise ValueError("scalar_p_residual requires a scalar field (m=1)")
-    p0 = 0.5 * center.grad_sq() - float(p.w(center.u))
-    lap = 0.0
-    grad_p = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        plus, minus = p_at(x + e), p_at(x - e)
-        lap += (plus - 2.0 * p0 + minus) / h**2
-        grad_p[i] = (plus - minus) / (2.0 * h)
-    grad_u = center.du[0]
-    wprime = float(p.grad(center.u)[0])
-    return center.grad_sq() * lap - 0.5 * float(np.sum(grad_p**2)) - 2.0 * wprime * float(
-        np.dot(grad_u, grad_p)
-    )
 
 
 def gl_p_residual(g: GridField, tol_solution: float = 1e-4) -> np.ndarray:
@@ -262,18 +225,6 @@ def diagonal_p_residual(g: GridField, cfg: DiagonalSystemConfig, lam: float | No
     return lap_p - b_term[core, core] - h_factor[core, core] * p_vals[core, core]
 
 
-def ode_phi_p_residual(traj: Trajectory, barrier: "PhiBarrier", p: Potential) -> np.ndarray:
-    """Residual array of P'' >= 2 phi_eps'(Q) P along a GL ODE trajectory,
-    with P = 0.5|u'|^2 - W(u) + phi_eps(Q(u)), by second differences."""
-    u, v = traj.u, traj.v
-    q = 0.5 * (np.sum(u**2, axis=-1) - 1.0)
-    p_series = 0.5 * np.sum(v**2, axis=-1) - p.w(u) + barrier.phi_eps(q)
-    dt = traj.dt
-    p_dd = (p_series[2:] - 2.0 * p_series[1:-1] + p_series[:-2]) / dt**2
-    h = 2.0 * barrier.rho(6.0 * q[1:-1] + 1.0)
-    return p_dd - h * p_series[1:-1]
-
-
 # ---------------------------------------------------------------------------
 # sampling helpers
 
@@ -361,6 +312,8 @@ def ball_confinement_check(p: Potential, obj, R: float, tol: float = 1e-7) -> De
     hypothesis u.grad W > 0 for |u| > R is validated on shells |u| in
     (R, R+1] and raises on failure.  Each set is sampled at 10^4 points.
     """
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"R must be positive and finite, got {R!r}")
     M, n_samples = R * R, 10_000
     outside = ball_samples(p.m, R + 1.0, n_samples)
     norms = np.linalg.norm(outside, axis=1)
@@ -473,6 +426,8 @@ def polygon_confinement_check(vertices, n_samples: int = 100, seed: int = 0,
     verts = np.asarray(vertices, float)
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise ValueError(f"vertices must be a list of points of the plane, got shape {verts.shape}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     N = len(verts)
     if N < 3:
         raise HypothesisError("need at least three vertices")
@@ -647,15 +602,17 @@ def ode_bound_check(traj: Trajectory, p: Potential, tol: float = 1e-7) -> Defect
     return DefectReport.from_margins("ode-hamiltonian", all_margins, pts, tol, constants)
 
 
-def speed_envelope_check(R_grid=None, dt: float = 1e-3, tol: float = 5e-7) -> DefectReport:
+def speed_envelope_check(R_grid=None, dt: float = 1e-3) -> DefectReport:
     """Attainment of the kinetic-energy lower envelope for the scalar/planar
     GL ODE: max(circular-orbit speed, heteroclinic speed) at modulus r equals
     r^2 sqrt(W) for r^2 >= 1/3 and W for r^2 <= 1/3.
 
     Circular orbits contribute 0.5 r^2 (1 - r^2) at their own modulus
     (measured from integrated trajectories); the heteroclinic contributes
-    its equipartition speed W at every modulus it crosses.
+    its equipartition speed W at every modulus it crosses.  The envelope
+    holds to 5e-7 and must match the bound to 1e-4.
     """
+    tol = 5e-7
     R_grid = np.sqrt(np.linspace(0.05, 0.95, 19)) if R_grid is None else np.asarray(R_grid, float)
     gl = make_potential("ginzburg_landau", m=2)
     dw = make_potential("double_well")

@@ -25,8 +25,6 @@ __all__ = [
     "GridField",
     "make_field",
     "field_keys",
-    "jet",
-    "fd_jet",
     "grid_jets",
     "sample_field",
     "save_gridfield",
@@ -85,9 +83,6 @@ class Jet2:
         """(..., m) componentwise Laplacian, the trace of d2u over space axes."""
         return np.trace(self.d2u, axis1=-2, axis2=-1)
 
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.d2u - np.swapaxes(self.d2u, -2, -1))))
-
 
 @dataclass(frozen=True)
 class ClosedFormField:
@@ -119,13 +114,6 @@ class ClosedFormField:
         """Analytic jets at an array of points (..., n), node axes leading."""
         X = self._points(X)
         return Jet2(X, self._values(X), *self._derivatives(X))
-
-    def jet(self, x) -> Jet2:
-        """The jet at one point of R^n: `jets` with no node axes."""
-        x = np.atleast_1d(np.asarray(x, float))
-        if x.shape != (self.n,):
-            raise ValueError(f"{self.name}: expected point in R^{self.n}, got shape {x.shape}")
-        return self.jets(x)
 
 
 def _omega(R: float) -> float:
@@ -301,20 +289,10 @@ class GridField:
         idx = np.atleast_1d(np.asarray(idx, int))
         return self.origin + self.spacing * idx
 
-    def locate(self, x) -> tuple:
-        """Map a point to its node index; errors if x is not within 1e-9 of a node."""
-        x = np.atleast_1d(np.asarray(x, float))
-        rel = (x - self.origin) / self.spacing
-        idx = np.rint(rel).astype(int)
-        if np.any(np.abs(rel - idx) > 1e-9 / np.min(self.spacing)):
-            raise ValueError(f"point {x} is not a grid node; grid jets are node-only")
-        if np.any(idx < 0) or np.any(idx >= np.array(self.extents)):
-            raise ValueError(f"point {x} outside the grid")
-        return tuple(int(i) for i in idx)
 
-
-def sample_field(cf: ClosedFormField, origin, spacing, extents, meta=None) -> GridField:
-    """Sample a closed-form field on a uniform grid."""
+def sample_field(cf: ClosedFormField, origin, spacing, extents) -> GridField:
+    """Sample a closed-form field on a uniform grid; the grid's meta names
+    the field and its parameters."""
     origin = np.atleast_1d(np.asarray(origin, float))
     spacing = np.atleast_1d(np.asarray(spacing, float))
     extents = tuple(int(e) for e in np.atleast_1d(extents))
@@ -322,7 +300,7 @@ def sample_field(cf: ClosedFormField, origin, spacing, extents, meta=None) -> Gr
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack(mesh, axis=-1)
     vals = cf.values(X)
-    return GridField(origin, spacing, vals, meta or {"sampled_from": cf.name, "params": cf.params})
+    return GridField(origin, spacing, vals, {"sampled_from": cf.name, "params": cf.params})
 
 
 def _at(v: np.ndarray, offset) -> np.ndarray:
@@ -369,27 +347,6 @@ def _laplacian(v: np.ndarray, h) -> np.ndarray:
     h1, h2 = h
     core = v[1:-1, 1:-1]
     return (v[2:, 1:-1] - 2 * core + v[:-2, 1:-1]) / h1**2 + (v[1:-1, 2:] - 2 * core + v[1:-1, :-2]) / h2**2
-
-
-def fd_jet(g: GridField, idx) -> Jet2:
-    """Central-difference jet at an interior node of a grid field: the
-    grid-jet kernel applied to the 3^n window around the node."""
-    idx = tuple(int(i) for i in np.atleast_1d(idx))
-    if any(i < 1 or i > e - 2 for i, e in zip(idx, g.extents)):
-        raise ValueError(f"node {idx} lacks stencil support")
-    window = g.values[tuple(slice(i - 1, i + 2) for i in idx)]
-    u, du, d2u = (a[(0,) * g.n] for a in _central_differences(window, g.spacing))
-    return Jet2(x=g.node_position(idx), u=u, du=du, d2u=d2u)
-
-
-def jet(f, x) -> Jet2:
-    """Second-order jet of a field at a point: analytic for closed forms,
-    node-snapped central differences for grids."""
-    if isinstance(f, ClosedFormField):
-        return f.jet(x)
-    if isinstance(f, GridField):
-        return fd_jet(f, f.locate(x))
-    raise TypeError(f"cannot take a jet of {type(f).__name__}")
 
 
 def grid_jets(g: GridField) -> Jet2:

@@ -41,7 +41,6 @@ __all__ = [
     "compatibility_residual",
     "reconstruct_U",
     "convexity_margin",
-    "convexity_status",
     "green_boundary_identity",
     "monotonicity_profile",
     "disk_integral",
@@ -85,23 +84,6 @@ def convexity_margin(jet: Jet2, p: Potential):
     without the Hessian, so U is convex where it is nonnegative."""
     w, d, c = _convexity_terms(jet, p)
     return 4.0 * w * w - d * d - c * c
-
-
-def convexity_status(jet: Jet2, p: Potential, tol: float = 1e-12) -> dict:
-    """Convexity classification of U at a jet.
-
-    Returns both det D2U and the `convexity_margin`; they are the same
-    quantity written two ways, and the verdict is convex iff nonnegative.
-    """
-    det = float(np.linalg.det(hessian_U(jet, p)))
-    w, d, c = (float(v) for v in _convexity_terms(jet, p))
-    margin = float(convexity_margin(jet, p))
-    return {
-        "det": det,
-        "margin": margin,
-        "convex": bool(margin >= -tol),
-        "conformal_vacuum": bool(abs(w) <= tol and abs(d) <= tol and abs(c) <= tol),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +231,13 @@ def disk_integral(fn, center, r: float, n_r: int = 64, n_theta: int = 256) -> fl
     return float(0.5 * r * np.sum(weights * radii * angular))
 
 
-def green_boundary_identity(f: ClosedFormField, p: Potential, center, R: float,
-                            gate: float = 1e-5) -> dict:
+def green_boundary_identity(f: ClosedFormField, p: Potential, center, R: float) -> dict:
     """Both sides of the Green identity for the auxiliary function:
     integral over B of 4W(u) equals R times the boundary integral of
     |u_tau|^2 - |u_nu|^2 + 2W(u), with a 64-node radial rule and 256
-    boundary nodes."""
-    n_r, n_theta = 64, 256
+    boundary nodes.  The field must solve the system on the boundary
+    nodes to 1e-5."""
+    n_r, n_theta, gate = 64, 256, 1e-5
     center = np.asarray(center, float)
     if f.n != 2:
         raise ValueError("green_boundary_identity requires a planar field")
@@ -292,10 +274,12 @@ class MonotoneProfile:
     errors: tuple  # per-radius quadrature error estimates
     density: str
 
-    def is_monotone(self, slack: float = 2.0) -> bool:
+    def is_monotone(self) -> bool:
+        """Nondecreasing, up to twice the summed quadrature error estimates
+        of each pair of neighbouring radii."""
         v = np.asarray(self.values)
         e = np.asarray(self.errors)
-        tol = slack * (e[1:] + e[:-1])
+        tol = 2.0 * (e[1:] + e[:-1])
         return bool(np.all(np.diff(v) >= -tol))
 
     def to_csv(self, path) -> None:
@@ -310,8 +294,9 @@ _DENSITIES = ("potential", "laplacian_quadratic", "grad_sq")
 
 
 def monotonicity_profile(density: str, f: ClosedFormField | None, p: Potential | None,
-                         center, radii, n_r: int = 64, n_theta: int = 256) -> MonotoneProfile:
-    """Radial profile M(r) = r^{-(n-1)} integral_{B(r)} density, n = 2.
+                         center, radii) -> MonotoneProfile:
+    """Radial profile M(r) = r^{-(n-1)} integral_{B(r)} density, n = 2, on a
+    64 x 256 disk rule, with the 32 x 128 rule for the error estimate.
 
     Densities: "potential" is W(u(x)) (monotone for solutions whose U is
     convex); "laplacian_quadratic" is Lap|x|^2 = 4 (profile exactly 4 pi r);
@@ -340,8 +325,8 @@ def monotonicity_profile(density: str, f: ClosedFormField | None, p: Potential |
 
     values, errors = [], []
     for r in radii:
-        full = disk_integral(fn, center, r, n_r=n_r, n_theta=n_theta)
-        coarse = disk_integral(fn, center, r, n_r=max(4, n_r // 2), n_theta=max(8, n_theta // 2))
+        full = disk_integral(fn, center, r, n_r=64, n_theta=256)
+        coarse = disk_integral(fn, center, r, n_r=32, n_theta=128)
         values.append(full / r)
         errors.append(abs(full - coarse) / r)
     return MonotoneProfile(

@@ -245,15 +245,16 @@ def make_potential(name: str, **params) -> Potential:
     return _checked_build("potential", _BUILDERS, name, params)
 
 
-def fd_consistency(p: Potential, u, h: float = 1e-5) -> float:
-    """Worst relative error between analytic derivatives and central differences.
+def fd_consistency(p: Potential, u) -> float:
+    """Worst relative error between analytic derivatives and central
+    differences with step h = 1e-5.
 
     Gradient is checked against differences of W, the Hessian against
     differences of the gradient.  Relative to the larger of the two scales,
     floored at 1 so that zero derivatives do not blow up the quotient.
     """
     u = np.atleast_1d(np.asarray(u, float))
-    m = p.m
+    m, h = p.m, 1e-5
     g_fd = np.empty(m)
     h_fd = np.empty((m, m))
     for i in range(m):

@@ -25,7 +25,7 @@ def _circle_trajectory(R, n=2001, span=6.0):
     u = R * np.stack([np.cos(omega * t), np.sin(omega * t)], axis=1)
     v = R * omega * np.stack([-np.sin(omega * t), np.cos(omega * t)], axis=1)
     H = 0.5 * np.sum(v**2, axis=1) - np.asarray(GL2.w(u))
-    return dynamics.Trajectory(times=t, u=u, v=v, H=H, drift_tol=math.inf)
+    return dynamics.Trajectory(times=t, u=u, v=v, H=H)
 
 
 def _exp_modes():
@@ -50,7 +50,7 @@ def test_c01_periodic_connection_violates_both_bounds(assembled):
     report = cx.verify_counterexample(pc)
 
     assert report["residual_max"] <= 1e-5
-    defect = 0.5 * np.sum(pc.v**2, axis=1) - pc.orbit_w(pc.times)
+    defect = 0.5 * np.sum(pc.v**2, axis=1) - pc.potential.w(pc.u)
     assert float(np.max(np.abs(defect - 0.125))) <= 1e-7
 
     assert np.max(np.abs(pc.u[0] - np.array([2.0, 0.0]))) <= 1e-7
@@ -75,7 +75,7 @@ def test_c02_hamiltonian_family_matches_closed_form():
     for R, steps, run in zip(radii, periods, runs):
         expected = (-3.0 * R**4 + 4.0 * R**2 - 1.0) / 4.0
         k = steps + 1
-        traj = dynamics.Trajectory(run.times[:k], run.u[:k], run.v[:k], run.H[:k], run.drift_tol)
+        traj = dynamics.Trajectory(run.times[:k], run.u[:k], run.v[:k], run.H[:k])
         assert float(np.max(np.abs(traj.H - expected))) <= 1e-8
         assert traj.drift() <= 1e-8
 
@@ -90,7 +90,7 @@ def test_c03_radial_well_bound_is_sharp_as_r_tends_to_one():
     for R in (0.9, 0.99):
         f = fields.make_field("gl_circle", R=R)
         expected = 0.5 * (1.0 - R * R) ** 2
-        sampled = [estimates.gl_pointwise_bound(f.jet(np.array([x])))
+        sampled = [estimates.gl_pointwise_bound(f.jets(np.array([x])))
                    for x in np.linspace(-3.0, 3.0, 21)]
         assert max(abs(m - expected) for m in sampled) <= 1e-10
         margins[R] = expected
@@ -206,19 +206,19 @@ def test_c08_convexity_dichotomy():
         s = rng.normal(size=(1, 2, 2))
         jet = fields.Jet2(x=rng.normal(size=2), u=u, du=du,
                           d2u=0.5 * (s + np.swapaxes(s, 1, 2)))
-        assert planar.convexity_status(jet, dw)["convex"]
+        assert planar.convexity_margin(jet, dw) >= 0.0
 
     violating = fields.Jet2(
         x=np.zeros(2), u=np.array([0.0]),  # W(0) = 1/4
         du=np.array([[1.0, 0.0]]),  # 0.5|du|^2 = 1/2 > 1/4
         d2u=np.zeros((1, 2, 2)),
     )
-    assert not planar.convexity_status(violating, dw)["convex"]
+    assert planar.convexity_margin(violating, dw) < 0.0
 
     for r_sq, expected in ((0.3, True), (0.5, False)):
         f = fields.make_field("gl_circle_planar", R=math.sqrt(r_sq))
-        status = planar.convexity_status(f.jet(np.array([0.2, -1.4])), GL2)
-        assert status["convex"] is expected
+        margin = planar.convexity_margin(f.jets(np.array([0.2, -1.4])), GL2)
+        assert bool(margin >= 0.0) is expected
 
 
 def test_c09_green_identity_and_monotone_profiles():
@@ -234,7 +234,7 @@ def test_c09_green_identity_and_monotone_profiles():
 
     radii = np.linspace(0.25, 2.0, 8)
     prof = planar.monotonicity_profile("potential", tanh, dw, (0.0, 0.0), radii)
-    assert prof.is_monotone(slack=2.0)
+    assert prof.is_monotone()
 
     exact = planar.monotonicity_profile("laplacian_quadratic", None, None, (0.0, 0.0), radii)
     expected = 4.0 * math.pi * np.asarray(exact.radii)

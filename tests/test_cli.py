@@ -389,6 +389,15 @@ def test_planar_checks_on_a_line_field_name_the_planar_requirement(capsys, op, n
     pytest.param(["estimates", "--theorem", "3.1", "--params", '{"m": 0}'], "m x m with m >= 1", id="m-0"),
     pytest.param(["estimates", "--theorem", "3.1", "--params", '{"M": -1}'], "M must be positive", id="M-negative"),
     pytest.param(["relax", "--config", "{map-config}"], "potential's m = 1 components", id="relax-map-data"),
+    pytest.param(["estimates", "--theorem", "modica", "--tol", "nan"], "--tol: must be finite and >= 0",
+                 id="tol-nan"),
+    pytest.param(["counterexample", "verify", "--tol", "-1"], "--tol: must be finite and >= 0", id="tol-negative"),
+    pytest.param(["estimates", "--theorem", "3.2", "--params", '{"R": -1}'], "R must be positive and finite",
+                 id="R-negative"),
+    pytest.param(["estimates", "--theorem", "3.2", "--params", '{"R": NaN}'], "R must be positive and finite",
+                 id="R-nan"),
+    pytest.param(["estimates", "--theorem", "polygon", "--params", '{"n_samples": 0}'],
+                 "n_samples must be at least 1", id="polygon-no-samples"),
 ])
 def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
     if "{map-config}" in argv:

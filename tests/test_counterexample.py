@@ -151,12 +151,13 @@ def test_global_potential_nonnegative(assembled):
 
 
 def test_potential_matches_phase_decomposition(assembled):
-    """The projection-based global W agrees with the phase formulas on orbit."""
+    """The projection-based global W and grad W agree with the phase
+    formulas at the stored samples."""
     pc = assembled.pc
     idx = np.arange(0, len(pc.times), 41)
-    w_global = pc.potential.w(pc.u[idx])
-    w_phase = pc.orbit_w(pc.times[idx])
-    assert np.max(np.abs(w_global - w_phase)) < 1e-8
+    w_phase, g_phase = (a[idx] for a in pc._sampled)
+    assert np.max(np.abs(pc.potential.w(pc.u[idx]) - w_phase)) < 1e-8
+    assert np.max(np.abs(pc.potential.grad(pc.u[idx]) - g_phase)) < 1e-8
 
 
 def test_global_potential_on_the_orbit_equals_the_phase_formulas(assembled):
@@ -206,8 +207,8 @@ def _inverted_w_grad(pc, x):
     ph_b = (xr > pc.t2) & (xr <= pc.t3)
     for ph, xi in ((xr <= pc.t2, xr), (xr > pc.t3, np.clip(pc.t2 + pc.t3 - xr, 0.0, pc.t2))):
         y = pc.segment.sol(xi[ph])[0]
-        w[ph] = 2.0 * pc.lam * pc.rho.rho(y**2)
-        g[ph, 1] = 4.0 * pc.lam * pc.rho.drho(y**2) * y
+        w[ph] = 2.0 * pc.lam * cx.RhoSpec().rho(y**2)
+        g[ph, 1] = 4.0 * pc.lam * cx.RhoSpec().drho(y**2) * y
     s = xr[ph_b] - pc.t2
     g[ph_b] = pc.curve.kappa(s)[:, None] * pc.curve.normal(s)
     g[half] *= -1.0
@@ -218,8 +219,6 @@ def _inverted_w_grad(pc, x):
 def test_stored_samples_give_the_inverted_potential_bit_for_bit(assembled, dt):
     pc = assembled.pc if dt == 1e-3 else cx.assemble(dt=dt)
     w, g = pc._sampled
-    assert np.array_equal(w, pc.orbit_w(pc.times))
-    assert np.array_equal(g, pc.orbit_grad(pc.times))
     w_inv, g_inv = _inverted_w_grad(pc, pc.times)
     assert np.array_equal(w, w_inv)
     assert np.array_equal(g, g_inv)

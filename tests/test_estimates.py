@@ -16,7 +16,7 @@ def _circle_trajectory(R, n=2001, span=6.0):
     u = R * np.stack([np.cos(omega * t), np.sin(omega * t)], axis=1)
     v = R * omega * np.stack([-np.sin(omega * t), np.cos(omega * t)], axis=1)
     H = 0.5 * np.sum(v**2, axis=1) - GL.w(u)
-    return dynamics.Trajectory(times=t, u=u, v=v, H=H, drift_tol=0.0)
+    return dynamics.Trajectory(times=t, u=u, v=v, H=H)
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_modica_defect_on_circle_jets():
     """The gradient excess of u_R equals the orbit Hamiltonian (1-R^2)(3R^2-1)/4."""
     for R in (0.3, 0.5, 0.9):
         f = fields.make_field("gl_circle", R=R)
-        j = f.jet(np.array([0.4]))
+        j = f.jets(np.array([0.4]))
         expected = (1.0 - R * R) * (3.0 * R * R - 1.0) / 4.0
         assert abs(estimates.modica_defect(j, GL) - expected) < 1e-14
 
@@ -35,30 +35,15 @@ def test_modica_defect_on_circle_jets():
 def test_modica_defect_sign_dichotomy():
     f_low = fields.make_field("gl_circle", R=math.sqrt(0.2))
     f_high = fields.make_field("gl_circle", R=math.sqrt(0.5))
-    assert estimates.modica_defect(f_low.jet(np.array([0.0])), GL) < 0.0
-    assert estimates.modica_defect(f_high.jet(np.array([0.0])), GL) > 0.0
+    assert estimates.modica_defect(f_low.jets(np.array([0.0])), GL) < 0.0
+    assert estimates.modica_defect(f_high.jets(np.array([0.0])), GL) > 0.0
 
 
 def test_gl_pointwise_bound_margin():
     for R in (0.9, 0.99):
         f = fields.make_field("gl_circle", R=R)
-        j = f.jet(np.array([1.3]))
+        j = f.jets(np.array([1.3]))
         assert abs(estimates.gl_pointwise_bound(j) - 0.5 * (1.0 - R * R) ** 2) < 1e-12
-
-
-def test_scalar_p_residual_saddle_closed_form():
-    """For the harmonic saddle with W = 0 the P-function expression is 1.5|x|^2."""
-    zero = potentials.make_potential("zero", m=1)
-    saddle = fields.make_field("product_saddle")
-    for x in ([0.5, 0.2], [1.0, -1.0], [0.0, 0.0]):
-        x = np.asarray(x)
-        r = estimates.scalar_p_residual(saddle, x, zero)
-        assert abs(r - 1.5 * float(np.sum(x**2))) < 1e-9
-
-
-def test_scalar_p_residual_requires_scalar_field():
-    with pytest.raises(ValueError, match="scalar"):
-        estimates.scalar_p_residual(fields.make_field("gl_circle", R=0.5), np.array([0.0]), GL)
 
 
 def test_gl_p_residual_on_sampled_circle_grid():
@@ -304,13 +289,6 @@ def test_ode_bound_requires_gl_form():
     quad = potentials.make_potential("quadratic", m=2)
     with pytest.raises(estimates.HypothesisError, match="GL form"):
         estimates.ode_bound_check(traj, quad)
-
-
-def test_ode_phi_p_residual_on_circle():
-    bar = estimates.PhiBarrier(eps=1.0 / 12.0)
-    traj = _circle_trajectory(0.9, n=4001)
-    resid = estimates.ode_phi_p_residual(traj, bar, GL)
-    assert float(np.min(resid)) > -1e-5
 
 
 def test_speed_envelope_attainment():

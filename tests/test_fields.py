@@ -23,7 +23,6 @@ def test_jet2_invariants():
     assert j.n == 2 and j.m == 2
     assert abs(j.grad_sq() - np.sum(j.du**2)) < 1e-15
     assert np.allclose(j.laplacian(), np.trace(j.d2u, axis1=1, axis2=2))
-    assert j.symmetry_defect() == 0.0
 
 
 def test_jet2_shape_validation():
@@ -55,14 +54,14 @@ def test_gl_circle_solves_the_system():
     for R in (0.3, 0.5, 0.9):
         f = fields.make_field("gl_circle", R=R)
         for x in np.linspace(-5.0, 5.0, 11):
-            j = f.jet(np.array([x]))
+            j = f.jets(np.array([x]))
             assert np.max(np.abs(j.laplacian() - gl.grad(j.u))) < 1e-14
             assert abs(np.sum(j.u**2) - R * R) < 1e-14
 
 
 def test_gl_circle_planar_extends_by_zero():
     f = fields.make_field("gl_circle_planar", R=0.5)
-    j = f.jet(np.array([0.7, -3.0]))
+    j = f.jets(np.array([0.7, -3.0]))
     assert np.all(j.du[:, 1] == 0.0)
     assert np.all(j.d2u[:, 1, :] == 0.0)
 
@@ -71,16 +70,16 @@ def test_tanh_profile_solves_double_well():
     dw = potentials.make_potential("double_well")
     f = fields.make_field("tanh_profile")
     for x in np.linspace(-4.0, 4.0, 9):
-        j = f.jet(np.array([x]))
+        j = f.jets(np.array([x]))
         assert np.max(np.abs(j.laplacian() - dw.grad(j.u))) < 1e-14
     # equipartition: 0.5 u'^2 = W(u)
-    j = f.jet(np.array([0.3]))
+    j = f.jets(np.array([0.3]))
     assert abs(0.5 * j.grad_sq() - dw.w(j.u)) < 1e-15
 
 
 def test_product_saddle_is_harmonic():
     f = fields.make_field("product_saddle")
-    j = f.jet(np.array([1.2, -0.7]))
+    j = f.jets(np.array([1.2, -0.7]))
     assert np.all(j.laplacian() == 0.0)
     assert j.u[0] == 1.2 * -0.7
 
@@ -96,7 +95,7 @@ def test_batched_jets_are_the_values_and_the_pointwise_jets(name):
     jets = f.jets(X)
     assert jets.du.shape == (4, 5, f.m, f.n) and jets.d2u.shape == (4, 5, f.m, f.n, f.n)
     assert np.array_equal(jets.u, f.values(X))
-    one = f.jet(X[2, 3])
+    one = f.jets(X[2, 3])
     for a, b in ((one.x, jets.x[2, 3]), (one.u, jets.u[2, 3]), (one.du, jets.du[2, 3]),
                  (one.d2u, jets.d2u[2, 3])):
         assert np.array_equal(a, b)
@@ -127,7 +126,7 @@ def test_values_match_jets():
     pts = np.random.default_rng(5).uniform(-2, 2, size=(20, 2))
     vals = f.values(pts)
     for k in range(len(pts)):
-        assert np.max(np.abs(vals[k] - f.jet(pts[k]).u)) < 1e-15
+        assert np.max(np.abs(vals[k] - f.jets(pts[k]).u)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +143,6 @@ def test_gridfield_geometry():
     assert ax1[0] == -1.0 and len(ax1) == 9
     assert ax2[-1] == 2.0
     assert np.allclose(g.node_position((2, 3)), [-0.5, 1.5])
-    assert g.locate(np.array([-0.5, 1.5])) == (2, 3)
 
 
 def test_gridfield_minimum_size():
@@ -152,28 +150,22 @@ def test_gridfield_minimum_size():
         fields.GridField(origin=(0.0,), spacing=(0.1,), values=np.zeros((3, 1)))
 
 
-def test_locate_off_grid_raises():
-    g = fields.sample_field(fields.make_field("tanh_profile"), (0.0,), (0.1,), (11,))
-    with pytest.raises(ValueError):
-        g.locate(np.array([0.123456]))
-
-
 def test_sample_field_values_and_meta():
     f = fields.make_field("gl_circle", R=0.5)
-    g = fields.sample_field(f, (-1.0,), (0.1,), (21,), meta={"tag": "demo"})
-    assert g.meta["tag"] == "demo"
+    g = fields.sample_field(f, (-1.0,), (0.1,), (21,))
+    assert g.meta == {"sampled_from": "gl_circle", "params": {"R": 0.5}}
     x = g.node_position((7,))
     assert np.max(np.abs(g.values[7] - f.values(x))) < 1e-15
 
 
 def test_fd_jet_second_order():
-    """Central-difference jets converge at order h^2 to the analytic jets."""
+    """Central-difference (grid) jets converge at order h^2 to the analytic jets."""
     f = fields.make_field("gl_circle_planar", R=0.6)
     errs = []
     for h in (0.02, 0.01):
         g = fields.sample_field(f, (-5 * h, -5 * h), (h, h), (11, 11))
-        j_fd = fields.fd_jet(g, (5, 5))
-        j_cf = f.jet(g.node_position((5, 5)))
+        j_fd = fields.grid_jets(g)
+        j_cf = f.jets(j_fd.x)
         errs.append(
             max(
                 float(np.max(np.abs(j_fd.du - j_cf.du))),
@@ -186,15 +178,15 @@ def test_fd_jet_second_order():
 
 def test_fd_jet_symmetrized_cross_terms():
     g = fields.sample_field(fields.make_field("product_saddle"), (-0.5, -0.5), (0.1, 0.1), (11, 11))
-    j = fields.fd_jet(g, (5, 5))
-    assert j.symmetry_defect() == 0.0
+    d2u = fields.grid_jets(g).d2u
+    assert np.array_equal(d2u, np.swapaxes(d2u, -2, -1))
     # the saddle is a quadratic, so second differences are exact
-    assert abs(j.d2u[0, 0, 1] - 1.0) < 1e-12
+    assert np.max(np.abs(d2u[..., 0, 0, 1] - 1.0)) < 1e-12
 
 
 def test_grid_jets_match_pointwise_fd():
-    """One kernel: the grid jets equal the pointwise jets bit for bit at
-    every interior node, on a planar grid and on a line."""
+    """One kernel: the grid jets equal the kernel applied to each interior
+    node's 3^n window on its own, bit for bit, on a planar grid and on a line."""
     for name, origin, spacing, extents in (
         ("gl_circle_planar", (0.0, 0.0), (0.05, 0.07), (9, 8)),
         ("gl_circle", (-0.3,), (0.05,), (12,)),
@@ -203,26 +195,18 @@ def test_grid_jets_match_pointwise_fd():
         jets = fields.grid_jets(g)
         assert jets.u.shape == tuple(e - 2 for e in extents) + (2,)
         for idx in np.ndindex(*jets.u.shape[:-1]):
-            j = fields.fd_jet(g, tuple(i + 1 for i in idx))
-            for attr in ("x", "u", "du", "d2u"):
-                assert np.array_equal(getattr(jets, attr)[idx], getattr(j, attr)), (name, idx, attr)
-            assert jets.grad_sq()[idx] == j.grad_sq()
-            assert np.array_equal(jets.laplacian()[idx], j.laplacian())
+            window = g.values[tuple(slice(i, i + 3) for i in idx)]
+            node = (0,) * g.n
+            u, du, d2u = (a[node] for a in fields._central_differences(window, g.spacing))
+            assert np.array_equal(jets.x[idx], g.node_position(tuple(i + 1 for i in idx))), (name, idx)
+            for attr, value in (("u", u), ("du", du), ("d2u", d2u)):
+                assert np.array_equal(getattr(jets, attr)[idx], value), (name, idx, attr)
 
 
 def test_grid_jets_has_no_order_knob():
     g = fields.sample_field(fields.make_field("gl_circle_planar", R=0.4), (0.0, 0.0), (0.05, 0.05), (9, 9))
     with pytest.raises(TypeError):
         fields.grid_jets(g, order=4)
-    with pytest.raises(TypeError):
-        fields.fd_jet(g, (4, 4), order=4)
-
-
-def test_fd_jet_needs_stencil_support():
-    g = fields.sample_field(fields.make_field("gl_circle_planar", R=0.4), (0.0, 0.0), (0.05, 0.05), (9, 9))
-    for idx in ((0, 4), (4, 8)):
-        with pytest.raises(ValueError, match="stencil support"):
-            fields.fd_jet(g, idx)
 
 
 def test_grid_jets_reductions():
@@ -238,7 +222,8 @@ def test_grid_jets_reductions():
 
 def test_save_load_roundtrip_exact(tmp_path):
     f = fields.make_field("gl_circle_planar", R=0.37)
-    g = fields.sample_field(f, (-1.0, -1.0), (0.125, 0.25), (9, 9), meta={"k": [1, 2]})
+    g = fields.sample_field(f, (-1.0, -1.0), (0.125, 0.25), (9, 9))
+    g = fields.GridField(g.origin, g.spacing, g.values, {"k": [1, 2]})
     path = tmp_path / "field.txt"
     fields.save_gridfield(g, path)
     back = fields.load_gridfield(path)

@@ -71,7 +71,7 @@ def test_batched_tensors_on_grid_jets_equal_the_pointwise_ones(name, potential):
     T, H = planar.stress_tensor(jets, p), planar.hessian_U(jets, p)
     assert T.shape == H.shape == jets.u.shape[:-1] + (2, 2)
     for i, j in np.ndindex(*jets.u.shape[:-1]):
-        jet = fields.fd_jet(g, (i + 1, j + 1))
+        jet = fields.Jet2(jets.x[i, j], jets.u[i, j], jets.du[i, j], jets.d2u[i, j])
         assert np.array_equal(T[i, j], planar.stress_tensor(jet, p))
         assert np.array_equal(H[i, j], planar.hessian_U(jet, p))
 
@@ -90,7 +90,7 @@ def test_hessian_u_trace_and_adjugate_relation():
 
 
 def test_hessian_u_rejects_nonplanar_jet():
-    jet = fields.jet(fields.make_field("tanh_profile"), np.array([0.3]))
+    jet = fields.make_field("tanh_profile").jets(np.array([0.3]))
     assert jet.n == 1
     p = potentials.make_potential("double_well")
     with pytest.raises(ValueError, match="planar"):
@@ -273,12 +273,10 @@ def test_convexity_margin_closed_form_dichotomy():
     p = potentials.make_potential("ginzburg_landau", m=2)
     for r_sq, expected_convex in ((0.3, True), (0.5, False)):
         f = fields.make_field("gl_circle_planar", R=math.sqrt(r_sq))
-        jet = f.jet(np.array([0.37, -0.2]))
-        status = planar.convexity_status(jet, p)
+        margin = planar.convexity_margin(f.jets(np.array([0.37, -0.2])), p)
         closed = 0.25 * (1.0 - r_sq) ** 2 * (1.0 - 3.0 * r_sq) * (1.0 + r_sq)
-        assert abs(status["margin"] - closed) < 1e-12
-        assert status["convex"] is expected_convex
-        assert not status["conformal_vacuum"]
+        assert abs(margin - closed) < 1e-12
+        assert bool(margin >= 0.0) is expected_convex
 
 
 @pytest.mark.parametrize("name, r_sq", [("gl_circle_planar", 0.3), ("gl_circle_planar", 0.5),
@@ -293,9 +291,9 @@ def test_batched_margins_equal_the_pointwise_loop(name, r_sq):
     pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
     jets = f.jets(pts)
     pairs = [
-        (estimates.modica_defect(jets, p), [estimates.modica_defect(f.jet(x), p) for x in pts]),
-        (planar.convexity_margin(jets, p), [planar.convexity_status(f.jet(x), p)["margin"] for x in pts]),
-        (estimates.gl_pointwise_bound(jets), [estimates.gl_pointwise_bound(f.jet(x)) for x in pts]),
+        (estimates.modica_defect(jets, p), [estimates.modica_defect(f.jets(x), p) for x in pts]),
+        (planar.convexity_margin(jets, p), [planar.convexity_margin(f.jets(x), p) for x in pts]),
+        (estimates.gl_pointwise_bound(jets), [estimates.gl_pointwise_bound(f.jets(x)) for x in pts]),
     ]
     for batched, looped in pairs:
         assert batched.shape == (len(pts),)
@@ -306,25 +304,25 @@ def test_convexity_margin_equals_det():
     rng = np.random.default_rng(11)
     p = potentials.make_potential("ginzburg_landau", m=2)
     for _ in range(40):
-        status = planar.convexity_status(_random_jet(rng), p)
-        assert abs(status["det"] - status["margin"]) < 1e-9 * max(1.0, abs(status["det"]))
+        jet = _random_jet(rng)
+        det = float(np.linalg.det(planar.hessian_U(jet, p)))
+        assert abs(det - planar.convexity_margin(jet, p)) < 1e-9 * max(1.0, abs(det))
+    # batched: one determinant per node
+    jets = fields.grid_jets(_sample_grid("gl_circle_planar", 0.1, R=0.7))
+    det = np.linalg.det(planar.hessian_U(jets, p))
+    assert np.max(np.abs(det - planar.convexity_margin(jets, p))) < 1e-12
 
 
 def test_conformal_vacuum_flag():
+    # W = 0 and a conformal map: D2U vanishes, so the margin is exactly zero
     z = potentials.make_potential("zero", m=2)
     ident = fields.make_field("harmonic_linear_map")  # the identity map
-    status = planar.convexity_status(ident.jet(np.array([0.4, 1.1])), z)
-    assert status["conformal_vacuum"]
-    assert status["convex"]
-    assert status["margin"] == 0.0
+    assert planar.convexity_margin(ident.jets(np.array([0.4, 1.1])), z) == 0.0
 
     saddle = fields.make_field("product_saddle")
-    jet = saddle.jet(np.array([1.0, 2.0]))
-    status = planar.convexity_status(jet, potentials.make_potential("zero", m=1))
-    assert not status["conformal_vacuum"]
-    assert not status["convex"]
+    margin = planar.convexity_margin(saddle.jets(np.array([1.0, 2.0])), potentials.make_potential("zero", m=1))
     # margin = -(x1^2 + x2^2)^2 when W = 0
-    assert abs(status["margin"] + 25.0) < 1e-12
+    assert abs(margin + 25.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +402,8 @@ def _gate_grid(f):
     return fields.sample_field(f, origin=(-0.5, -0.5), spacing=(0.05, 0.05), extents=(21, 21))
 
 
-# site -> (call(field, gate), gate, message substring); diagonal_system_check's gate is fixed
+# site -> (call(field, gate), gate, message substring); the gates of
+# diagonal_system_check and green_boundary_identity are fixed
 GATE_SITES = {
     "gl_p_residual": (lambda f, gate: estimates.gl_p_residual(_gate_grid(f), tol_solution=gate),
                       1e-3, "not a GL solution"),
@@ -416,7 +415,7 @@ GATE_SITES = {
                             1e-3, "does not solve"),
     "reconstruct_U": (lambda f, gate: planar.reconstruct_U(_gate_grid(f), GL, gate=gate),
                       1e-3, "does not solve"),
-    "green_boundary_identity": (lambda f, gate: planar.green_boundary_identity(f, GL, (0.0, 0.0), 0.5, gate=gate),
+    "green_boundary_identity": (lambda f, gate: planar.green_boundary_identity(f, GL, (0.0, 0.0), 0.5),
                                 1e-5, "on the boundary"),
 }
 
@@ -448,7 +447,7 @@ def test_profile_laplacian_quadratic_is_four_pi_r():
 def test_profile_grad_sq_linear_for_the_identity_map():
     f = fields.make_field("harmonic_linear_map")
     radii = (0.5, 1.0, 1.5)
-    prof = planar.monotonicity_profile("grad_sq", f, None, (0.1, 0.2), radii, n_r=16, n_theta=32)
+    prof = planar.monotonicity_profile("grad_sq", f, None, (0.1, 0.2), radii)
     expected = 2.0 * math.pi * np.asarray(radii)
     assert np.max(np.abs(np.asarray(prof.values) - expected)) < 1e-10
 
