@@ -24,7 +24,13 @@ Construction, in the order the code builds it:
     potential is two local pieces behind one region resolver: the patch
     piece in the offset from the well on the side of u1 = 0, the tube piece
     (mirrored through u2 = 0) at the arc coordinates of one closest-point
-    projection, and the constant lam everywhere else.
+    projection, and the constant lam everywhere else.  The projection starts
+    at the nearest of about 1024 arc nodes, iterates Newton on the cubic
+    Hermite interpolant of the arc's node table (positions and unit
+    tangents), and finishes with one Newton step on the exact curve.  The
+    Hessian off the patches is a central difference of the gradient whose
+    stencil points start their Newton from their centre's projection, so
+    every evaluated point is projected cold once.
 5.  The full orbit: up the right segment, across the arc, down the left
     segment, then reflected through the origin for the second half-period.
 """
@@ -240,13 +246,38 @@ class CurveSpec:
 
     # -- closest-point projection -------------------------------------------
 
-    def project(self, pts, newton_iters: int = 4):
-        """Arc coordinates (s, mu) of planar points near the arc.
+    @cached_property
+    def _node_table(self):
+        """Positions and unit tangents at the arc table's edges along the
+        whole arc, the second half mirrored from the first: the data of the
+        cubic Hermite interpolant `_hermite`."""
+        tan = self.tangent(self.ell * self._arc.edges)
+        flip = np.array([-1.0, 1.0])
+        pos = np.concatenate([self._gamma_nodes, flip * self._gamma_nodes[-2::-1]])
+        return pos, np.concatenate([tan, -flip * tan[-2::-1]])
 
-        Coarse argmin over the node table, then Newton on the tangency
-        condition <p - gamma(s), tangent(s)> = 0.  Returns (s, mu, dist).
-        """
-        pts = np.atleast_2d(np.asarray(pts, float))
+    def _hermite(self, s):
+        """The cubic Hermite interpolant of `_node_table` at s in [0, L]:
+        position and its first two s-derivatives, each of shape (..., 2)."""
+        pos, tan = self._node_table
+        h = self.L / (len(pos) - 1)
+        x = s / h
+        k = np.minimum(x.astype(int), len(pos) - 2)
+        t = (x - k)[..., None]
+        # p0 + m0 t + c2 t^2 + c3 t^3 on node interval k, t in [0, 1]: the
+        # cubic through both nodes with h times their tangents as slopes
+        p0, m0, m1 = pos[k], h * tan[k], h * tan[k + 1]
+        d = pos[k + 1] - p0
+        c2 = 3.0 * d - 2.0 * m0 - m1
+        c3 = m0 + m1 - 2.0 * d
+        return (
+            p0 + t * (m0 + t * (c2 + t * c3)),
+            (m0 + t * (2.0 * c2 + 3.0 * t * c3)) / h,
+            (2.0 * c2 + 6.0 * t * c3) / h**2,
+        )
+
+    def _coarse(self, pts):
+        """Arclength of the nearest of about 1024 nodes spread along the arc."""
         nodes, s_nodes = self._gamma_nodes, self.ell * self._arc.edges
         stride = max(1, (2 * len(nodes) - 1) // 1024)
         # candidates on both halves, one contiguous array per coordinate
@@ -257,18 +288,35 @@ class CurveSpec:
         for lo in range(0, len(pts), 512):
             px, py = pts[lo : lo + 512, 0, None], pts[lo : lo + 512, 1, None]
             s[lo : lo + 512] = cand_s[np.argmin((px - cx) ** 2 + (py - cy) ** 2, axis=1)]
-        for _ in range(newton_iters):
-            tvec, nvec = self._frame(s)
-            diff = pts - self.gamma(s)
-            num = np.sum(diff * tvec, axis=-1)
-            mu = np.sum(diff * nvec, axis=-1)
-            den = 1.0 - self.kappa(s) * mu
-            s = np.clip(s + num / np.where(np.abs(den) < 0.1, 0.1, den), 0.0, self.L)
-        g = self.gamma(s)
-        diff = pts - g
-        mu = np.sum(diff * self.normal(s), axis=-1)
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        return s, mu, dist
+        return s
+
+    def _newton(self, pts, s):
+        """Arc coordinates (s, mu) of points (n, 2) from Newton starts s (n,)
+        on the tangency condition <p - gamma(s), gamma'(s)> = 0: four steps on
+        the Hermite interpolant, then one on the exact curve, whose gamma and
+        normal also give the returned (s, mu)."""
+        if len(s) == 0:  # nothing to project, so no node table to build
+            return s, s.copy()
+
+        def step(s, num, den):
+            return np.clip(s + num / np.where(np.abs(den) < 0.1, 0.1, den), 0.0, self.L)
+
+        for _ in range(4):
+            g, d1, d2 = self._hermite(s)
+            diff = pts - g
+            s = step(s, np.sum(diff * d1, axis=-1), np.sum(d1 * d1, axis=-1) - np.sum(diff * d2, axis=-1))
+        tvec, nvec = self._frame(s)
+        diff = pts - self.gamma(s)
+        s = step(s, np.sum(diff * tvec, axis=-1), 1.0 - self.kappa(s) * np.sum(diff * nvec, axis=-1))
+        return s, np.sum((pts - self.gamma(s)) * self.normal(s), axis=-1)
+
+    def project(self, pts):
+        """Arc coordinates (s, mu) of planar points near the arc, cold: the
+        nearest of the coarse nodes starts `_newton`, which iterates on the
+        Hermite interpolant of the node table and finishes on the exact curve.
+        """
+        pts = np.atleast_2d(np.asarray(pts, float))
+        return self._newton(pts, self._coarse(pts))
 
 
 def build_curve() -> CurveSpec:
@@ -376,28 +424,38 @@ class _GlobalPotential:
         v = flat - np.where(flat[:, :1] > 0.0, A_PLUS, A_MINUS)
         return flat, np.all(np.abs(v) <= 1.0, axis=-1), v
 
-    def _regions(self, u):
+    def _folded(self, flat):
+        """The rows folded onto the upper half plane, (u_1, |u_2|), and the
+        mask of those in the box around the upper tube."""
+        q = np.stack([flat[:, 0], np.abs(flat[:, 1])], axis=-1)
+        x0, x1, y0, y1 = self._bbox
+        return q, (q[:, 0] >= x0) & (q[:, 0] <= x1) & (q[:, 1] >= y0) & (q[:, 1] <= y1)
+
+    def _regions(self, u, s0):
         """`_patches` plus the tube rows: their indices, their arc coordinates
         (s, mu) on the upper arc after folding u_2 to |u_2|, and the sign of
-        u_2 that mirrors them back."""
+        u_2 that mirrors them back.  The projection is cold for s0 None;
+        otherwise its Newton starts from s0, one start per point."""
         flat, patch, v = self._patches(u)
-        x, y = flat[:, 0], np.abs(flat[:, 1])
-        x0, x1, y0, y1 = self._bbox
-        rows = np.flatnonzero(~patch & (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
-        s, mu, _ = self.curve.project(np.stack([x[rows], y[rows]], axis=-1))
+        q, boxed = self._folded(flat)
+        rows = np.flatnonzero(~patch & boxed)
+        s, mu = self.curve.project(q[rows]) if s0 is None else self.curve._newton(q[rows], s0[rows])
         tube = np.abs(mu) <= self.tube.eps
         rows = rows[tube]
         return flat, patch, v, rows, s[tube], mu[tube], np.where(flat[rows, 1] < 0.0, -1.0, 1.0)
 
     def w(self, u):
-        flat, patch, v, rows, s, mu, _ = self._regions(u)
+        flat, patch, v, rows, s, mu, _ = self._regions(u, None)
         out = np.full(len(flat), self.lam)
         out[patch] = self.patch.w(v[patch])
         out[rows] = self.tube.w(s, mu)
         return out.reshape(np.shape(u)[:-1])
 
     def grad(self, u):
-        flat, patch, v, rows, s, mu, sign = self._regions(u)
+        return self._grad(u, None)
+
+    def _grad(self, u, s0):
+        flat, patch, v, rows, s, mu, sign = self._regions(u, s0)
         out = np.zeros_like(flat)
         out[patch] = self.patch.grad(v[patch])
         g = self.tube.grad(s, mu)
@@ -407,12 +465,21 @@ class _GlobalPotential:
 
     def hess(self, u):
         """Closed form on the patches; elsewhere the symmetrized central
-        difference quotient of `grad` with step 1e-5."""
+        difference quotient of `grad` with step h = 1e-5.  Each centre with a
+        stencil point in the tube's box is projected once, cold, and its four
+        stencil points start their Newton from the centre's arc coordinate,
+        all in one batch."""
         flat, patch, v = self._patches(u)
         out = np.empty((len(flat), 2, 2))
         out[patch] = self.patch.hess(v[patch])
         rest, h = flat[~patch], 1e-5
-        H = np.stack([(self.grad(rest + e) - self.grad(rest - e)) / (2.0 * h) for e in h * np.eye(2)], axis=-1)
+        e = h * np.eye(2)
+        stencil = np.concatenate([rest + e[0], rest + e[1], rest - e[0], rest - e[1]])
+        near = np.any(self._folded(stencil)[1].reshape(4, -1), axis=0)
+        s0 = np.zeros(len(rest))
+        s0[near] = self.curve.project(self._folded(rest[near])[0])[0]
+        g = self._grad(stencil, np.tile(s0, 4)).reshape(4, len(rest), 2)
+        H = np.stack([(g[0] - g[2]) / (2.0 * h), (g[1] - g[3]) / (2.0 * h)], axis=-1)
         out[~patch] = 0.5 * (H + np.swapaxes(H, 1, 2))
         return out.reshape(np.shape(u)[:-1] + (2, 2))
 

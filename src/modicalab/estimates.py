@@ -467,7 +467,7 @@ def polygon_confinement_check(vertices, n_samples: int = 100, seed: int = 0,
             margins.append(gw @ r)
             points.append(pts[mask])
     if hyp_count == 0:
-        return DefectReport.from_margins("polygon-confinement", [], None, tol)
+        raise ValueError(f"no sample fell outside the polygon (n_samples={n_samples}, seed={seed})")
     margins = np.concatenate(margins)
     points = np.concatenate(points)
     return DefectReport.from_margins(

@@ -26,10 +26,10 @@ def flat_exp(t):
 def _flat_exp_d(t):
     """Derivative of flat_exp: exp(-1/t)/t^2 on t > 0."""
     t = np.asarray(t, dtype=float)
+    f = flat_exp(t)
     out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = np.exp(-1.0 / tp) / tp**2
+    live = f > 0  # where exp(-1/t) underflows, so may t^2, and 0/0 is nan
+    out[live] = f[live] / t[live] ** 2
     return out
 
 
@@ -135,16 +135,18 @@ def bump01(t):
     out = np.zeros_like(t)
     inside = (t > 0) & (t < 1)
     ti = t[inside]
-    out[inside] = np.exp(-1.0 / (ti * (1.0 - ti)))
+    with np.errstate(over="ignore"):  # as in flat_exp
+        out[inside] = np.exp(-1.0 / (ti * (1.0 - ti)))
     return out
 
 
 def bump01_d(t):
     """First derivative of bump01."""
     t = np.asarray(t, dtype=float)
+    b = bump01(t)
     out = np.zeros_like(t)
-    inside = (t > 0) & (t < 1)
-    ti = t[inside]
+    live = b > 0  # as in _flat_exp_d
+    ti = t[live]
     q = ti * (1.0 - ti)
-    out[inside] = np.exp(-1.0 / q) * (1.0 - 2.0 * ti) / q**2
+    out[live] = b[live] * (1.0 - 2.0 * ti) / q**2
     return out

@@ -398,6 +398,8 @@ def test_planar_checks_on_a_line_field_name_the_planar_requirement(capsys, op, n
                  id="R-nan"),
     pytest.param(["estimates", "--theorem", "polygon", "--params", '{"n_samples": 0}'],
                  "n_samples must be at least 1", id="polygon-no-samples"),
+    pytest.param(["estimates", "--theorem", "polygon", "--seed", "39", "--params", '{"n_samples": 1}'],
+                 "no sample fell outside the polygon", id="polygon-no-exterior-sample"),
 ])
 def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
     if "{map-config}" in argv:

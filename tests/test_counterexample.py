@@ -243,7 +243,121 @@ def test_project_coarse_search_matches_the_broadcast_search(assembled):
         cand_s[np.argmin(np.sum((chunk[:, None, :] - cand[None, :, :]) ** 2, axis=-1), axis=1)]
         for chunk in np.array_split(pts, 3)
     ])
-    assert np.array_equal(curve.project(pts, newton_iters=0)[0], expected)
+    assert np.array_equal(curve._coarse(pts), expected)
+
+
+def _hessian_probe_points(pc, n=60, seed=13):
+    """Tube, patch and background points, and points within 1e-5 of the
+    patch edge, of the tube edge |mu| = eps and of the tube's box, each
+    mirrored to u_2 < 0 with probability 1/2."""
+    curve, eps = pc.curve, pc.eps_tube
+    rng = np.random.default_rng(seed)
+
+    def jitter(k=n):
+        return rng.uniform(-1e-5, 1e-5, k)
+
+    def on_arc(offset):
+        s = rng.uniform(0.0, curve.L, n)
+        return curve.gamma(s) + offset[:, None] * curve.normal(s)
+
+    well = np.where(rng.random((n, 1)) < 0.5, cx.A_PLUS, cx.A_MINUS)
+    side = rng.choice([-1.0, 1.0], n)
+    along = rng.uniform(-1.0, 1.0, n)
+    across = side * (1.0 + jitter())
+    patch_edge = well + np.where(rng.random((n, 1)) < 0.5, np.stack([across, along], -1), np.stack([along, across], -1))
+    x0, x1, y0, y1 = pc._global._bbox
+    box_edge = np.concatenate([
+        np.stack([rng.choice([x0, x1], n // 2) + jitter(n // 2), rng.uniform(y0, y1, n // 2)], -1),
+        np.stack([rng.uniform(x0, x1, n // 2), rng.choice([y0, y1], n // 2) + jitter(n // 2)], -1),
+    ])
+    pts = np.concatenate([
+        on_arc(rng.uniform(-eps, eps, n)),
+        rng.uniform(-1.0, 1.0, (n, 2)) + well,
+        rng.uniform([-4.0, -3.0], [4.0, 3.0], (n, 2)),
+        patch_edge,
+        on_arc(rng.choice([-eps, eps], n) + jitter()),
+        box_edge,
+    ])
+    pts[:, 1] *= rng.choice([-1.0, 1.0], len(pts))
+    return pts
+
+
+def test_hessian_is_the_central_difference_of_single_point_gradients(assembled):
+    """Off the patches hess is the symmetrized central difference of grad
+    with h = 1e-5, here from single-point grad calls, each with its own cold
+    projection; on the patches it is the closed form."""
+    pc = assembled.pc
+    p, h = pc.potential, 1e-5
+    X = _hessian_probe_points(pc)
+    _, patch, v = pc._global._patches(X)
+    expect = np.empty((len(X), 2, 2))
+    for k, x in enumerate(X):
+        if patch[k]:
+            expect[k] = pc._global.patch.hess(v[k])
+            continue
+        H = np.stack([(p.grad(x + e) - p.grad(x - e)) / (2.0 * h) for e in h * np.eye(2)], axis=-1)
+        expect[k] = 0.5 * (H + H.T)
+    assert np.max(np.abs(p.hess(X) - expect)) <= 1e-7
+    assert np.count_nonzero(np.abs(expect[~patch]) > 1e-3) > 50  # the tube's Hessian is sampled
+
+
+def test_one_point_equals_its_row_of_a_batch(assembled):
+    p = assembled.pc.potential
+    X = _hessian_probe_points(assembled.pc, n=20)
+    for fn in (p.w, p.grad, p.hess):
+        rows = fn(X)
+        for k, x in enumerate(X):
+            assert np.array_equal(fn(x), rows[k]), (fn.__name__, k)
+
+
+def test_mirror_flips_the_mixed_second_derivative(assembled):
+    p = assembled.pc.potential
+    upper = _hessian_probe_points(assembled.pc)
+    upper[:, 1] = np.abs(upper[:, 1])
+    H_up, H_low = p.hess(upper), p.hess(upper * np.array([1.0, -1.0]))
+    assert np.array_equal(H_low[:, 0, 1], -H_up[:, 0, 1])
+    assert np.array_equal(H_low[:, 1, 0], -H_up[:, 1, 0])
+    assert np.array_equal(H_low[:, 0, 0], H_up[:, 0, 0])
+    assert np.array_equal(H_low[:, 1, 1], H_up[:, 1, 1])
+
+
+def test_projection_matches_six_exact_newton_steps(assembled):
+    """(s, mu) of `project` against Newton on the exact curve alone, from
+    the same coarse start, on points up to 1.2 eps from the arc."""
+    pc = assembled.pc
+    curve = pc.curve
+    rng = np.random.default_rng(17)
+    s_true = rng.uniform(0.0, curve.L, 800)
+    pts = curve.gamma(s_true) + rng.uniform(-1.2, 1.2, 800)[:, None] * pc.eps_tube * curve.normal(s_true)
+    s = curve._coarse(pts)
+    for _ in range(6):
+        tvec, nvec = curve._frame(s)
+        diff = pts - curve.gamma(s)
+        den = 1.0 - curve.kappa(s) * np.sum(diff * nvec, axis=-1)
+        s = np.clip(s + np.sum(diff * tvec, axis=-1) / np.where(np.abs(den) < 0.1, 0.1, den), 0.0, curve.L)
+    mu = np.sum((pts - curve.gamma(s)) * curve.normal(s), axis=-1)
+    got_s, got_mu = curve.project(pts)
+    assert np.max(np.abs(got_s - s)) <= 1e-13
+    assert np.max(np.abs(got_mu - mu)) <= 1e-13
+
+
+def test_hessian_projects_each_point_once(assembled, monkeypatch):
+    """One hess call runs the coarse search once, for its centres, and the
+    exact curve four times: a Newton step and the final (s, mu), once for
+    the centres and once for the stencil points."""
+    X = _hessian_probe_points(assembled.pc)
+    counts = {"gamma": 0, "_coarse": 0}
+    for name in counts:
+        method = getattr(cx.CurveSpec, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cx.CurveSpec, name, counted)
+    assembled.pc.potential.hess(X)
+    assert counts["_coarse"] == 1
+    assert counts["gamma"] <= 4
 
 
 def test_hamiltonian_series_is_constant(assembled):

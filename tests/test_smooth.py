@@ -84,3 +84,12 @@ def test_bump01_d_matches_finite_difference():
     h = 1e-6
     fd = (smooth.bump01(t + h) - smooth.bump01(t - h)) / (2.0 * h)
     assert np.max(np.abs(fd - smooth.bump01_d(t))) < 1e-8
+
+
+def test_kernels_reach_their_limit_at_tiny_positive_t():
+    # exp(-1/t) underflows long before t^2 does; the quotients must still
+    # read 0, not 0/0, and raise no floating-point warning
+    t = np.array([5e-324, 1e-300, 1e-160])
+    for kernel in (smooth.flat_exp, smooth.smoothstep, smooth.smoothstep_d, smooth.bump01, smooth.bump01_d):
+        out = kernel(t)
+        assert np.array_equal(out, np.zeros(3)), kernel.__name__
