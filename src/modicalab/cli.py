@@ -128,6 +128,15 @@ def _planar_grid(f, h: float) -> fields.GridField:
     return fields.sample_field(f, origin=(-1.0, -1.0), spacing=(h, h), extents=(n, n))
 
 
+def _integer(p, key: str) -> int:
+    """p[key] as an int: a value with a fractional part, or no finite number
+    at all, is a usage error, not a value to truncate."""
+    value = p[key]
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value == int(value)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _sampled_solution_gate(h: float) -> float:
     # sampled closed-form fields satisfy the discrete equation only to the
     # O(h^2) truncation, so the solves-the-system gates must scale with h^2
@@ -187,7 +196,7 @@ def _modica(p) -> DefectReport:
 
 
 def _theorem_31(p) -> DefectReport:
-    m = int(p["m"])
+    m = _integer(p, "m")
     D = np.ones(m) if p["D"] is None else np.asarray(p["D"], float)
     A = np.eye(m) if p["A"] is None else np.asarray(p["A"], float)
     cfg = estimates.DiagonalSystemConfig(D=D, A=A, M=float(p["M"]))
@@ -195,7 +204,7 @@ def _theorem_31(p) -> DefectReport:
 
 
 def _theorem_32(p) -> DefectReport:
-    pot = potentials.make_potential("ginzburg_landau", m=int(p["m"]))
+    pot = potentials.make_potential("ginzburg_landau", m=_integer(p, "m"))
     return estimates.ball_confinement_check(pot, None, R=float(p["R"]), tol=p["tol"])
 
 
@@ -229,10 +238,11 @@ def _polygon(p) -> DefectReport:
     if p["vertices"] is not None:
         verts = np.asarray(p["vertices"], float)
     else:
-        ang = 2.0 * math.pi * np.arange(int(p["N"])) / int(p["N"])
+        N = _integer(p, "N")
+        ang = 2.0 * math.pi * np.arange(N) / N
         verts = float(p["radius"]) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     return estimates.polygon_confinement_check(
-        verts, n_samples=int(p["n_samples"]), seed=p["seed"], tol=p["tol"]
+        verts, n_samples=_integer(p, "n_samples"), seed=p["seed"], tol=p["tol"]
     )
 
 

@@ -277,14 +277,16 @@ class CurveSpec:
         )
 
     def _coarse(self, pts):
-        """Arclength of the nearest of about 1024 nodes spread along the arc."""
-        nodes, s_nodes = self._gamma_nodes, self.ell * self._arc.edges
-        stride = max(1, (2 * len(nodes) - 1) // 1024)
-        # candidates on both halves, one contiguous array per coordinate
-        cand_s = np.concatenate([s_nodes, self.L - s_nodes[-2::-1]])[::stride]
-        cx = np.concatenate([nodes[:, 0], -nodes[-2::-1, 0]])[::stride].copy()
-        cy = np.concatenate([nodes[:, 1], nodes[-2::-1, 1]])[::stride].copy()
+        """Arclength of the nearest of about 1024 nodes of `_node_table`."""
         s = np.empty(len(pts))
+        if len(s) == 0:  # nothing to search, so no node table to build
+            return s
+        pos, s_half = self._node_table[0], self.ell * self._arc.edges
+        stride = max(1, len(pos) // 1024)
+        # candidate arclengths, the mirrored half's as L - s, and one
+        # contiguous array per coordinate
+        cand_s = np.concatenate([s_half, self.L - s_half[-2::-1]])[::stride]
+        cx, cy = pos[::stride, 0].copy(), pos[::stride, 1].copy()
         for lo in range(0, len(pts), 512):
             px, py = pts[lo : lo + 512, 0, None], pts[lo : lo + 512, 1, None]
             s[lo : lo + 512] = cand_s[np.argmin((px - cx) ** 2 + (py - cy) ** 2, axis=1)]

@@ -71,9 +71,7 @@ class DefectReport:
             return cls(check_id, 0, math.inf, None, "vacuous", constants or {})
         k = int(np.argmin(margins))
         worst = float(margins[k])
-        pt = points[k] if points is not None else None
-        if pt is not None:
-            pt = [float(c) for c in np.atleast_1d(pt)]
+        pt = [float(c) for c in np.atleast_1d(points[k])]
         verdict = "holds" if worst >= -tol else "violated"
         return cls(check_id, int(margins.size), worst, pt, verdict, constants or {})
 
@@ -350,16 +348,11 @@ def ball_confinement_check(p: Potential, obj, R: float, tol: float = 1e-7) -> De
     return DefectReport.from_margins("ball-confinement", all_margins, all_pts, tol, constants)
 
 
-# the convex-well floor is sought on [-_WELL_BOX, _WELL_BOX]^m: a grid of
-# _WELL_GRID points for m = 1, that many ball samples otherwise
-_WELL_BOX = 2.0
-_WELL_GRID = 4001
-
-
 def _convexity_floor_1d(p: Potential) -> tuple[float, tuple]:
-    """inf W over the nonconvexity set {W'' < 0} for a scalar potential,
-    with the set's boundary located by root-finding on W''."""
-    grid = np.linspace(-_WELL_BOX, _WELL_BOX, _WELL_GRID)
+    """inf W over the nonconvexity set {W'' < 0} of a scalar potential, sought
+    on 4001 points of [-2, 2], with the set's boundary located by
+    root-finding on W''."""
+    grid = np.linspace(-2.0, 2.0, 4001)
     hess = p.hess(grid[:, None])[:, 0, 0]
     w_vals = p.w(grid[:, None])
     outside = hess < 0.0
@@ -381,18 +374,14 @@ def _convexity_floor_1d(p: Potential) -> tuple[float, tuple]:
 
 def convex_well_check(p: Potential, obj=None, tol: float = 1e-7) -> DefectReport:
     """Constants and margins for the convex-well estimate
-    (eps/S)|grad u|^2 <= W, valid when 0 < S < 2 eps / n.
+    (eps/S)|grad u|^2 <= W of a scalar potential, valid when 0 < S < 2 eps / n.
 
     eps = inf W outside the convexity region {lambda_min(D^2 W) >= 0} and
     S = sup |grad u|^2 over the field's states outside it; the report's
     constants carry eps, S and whether condition_met holds."""
-    if p.m == 1:
-        eps, _ = _convexity_floor_1d(p)
-    else:
-        samples = ball_samples(p.m, _WELL_BOX, _WELL_GRID)
-        eigmin = np.min(np.linalg.eigvalsh(p.hess(samples)), axis=-1)
-        outside = eigmin < 0.0
-        eps = float(np.min(p.w(samples[outside]))) if np.any(outside) else math.inf
+    if p.m != 1:
+        raise ValueError(f"the convex-well check needs a scalar potential (m = 1), got m = {p.m}")
+    eps, _ = _convexity_floor_1d(p)
     if obj is None:
         return DefectReport.from_margins("convex-well", [], None, tol,
                                          {"eps": eps, "S": 0.0, "note": "no field supplied"})
@@ -532,11 +521,6 @@ class PhiBarrier:
         s = np.asarray(s, float)
         return np.where(s >= -1.0 / 6.0, 3.0 * s**2 + s, -1.0 / 12.0)
 
-    def sup_deviation(self) -> float:
-        """sup |phi_eps - phi| over 2001 points of [-1/2, 0]."""
-        s = np.linspace(-0.5, 0.0, 2001)
-        return float(np.max(np.abs(self.phi_eps(s) - self.phi(s))))
-
     def validate(self) -> dict:
         """Check every structural property the barrier is used for, on 2001
         points, to 1e-10."""
@@ -556,7 +540,7 @@ class PhiBarrier:
             "limit_gap": under_limit,
             "min_increment": increasing,
             "min_second_difference": float(np.min(second)),
-            "sup_deviation": self.sup_deviation(),
+            "sup_deviation": float(np.max(np.abs(pe - self.phi(s)))),
             "plateau_left_exact": float(self.rho(np.asarray(-0.5)) - self.eps),
             "plateau_right_exact": float(self.rho(np.asarray(3.0 * self.eps)) - 3.0 * self.eps),
         }

@@ -218,9 +218,11 @@ def reconstruct_U(g: GridField, p: Potential, gate: float = 1e-4) -> UField:
 def disk_integral(fn, center, r: float, n_r: int = 64, n_theta: int = 256) -> float:
     """Integral of a scalar density over the disk B(center, r): Gauss-Legendre
     in radius (weighted by radius) times a uniform trapezoid rule in angle."""
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     center = np.asarray(center, float)
+    if center.shape != (2,) or not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be a finite point of the plane, got {center.tolist()}")
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
     radii = 0.5 * r * (nodes + 1.0)
     ang = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
@@ -320,8 +322,8 @@ def monotonicity_profile(density: str, f: ClosedFormField | None, p: Potential |
     radii = tuple(float(r) for r in radii)
     if len(radii) < 2:
         raise ValueError(f"a profile compares at least two radii, got {len(radii)}")
-    if any(r <= 0 for r in radii) or list(radii) != sorted(set(radii)):
-        raise ValueError("radii must be positive and strictly increasing")
+    if not all(0.0 < r < math.inf for r in radii) or list(radii) != sorted(set(radii)):
+        raise ValueError(f"radii must be positive, finite and strictly increasing, got {list(radii)}")
 
     values, errors = [], []
     for r in radii:

@@ -116,11 +116,10 @@ def test_c04_refined_kinetic_equality_and_barrier():
     # barrier family: exact plateau contact, uniform convergence to the limit
     sups = []
     for eps in (1.0 / 12.0, 0.05, 0.02, 0.01):
-        barrier = estimates.PhiBarrier(eps=eps)
-        stats = barrier.validate()
+        stats = estimates.PhiBarrier(eps=eps).validate()
         assert stats["plateau_left_exact"] == 0.0
         assert stats["plateau_right_exact"] == 0.0
-        sups.append(barrier.sup_deviation())
+        sups.append(stats["sup_deviation"])
     assert all(a > b for a, b in zip(sups, sups[1:]))
     assert sups[-1] <= 0.05
 

@@ -400,6 +400,26 @@ def test_planar_checks_on_a_line_field_name_the_planar_requirement(capsys, op, n
                  "n_samples must be at least 1", id="polygon-no-samples"),
     pytest.param(["estimates", "--theorem", "polygon", "--seed", "39", "--params", '{"n_samples": 1}'],
                  "no sample fell outside the polygon", id="polygon-no-exterior-sample"),
+    pytest.param(["planar", "green", "--params", '{"center": [0]}'], "center must be a finite point of the plane",
+                 id="green-center-1d"),
+    pytest.param(["planar", "green", "--params", '{"center": [0, 0, 0]}'],
+                 "center must be a finite point of the plane", id="green-center-3d"),
+    pytest.param(["planar", "monotone", "--params", '{"center": [0, 0, 0]}'],
+                 "center must be a finite point of the plane", id="monotone-center-3d"),
+    pytest.param(["planar", "green", "--params", '{"radius": NaN}'], "radius must be positive and finite",
+                 id="green-radius-nan"),
+    pytest.param(["planar", "green", "--params", '{"radius": Infinity}'], "radius must be positive and finite",
+                 id="green-radius-inf"),
+    pytest.param(["planar", "monotone", "--params", '{"radii": [0.5, NaN]}'],
+                 "radii must be positive, finite and strictly increasing", id="monotone-radii-nan"),
+    pytest.param(["estimates", "--theorem", "3.2", "--params", '{"m": 2.7}'], "m must be an integer, got 2.7",
+                 id="32-m-fractional"),
+    pytest.param(["estimates", "--theorem", "3.1", "--params", '{"m": 2.5}'], "m must be an integer, got 2.5",
+                 id="31-m-fractional"),
+    pytest.param(["estimates", "--theorem", "polygon", "--params", '{"N": 5.5}'], "N must be an integer, got 5.5",
+                 id="polygon-N-fractional"),
+    pytest.param(["estimates", "--theorem", "polygon", "--params", '{"n_samples": 99.5}'],
+                 "n_samples must be an integer, got 99.5", id="polygon-n-samples-fractional"),
 ])
 def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
     if "{map-config}" in argv:

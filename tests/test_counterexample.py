@@ -246,6 +246,14 @@ def test_project_coarse_search_matches_the_broadcast_search(assembled):
     assert np.array_equal(curve._coarse(pts), expected)
 
 
+def test_verify_builds_no_node_table():
+    """The suite's path, assemble and verify, projects no point, so it never
+    pays for the Hermite node table that the coarse search and Newton read."""
+    pc = cx.assemble()
+    cx.verify_counterexample(pc)
+    assert "_node_table" not in vars(pc.curve)
+
+
 def _hessian_probe_points(pc, n=60, seed=13):
     """Tube, patch and background points, and points within 1e-5 of the
     patch edge, of the tube edge |mu| = eps and of the tube's box, each

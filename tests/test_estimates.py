@@ -169,6 +169,11 @@ def test_convex_well_floor_is_one_ninth():
     assert all(abs(abs(r) - 1.0 / math.sqrt(3.0)) < 1e-10 for r in roots)
 
 
+def test_convex_well_check_needs_a_scalar_potential():
+    with pytest.raises(ValueError, match="needs a scalar potential"):
+        estimates.convex_well_check(GL)
+
+
 def test_convex_well_small_orbit_estimate():
     start = dynamics.PhasePoint(np.array([0.2]), np.array([0.0]))
     traj = dynamics.integrate(DW, start, 1e-3, 7000)
@@ -247,9 +252,24 @@ def test_phi_limit_closed_form():
 
 
 def test_phi_uniform_convergence():
-    devs = [estimates.PhiBarrier(eps=e).sup_deviation() for e in (1.0 / 12.0, 0.05, 0.02, 0.01)]
+    devs = [estimates.PhiBarrier(eps=e).validate()["sup_deviation"] for e in (1.0 / 12.0, 0.05, 0.02, 0.01)]
     assert all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
     assert devs[-1] <= 0.05
+
+
+def test_barrier_validate_evaluates_the_barrier_once(monkeypatch):
+    """One validate() evaluates phi_eps once: two antiderivative calls, its
+    value at 1 and its values on the grid."""
+    calls = []
+    original = estimates.PhiBarrier._rho_antiderivative
+
+    def counted(self, x):
+        calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(estimates.PhiBarrier, "_rho_antiderivative", counted)
+    estimates.PhiBarrier(eps=0.02).validate()
+    assert len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every exported name resolves, and every public name is reached."""
+"""Every exported name resolves, every public name is reached, and the
+package root binds no name."""
 
 import ast
 import importlib
@@ -27,7 +28,16 @@ UNREACHED_ON_PURPOSE = {
 }
 
 
-@pytest.mark.parametrize("module", ["modicalab"] + [f"modicalab.{name}" for name in MODULES])
+def test_package_root_binds_no_name():
+    """Every object has one import path, `modicalab.<module>.<name>`: the
+    package's __init__ holds its docstring and nothing else."""
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant), (
+        f"src/modicalab/__init__.py binds names: {[ast.unparse(node) for node in body[1:]]}"
+    )
+
+
+@pytest.mark.parametrize("module", [f"modicalab.{name}" for name in MODULES])
 def test_every_name_in_all_resolves(module):
     mod = importlib.import_module(module)
     names = getattr(mod, "__all__", [])
