@@ -240,7 +240,10 @@ def _polygon(p) -> DefectReport:
     else:
         N = _integer(p, "N")
         ang = 2.0 * math.pi * np.arange(N) / N
-        verts = float(p["radius"]) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        radius = float(p["radius"])
+        if not math.isfinite(radius):
+            raise ValueError(f"radius must be finite, got {radius!r}")
+        verts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     return estimates.polygon_confinement_check(
         verts, n_samples=_integer(p, "n_samples"), seed=p["seed"], tol=p["tol"]
     )
@@ -318,7 +321,7 @@ def _relax(p):
         spacing=tuple(dom["spacing"]),
         shape=tuple(dom["shape"]),
         boundary=fields.make_field(bspec["field"], **bspec.get("params", {})),
-        max_iters=int(cfg_json.get("max_iters", 50_000)),
+        max_iters=_integer({"max_iters": 50_000, **cfg_json}, "max_iters"),
         tol=float(p["tol"] if p["tol"] is not None else cfg_json.get("tol", 1e-8)),
     )
     result = solver.relax(pot, cfg)

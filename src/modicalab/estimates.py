@@ -140,6 +140,9 @@ class DiagonalSystemConfig:
         m = self.D.shape[0] if self.D.ndim else 0
         if m < 1 or self.D.shape != (m, m) or self.A.shape != (m, m):
             raise ValueError(f"D and A must be m x m with m >= 1, got D {self.D.shape} and A {self.A.shape}")
+        for key in ("D", "A"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key).tolist()}")
         if not (math.isfinite(self.M) and self.M > 0.0):
             raise ValueError(f"M must be positive and finite, got {self.M!r}")
 
@@ -415,6 +418,8 @@ def polygon_confinement_check(vertices, n_samples: int = 100, seed: int = 0,
     verts = np.asarray(vertices, float)
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise ValueError(f"vertices must be a list of points of the plane, got shape {verts.shape}")
+    if not np.all(np.isfinite(verts)):
+        raise ValueError(f"vertices must be finite, got {verts.tolist()}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     N = len(verts)
@@ -553,23 +558,17 @@ class PhiBarrier:
         return out
 
 
-def _require_gl(p: Potential, u: np.ndarray) -> None:
-    q = np.sum(np.atleast_2d(u) ** 2, axis=-1)
-    ref = 0.25 * (q - 1.0) ** 2
-    dev = float(np.max(np.abs(np.asarray(p.w(u)) - ref)))
-    if dev > 1e-10:
-        raise HypothesisError(f"potential does not match the GL form on the trajectory (dev {dev:.3e})")
-
-
 def ode_bound_check(traj: Trajectory, p: Potential, tol: float = 1e-7) -> DefectReport:
     """Hamiltonian bounds for the GL ODE: pointwise
     0.5|u'|^2 <= |u|^2 sqrt(W) when |u|^2 >= 2/3 and <= W + 1/12 otherwise;
     globally H <= 1/12, refined to (1/4)(1-S)(3S-1) when S = sup|u|^2 > 2/3."""
     u, v = traj.u, traj.v
-    _require_gl(p, u)
     unorm2 = np.sum(u**2, axis=-1)
-    kin = 0.5 * np.sum(v**2, axis=-1)
     w = np.asarray(p.w(u))
+    dev = float(np.max(np.abs(w - 0.25 * (unorm2 - 1.0) ** 2)))
+    if dev > 1e-10:
+        raise HypothesisError(f"potential does not match the GL form on the trajectory (dev {dev:.3e})")
+    kin = 0.5 * np.sum(v**2, axis=-1)
     sqrt_w = np.sqrt(np.maximum(w, 0.0))
     upper = np.where(unorm2 >= 2.0 / 3.0, unorm2 * sqrt_w, w + 1.0 / 12.0)
     margins = upper - kin

@@ -81,7 +81,10 @@ def _make_ginzburg_landau(m=2):
         return 0.25 * np.square(np.sum(u**2, axis=-1) - 1.0)
 
     def grad(u):
-        q = np.sum(u**2, axis=-1) - 1.0
+        # add.reduce and u * u are np.sum and u**2 without their Python
+        # wrappers: the same bits at a fraction of the call cost
+        q = np.add.reduce(u * u, axis=-1)
+        q -= 1.0
         return q[..., None] * u
 
     def hess(u):

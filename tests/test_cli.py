@@ -315,12 +315,13 @@ def _exit_code(argv):
         return e.code
 
 
-def _relax_strip(tmp_path):
+def _relax_strip(tmp_path, **extra):
     path = tmp_path / "strip.json"
     path.write_text(json.dumps({
         "potential": {"name": "double_well"},
         "domain": {"origin": [-3.0, 0.0], "spacing": [0.15, 0.15], "shape": [41, 5]},
         "boundary": {"field": "tanh_planar"},
+        **extra,
     }))
     return str(path)
 
@@ -420,6 +421,16 @@ def test_planar_checks_on_a_line_field_name_the_planar_requirement(capsys, op, n
                  id="polygon-N-fractional"),
     pytest.param(["estimates", "--theorem", "polygon", "--params", '{"n_samples": 99.5}'],
                  "n_samples must be an integer, got 99.5", id="polygon-n-samples-fractional"),
+    pytest.param(["relax", "--config", "{fractional-cycles}"], "max_iters must be an integer, got 2.5",
+                 id="relax-max-iters-fractional"),
+    pytest.param(["estimates", "--theorem", "polygon", "--params", '{"radius": NaN}'], "radius must be finite",
+                 id="polygon-radius-nan"),
+    pytest.param(["estimates", "--theorem", "polygon", "--params", '{"vertices": [[0, 0], [1, 0], [0, NaN]]}'],
+                 "vertices must be finite", id="polygon-vertices-nan"),
+    pytest.param(["estimates", "--theorem", "3.1", "--params", '{"D": [1, NaN]}'], "D must be finite",
+                 id="31-D-nan"),
+    pytest.param(["estimates", "--theorem", "3.1", "--params", '{"A": [[1, 0], [0, Infinity]]}'],
+                 "A must be finite", id="31-A-inf"),
 ])
 def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
     if "{map-config}" in argv:
@@ -427,6 +438,8 @@ def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
                   "domain": {"origin": [0.0, 0.0], "spacing": [0.1, 0.1], "shape": [9, 9]}}
         (tmp_path / "map.json").write_text(json.dumps(config))
         argv = [str(tmp_path / "map.json") if a == "{map-config}" else a for a in argv]
+    if "{fractional-cycles}" in argv:
+        argv = [_relax_strip(tmp_path, max_iters=2.5) if a == "{fractional-cycles}" else a for a in argv]
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err
     assert reason in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,7 +124,9 @@ def test_integrate_many_matches_unbatched_runs():
         assert np.array_equal(traj.times, alone.times)
         ref_u, ref_v = _verlet_reference(GL, start, 1e-3, 6000)
         assert np.array_equal(traj.u, ref_u) and np.array_equal(traj.v, ref_v)
-        assert traj.u.flags.c_contiguous and traj.u.base is not None  # a view of the batch buffer
+        assert traj.u.base is not None and traj.v.base is not None  # views of the time-major buffers
+    # one start has the (steps + 1, 1, m) buffer to itself, so its rows are contiguous
+    assert dynamics.integrate(GL, starts[0], 1e-3, 10).u.flags.c_contiguous
 
 
 def test_integrate_many_blowup_names_the_trajectory():
@@ -136,6 +139,89 @@ def test_integrate_many_blowup_names_the_trajectory():
     assert 1 < len(partial.times) < 5001
     assert np.all(np.abs(partial.u) <= 1e6)
     assert np.array_equal(partial.u[0], wild.u)
+
+
+def _stepwise_until_blowup(p, starts, dt, steps):
+    """The batched position-Verlet loop with its blow-up test after every step:
+    (k, i, u, v) of the first step k at which trajectory i, the first to fail
+    there, leaves [-1e6, 1e6], with that trajectory's valid prefix."""
+    u = np.array([s.u for s in starts])
+    v = np.array([s.v for s in starts])
+    uu, vv = [u], [v]
+    for k in range(1, steps + 1):
+        u_mid = u + 0.5 * dt * v
+        v = v + dt * p.grad(u_mid)
+        u = u_mid + 0.5 * dt * v
+        inside = np.abs(u) <= 1e6
+        if not inside.all():
+            i = int(np.argmin(inside.all(axis=1)))
+            return k, i, np.array(uu)[:, i], np.array(vv)[:, i]
+        uu.append(u)
+        vv.append(v)
+    raise AssertionError("no blow-up within the steps")
+
+
+@pytest.mark.parametrize("target, steps", [(1, 10), (100, 200), (300, 600), (256, 600), (257, 600),
+                                           (512, 600), (580, 600), (600, 600)])
+def test_block_blowup_gate_reports_the_stepwise_first_failure(target, steps):
+    # u'' = u grows by about e^dt per step along u = v, so an amplitude 1e6 e^(-dt (target - 1/2))
+    # crosses 1e6 at step `target`: trajectory 0 fails three steps after trajectories 2 and 3,
+    # which fail together, and the step loop reports trajectory 2
+    quad = potentials.make_potential("quadratic", m=2)
+    dt = 1e-2
+
+    def wild(target, axis):
+        a = 1e6 * math.exp(-dt * (target - 0.5))
+        return dynamics.PhasePoint(a * np.eye(2)[axis], a * np.eye(2)[axis])
+
+    calm = dynamics.PhasePoint(np.zeros(2), np.zeros(2))
+    starts = [wild(target + 3, 0), calm, wild(target, 1), wild(target, 0)]
+    k, i, ref_u, ref_v = _stepwise_until_blowup(quad, starts, dt, steps)
+    assert (k, i) == (target, 2)
+    with pytest.raises(dynamics.BlowUpError) as info:
+        dynamics.integrate_many(quad, starts, dt, steps)
+    assert str(info.value) == f"trajectory 2: blow-up at step {k} (t = {k * dt:g})"
+    partial = info.value.trajectory
+    assert np.array_equal(partial.times, dt * np.arange(k))
+    assert np.array_equal(partial.u, ref_u) and np.array_equal(partial.v, ref_v)
+    with pytest.raises(dynamics.BlowUpError, match=rf"^blow-up at step {target} \(t = {target * dt:g}\)$"):
+        dynamics.integrate(quad, starts[2], dt, steps)
+
+
+def test_block_runs_past_an_overflow_without_warnings():
+    # the cubic force overflows to inf and nan within a few steps of the blow-up,
+    # and the rest of the 256-step block runs on those values
+    gl1 = potentials.make_potential("ginzburg_landau", m=1)
+    start = dynamics.PhasePoint(np.array([3e3]), np.array([0.0]))
+    with np.errstate(all="ignore"):
+        k, _, ref_u, ref_v = _stepwise_until_blowup(gl1, [start], 1e-2, 300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(dynamics.BlowUpError, match=rf"^blow-up at step {k} ") as info:
+            dynamics.integrate(gl1, start, 1e-2, 300)
+    assert caught == []
+    assert np.array_equal(info.value.trajectory.u, ref_u) and np.array_equal(info.value.trajectory.v, ref_v)
+
+
+def test_a_potential_that_raises_past_the_blowup_still_reports_the_blowup():
+    quad = potentials.make_potential("quadratic", m=1)
+
+    def finite_grad(u):
+        if not np.all(np.isfinite(u)):
+            raise ValueError("non-finite state")
+        return quad.grad(u)
+
+    picky = potentials.Potential("picky", 1, {}, quad.zeros, quad.w, finite_grad, quad.hess)
+    # at dt = 100 the state grows about 1e4-fold per step: past 1e6 at step 2, inf within the block
+    start = dynamics.PhasePoint(np.array([1.0]), np.array([1.0]))
+    with np.errstate(all="ignore"):
+        k, _, ref_u, _ = _stepwise_until_blowup(quad, [start], 100.0, 200)
+    with pytest.raises(dynamics.BlowUpError, match=rf"^blow-up at step {k} ") as info:
+        dynamics.integrate(picky, start, 100.0, 200)
+    assert np.array_equal(info.value.trajectory.u, ref_u)
+    # with no blow-up before it, the potential's own error is the result
+    with pytest.raises(ValueError, match="non-finite state"):
+        dynamics.integrate(picky, dynamics.PhasePoint(np.array([math.nan]), np.array([0.0])), 1e-2, 10)
 
 
 def test_integrate_many_rejects_bad_batches():

@@ -54,6 +54,22 @@ def test_ginzburg_landau_vanishes_on_sphere(m):
     assert np.max(np.abs(p.grad(u))) < 1e-14
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (40,), (6, 7)])
+def test_ginzburg_landau_gradient_is_bit_identical_to_its_closed_form(m, lead):
+    p = potentials.make_potential("ginzburg_landau", m=m)
+    u = 1.5 * np.random.default_rng(11).standard_normal(lead + (m,))
+    assert np.array_equal(p.grad(u), (np.sum(u**2, axis=-1) - 1.0)[..., None] * u)
+
+
+def test_ginzburg_landau_gradient_of_a_scalar_is_bit_identical_to_its_closed_form():
+    p = potentials.make_potential("ginzburg_landau", m=1)
+    for x in (0.0, -0.7, 1.0 / 3.0, 2.5):
+        u = np.asarray(x)  # 0-d: one point of the line
+        assert p.grad(u).shape == (1,)
+        assert np.array_equal(p.grad(u), (np.sum(u**2, axis=-1) - 1.0)[..., None] * u)
+
+
 def test_ginzburg_landau_radial_derivatives():
     p = potentials.make_potential("ginzburg_landau", m=2)
     u = np.array([0.3, -0.4])
