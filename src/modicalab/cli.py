@@ -116,6 +116,7 @@ def _expected(report: dict, p) -> bool:
 def _circular_orbit(R: float, dt: float):
     """One period of the circular orbit at R with step dt: (family, trajectory)."""
     fam = dynamics.orbit_family(R)
+    cx._check_count("--dt", dt, fam.period / dt + 1.0)
     steps = int(math.ceil(fam.period / dt))
     return fam, dynamics.integrate(GL2, fam.start_state(), dt, steps, drift_tol=math.inf)
 
@@ -124,6 +125,8 @@ def _planar_grid(f, h: float) -> fields.GridField:
     """f sampled with spacing h on [-1, 1]^2."""
     if f.n != 2:
         raise ValueError(f"{f.name}: this check needs a planar field (n=2), got n = {f.n}")
+    side = 2.0 / h + 1.0
+    cx._check_count("--h", h, side * side)
     n = int(round(2.0 / h)) + 1
     return fields.sample_field(f, origin=(-1.0, -1.0), spacing=(h, h), extents=(n, n))
 

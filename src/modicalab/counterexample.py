@@ -64,9 +64,22 @@ A_PLUS = np.array([2.0, 0.0])
 A_MINUS = np.array([-2.0, 0.0])
 _ARC_START = np.array([2.0, 1.0])
 
+# the longest array a step dt or a spacing h may ask for, here and in the
+# command line's orbits and grids: past it the request is refused before
+# anything is allocated
+MAX_SAMPLES = 10**7
+
 
 class ConstructionError(RuntimeError):
     pass
+
+
+def _check_count(name: str, value: float, count: float) -> None:
+    """ValueError naming `name`, its value and the count when the array it
+    asks for would hold more than MAX_SAMPLES entries (count may be inf)."""
+    if not count <= MAX_SAMPLES:
+        shown = f"{count:,.0f}" if count < 1e16 else f"{count:.3e}"
+        raise ValueError(f"{name} {value!r} asks for {shown} samples, over the cap of {MAX_SAMPLES:,}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +165,7 @@ def solve_segment(lam: float, dt: float = 1e-3) -> SegmentSolution:
 
     clock = smooth._PanelIntegral(slowness, 0.0, 1.0, panels=256)
     t2 = float(clock.total)
+    _check_count("dt", dt, t2 / dt)
     times = np.arange(0.0, t2, dt)
     y = clock.inverse(times)
     residual = float(np.max(np.abs(clock(y) - times)))
@@ -276,17 +290,55 @@ class CurveSpec:
             (2.0 * c2 + 6.0 * t * c3) / h**2,
         )
 
-    def _coarse(self, pts):
-        """Arclength of the nearest of about 1024 nodes of `_node_table`."""
-        s = np.empty(len(pts))
-        if len(s) == 0:  # nothing to search, so no node table to build
-            return s
+    @cached_property
+    def _candidates(self):
+        """The coarse search's candidates, 1025 nodes of `_node_table` in
+        index order: their arclengths (the mirrored half's as L - s), one
+        contiguous array per coordinate, and the block radius.  Candidate i
+        lies within 8 chords of the sparse node 16 round(i / 16), so within
+        the radius, 8 times the largest chord plus a rounding margin."""
         pos, s_half = self._node_table[0], self.ell * self._arc.edges
         stride = max(1, len(pos) // 1024)
-        # candidate arclengths, the mirrored half's as L - s, and one
-        # contiguous array per coordinate
         cand_s = np.concatenate([s_half, self.L - s_half[-2::-1]])[::stride]
         cx, cy = pos[::stride, 0].copy(), pos[::stride, 1].copy()
+        return cand_s, cx, cy, 8.0 * float(np.max(np.hypot(np.diff(cx), np.diff(cy)))) * (1.0 + 1e-9)
+
+    def _coarse(self, pts):
+        """Arclength of the nearest candidate of `_candidates`, the first in
+        index order on ties, as the full search `_nearest` gives it.
+
+        The squared distance to every 16th candidate picks a sparse winner,
+        and the window of the 81 candidates in its block and the two blocks
+        on each side is searched in full.  By the triangle inequality a row
+        is certified once every sparse node outside the window's blocks is
+        farther than the window's best by more than the block radius
+        (Fukunaga and Narendra, IEEE Trans. Computers C-24, 1975).  The
+        other rows, NaN and overflow among them, take `_nearest`.  Both
+        searches compute each distance by the same float expression, so the
+        result is the full search's bit for bit."""
+        if len(pts) == 0:  # nothing to search, so no node table to build
+            return np.empty(0)
+        cand_s, cx, cy, radius = self._candidates
+        rows = np.arange(len(pts))
+        px, py = pts[:, 0, None], pts[:, 1, None]
+        sparse = (px - cx[::16]) ** 2 + (py - cy[::16]) ** 2
+        j = np.argmin(sparse, axis=1)
+        lo = np.clip(16 * j - 40, 0, len(cx) - 81)
+        windows = np.lib.stride_tricks.sliding_window_view
+        d = (px - windows(cx, 81)[lo]) ** 2 + (py - windows(cy, 81)[lo]) ** 2
+        k = np.argmin(d, axis=1)
+        sparse[rows[:, None], np.clip(j[:, None] + np.arange(-2, 3), 0, sparse.shape[1] - 1)] = np.inf
+        # the relative margin covers the rounding of the squared distances
+        certified = np.sqrt(np.min(sparse, axis=1)) > (np.sqrt(d[rows, k]) + radius) * (1.0 + 1e-12)
+        s = cand_s[lo + k]
+        s[~certified] = self._nearest(pts[~certified])
+        return s
+
+    def _nearest(self, pts):
+        """The full search of `_coarse`: every candidate's squared distance,
+        512 rows at a time."""
+        cand_s, cx, cy, _ = self._candidates
+        s = np.empty(len(pts))
         for lo in range(0, len(pts), 512):
             px, py = pts[lo : lo + 512, 0, None], pts[lo : lo + 512, 1, None]
             s[lo : lo + 512] = cand_s[np.argmin((px - cx) ** 2 + (py - cy) ** 2, axis=1)]
@@ -384,6 +436,12 @@ class TubePotential:
     lam: float
     eps: float
 
+    @property
+    def support(self) -> float:
+        """|mu| from which on the cutoff, and with it the tube's gradient,
+        is zero: 5 eps / 6, where the smoothstep reaches 1."""
+        return 5.0 * self.eps / 6.0
+
     def cutoff(self, mu):
         return 1.0 - smooth.smoothstep(2.0 * (np.abs(mu) / self.eps - 1.0 / 3.0))
 
@@ -437,11 +495,17 @@ class _GlobalPotential:
         """`_patches` plus the tube rows: their indices, their arc coordinates
         (s, mu) on the upper arc after folding u_2 to |u_2|, and the sign of
         u_2 that mirrors them back.  The projection is cold for s0 None;
-        otherwise its Newton starts from s0, one start per point."""
+        otherwise its Newton starts from s0, one start per point, and a
+        point whose start is NaN is known to lie past the tube's support,
+        so it is not projected and counts as outside the tube."""
         flat, patch, v = self._patches(u)
         q, boxed = self._folded(flat)
         rows = np.flatnonzero(~patch & boxed)
-        s, mu = self.curve.project(q[rows]) if s0 is None else self.curve._newton(q[rows], s0[rows])
+        if s0 is None:
+            s, mu = self.curve.project(q[rows])
+        else:
+            rows = rows[~np.isnan(s0[rows])]
+            s, mu = self.curve._newton(q[rows], s0[rows])
         tube = np.abs(mu) <= self.tube.eps
         rows = rows[tube]
         return flat, patch, v, rows, s[tube], mu[tube], np.where(flat[rows, 1] < 0.0, -1.0, 1.0)
@@ -470,7 +534,9 @@ class _GlobalPotential:
         difference quotient of `grad` with step h = 1e-5.  Each centre with a
         stencil point in the tube's box is projected once, cold, and its four
         stencil points start their Newton from the centre's arc coordinate,
-        all in one batch."""
+        all in one batch.  A centre farther than the tube's support plus 2h
+        from the arc has its stencil points past the support, where the
+        tube's gradient is zero, so they are not projected."""
         flat, patch, v = self._patches(u)
         out = np.empty((len(flat), 2, 2))
         out[patch] = self.patch.hess(v[patch])
@@ -478,8 +544,9 @@ class _GlobalPotential:
         e = h * np.eye(2)
         stencil = np.concatenate([rest + e[0], rest + e[1], rest - e[0], rest - e[1]])
         near = np.any(self._folded(stencil)[1].reshape(4, -1), axis=0)
-        s0 = np.zeros(len(rest))
-        s0[near] = self.curve.project(self._folded(rest[near])[0])[0]
+        s0 = np.full(len(rest), np.nan)
+        s, mu = self.curve.project(self._folded(rest[near])[0])
+        s0[near] = np.where(np.abs(mu) <= self.tube.support + 2.0 * h, s, np.nan)
         g = self._grad(stencil, np.tile(s0, 4)).reshape(4, len(rest), 2)
         H = np.stack([(g[0] - g[2]) / (2.0 * h), (g[1] - g[3]) / (2.0 * h)], axis=-1)
         out[~patch] = 0.5 * (H + np.swapaxes(H, 1, 2))
@@ -608,6 +675,7 @@ def assemble(dt: float = 1e-3) -> PeriodicConnection:
     T = 2.0 * (t2 + t3)
     glob = _GlobalPotential(RhoSpec(), curve, lam, eps)
 
+    _check_count("dt", dt, T / dt + 1.0)
     n = int(round(T / dt))
     times = (T / n) * np.arange(n + 1)
 

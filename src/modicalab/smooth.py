@@ -16,11 +16,11 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 def flat_exp(t):
     """exp(-1/t) for t > 0 and 0 for t <= 0, elementwise."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    with np.errstate(over="ignore"):  # 1/t overflows for subnormal t; exp(-inf) = 0 is right
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out
+    # every lane divides, and the lanes t <= 0 take exp(-inf) = 0 instead;
+    # 1/t overflows for subnormal t, where exp(-inf) = 0 is right as well
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.where(t > 0, -1.0 / t, -np.inf)
+    return np.exp(x, out=x)
 
 
 def _flat_exp_d(t):
@@ -69,7 +69,7 @@ def smoothstep_integral(x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x).astype(float)
-    out = np.empty_like(x)
+    out = np.full_like(x, np.nan)  # NaN takes none of the three branches
 
     out[x <= 0.0] = 0.0
     hi = x >= 1.0
@@ -132,12 +132,10 @@ class _PanelIntegral:
 def bump01(t):
     """exp(-1/(t(1-t))) on (0, 1), zero outside: a C-infinity bump."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = (t > 0) & (t < 1)
-    ti = t[inside]
-    with np.errstate(over="ignore"):  # as in flat_exp
-        out[inside] = np.exp(-1.0 / (ti * (1.0 - ti)))
-    return out
+    with np.errstate(divide="ignore", over="ignore"):  # as in flat_exp
+        q = t * (1.0 - t)  # positive exactly on (0, 1)
+        x = np.where(q > 0, -1.0 / q, -np.inf)
+    return np.exp(x, out=x)
 
 
 def bump01_d(t):

@@ -431,6 +431,13 @@ def test_planar_checks_on_a_line_field_name_the_planar_requirement(capsys, op, n
                  id="31-D-nan"),
     pytest.param(["estimates", "--theorem", "3.1", "--params", '{"A": [[1, 0], [0, Infinity]]}'],
                  "A must be finite", id="31-A-inf"),
+    # counts no allocator grants: refused before anything is allocated
+    pytest.param(["counterexample", "verify", "--dt", "1e-12"],
+                 "dt 1e-12 asks for 1,370,113,951,594 samples, over the cap of 10,000,000", id="dt-past-the-cap"),
+    pytest.param(["orbit", "--R", "0.5", "--dt", "1e-12"],
+                 "--dt 1e-12 asks for 7,255,197,456,938 samples, over the cap of 10,000,000", id="orbit-dt-past-the-cap"),
+    pytest.param(["planar", "tensor", "--h", "1e-7"],
+                 "--h 1e-07 asks for 400,000,040,000,001 samples, over the cap of 10,000,000", id="h-past-the-cap"),
 ])
 def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
     if "{map-config}" in argv:

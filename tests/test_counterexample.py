@@ -224,40 +224,106 @@ def test_stored_samples_give_the_inverted_potential_bit_for_bit(assembled, dt):
     assert np.array_equal(g, g_inv)
 
 
-def test_project_coarse_search_matches_the_broadcast_search(assembled):
-    pc = assembled.pc
-    curve = pc.curve
-    rng = np.random.default_rng(11)
-    s = rng.uniform(0.0, curve.L, 700)
-    tube = curve.gamma(s) + rng.uniform(-pc.eps_tube, pc.eps_tube, 700)[:, None] * curve.normal(s)
-    patch = rng.uniform(-1.0, 1.0, (300, 2)) + np.array([2.0, 0.0])
-    background = rng.uniform([-3.5, -1.5], [3.5, 4.0], (306, 2))
-    pts = np.concatenate([tube, patch, background])
-
+def _broadcast_nearest(curve, pts):
+    """Arclength of the nearest of the coarse candidates, every 32nd node of
+    the whole arc, by one broadcast distance matrix per chunk of rows."""
     nodes = np.concatenate([curve._gamma_nodes, curve._gamma_nodes[::-1][1:] * np.array([-1.0, 1.0])])
     s_nodes = curve.ell * curve._arc.edges
     full_s = np.concatenate([s_nodes, curve.L - s_nodes[::-1][1:]])
     stride = max(1, len(nodes) // 1024)
     cand, cand_s = nodes[::stride], full_s[::stride]
-    expected = np.concatenate([
+    return np.concatenate([
         cand_s[np.argmin(np.sum((chunk[:, None, :] - cand[None, :, :]) ** 2, axis=-1), axis=1)]
         for chunk in np.array_split(pts, 3)
     ])
-    assert np.array_equal(curve._coarse(pts), expected)
+
+
+def _arc_points(pc, n, seed, width=1.0):
+    """n points gamma(s) + mu n(s) with |mu| <= width eps."""
+    curve = pc.curve
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, curve.L, n)
+    return curve.gamma(s) + rng.uniform(-width, width, n)[:, None] * pc.eps_tube * curve.normal(s)
+
+
+def test_project_coarse_search_matches_the_broadcast_search(assembled):
+    """Tube, patch and background points, and adversarial ones: exact
+    mirror ties on u_1 = 0 (the first index wins), the candidates
+    themselves, the concave interior of the arc, the corners of the tube's
+    box and an empty batch.  The pruned search gives the broadcast argmin."""
+    pc = assembled.pc
+    curve = pc.curve
+    rng = np.random.default_rng(11)
+    patch = rng.uniform(-1.0, 1.0, (300, 2)) + np.array([2.0, 0.0])
+    background = rng.uniform([-3.5, -1.5], [3.5, 4.0], (306, 2))
+    apex = float(curve.gamma(curve.ell)[1])
+    mirror_axis = np.stack([np.zeros(300), rng.uniform(-1.0, apex + 1.0, 300)], -1)
+    mirror_pairs = rng.uniform([0.0, 0.0], [2.5, apex + 0.5], (200, 2))
+    interior = rng.uniform([-1.8, 1.0], [1.8, apex - 0.2], (600, 2))
+    x0, x1, y0, y1 = pc._global._bbox
+    corners = np.array([[x, y] for x in (x0, x1) for y in (y0, y1)])
+    corners = np.concatenate([corners, np.tile(corners, (20, 1)) + rng.uniform(-0.05, 0.05, (80, 2))])
+    pts = np.concatenate([
+        _arc_points(pc, 700, 11), patch, background, mirror_axis, mirror_pairs,
+        mirror_pairs * np.array([-1.0, 1.0]), curve._node_table[0][::32], interior, corners,
+    ])
+    assert np.array_equal(curve._coarse(pts), _broadcast_nearest(curve, pts))
+    # on u_1 = 0 the mirror ties resolve to the first half, as in the broadcast search
+    assert np.all(curve._coarse(mirror_axis) <= curve.ell)
+    assert curve._coarse(np.empty((0, 2))).shape == (0,)
+
+
+def _coarse_work(curve, pts, monkeypatch):
+    """(rows that took the full search, candidates farther from their
+    block's sparse node than the block radius): the pruning's work and the
+    bound that makes it exact."""
+    taken = []
+    nearest = cx.CurveSpec._nearest
+
+    def counted(self, q):
+        taken.append(len(q))
+        return nearest(self, q)
+
+    monkeypatch.setattr(cx.CurveSpec, "_nearest", counted)
+    curve._coarse(pts)
+    monkeypatch.setattr(cx.CurveSpec, "_nearest", nearest)
+    _, cand_x, cand_y, radius = curve._candidates
+    i = np.arange(len(cand_x))
+    j = 16 * np.rint(i / 16.0).astype(int)
+    spread = np.hypot(cand_x - cand_x[j], cand_y - cand_y[j])
+    return sum(taken), int(np.count_nonzero(spread > radius))
+
+
+def test_no_point_near_the_arc_takes_the_full_coarse_search(assembled, monkeypatch):
+    """Within eps of the arc every row is certified by its window, and the
+    block radius bounds every candidate's distance from its sparse node;
+    a halved radius breaks that bound."""
+    pc = assembled.pc
+    pts = _arc_points(pc, 5000, 29)
+    assert _coarse_work(pc.curve, pts, monkeypatch) == (0, 0)
+    # the full search still serves the rows no window certifies
+    assert _coarse_work(pc.curve, np.zeros((3, 2)), monkeypatch)[0] == 3
+    halved = cx.build_curve()
+    cand_s, cand_x, cand_y, radius = halved._candidates
+    halved.__dict__["_candidates"] = (cand_s, cand_x, cand_y, 0.5 * radius)
+    assert _coarse_work(halved, pts, monkeypatch)[1] > 0
 
 
 def test_verify_builds_no_node_table():
     """The suite's path, assemble and verify, projects no point, so it never
-    pays for the Hermite node table that the coarse search and Newton read."""
+    pays for the Hermite node table that the coarse search and Newton read,
+    nor for the coarse search's candidates."""
     pc = cx.assemble()
     cx.verify_counterexample(pc)
     assert "_node_table" not in vars(pc.curve)
+    assert "_candidates" not in vars(pc.curve)
 
 
 def _hessian_probe_points(pc, n=60, seed=13):
-    """Tube, patch and background points, and points within 1e-5 of the
-    patch edge, of the tube edge |mu| = eps and of the tube's box, each
-    mirrored to u_2 < 0 with probability 1/2."""
+    """Tube, patch and background points, points within 1e-5 of the patch
+    edge, of the tube edge |mu| = eps and of the tube's box, and points at
+    h, 2h and 3h (h = 1e-5) to either side of the support |mu| = 5 eps / 6
+    of the tube's gradient, each mirrored to u_2 < 0 with probability 1/2."""
     curve, eps = pc.curve, pc.eps_tube
     rng = np.random.default_rng(seed)
 
@@ -285,6 +351,7 @@ def _hessian_probe_points(pc, n=60, seed=13):
         patch_edge,
         on_arc(rng.choice([-eps, eps], n) + jitter()),
         box_edge,
+        on_arc(rng.choice([-1.0, 1.0], n) * (5.0 * eps / 6.0 + 1e-5 * rng.choice([-3, -2, -1, 1, 2, 3], n))),
     ])
     pts[:, 1] *= rng.choice([-1.0, 1.0], len(pts))
     return pts
@@ -366,6 +433,45 @@ def test_hessian_projects_each_point_once(assembled, monkeypatch):
     assembled.pc.potential.hess(X)
     assert counts["_coarse"] == 1
     assert counts["gamma"] <= 4
+
+
+def _stencil_newton_rows(pc, X, monkeypatch):
+    """(stencil rows one hess call runs Newton on, stencil points off the
+    patches and in the tube's box whose centre's cold |mu| is at most
+    5 eps / 6 + 2h, those centres): what the stencil projects, what the
+    gradient needs, and the bound on both."""
+    rows = {"project": 0, "_newton": 0}
+    for name in rows:
+        method = getattr(cx.CurveSpec, name)
+
+        def counted(self, pts, *args, _name=name, _method=method):
+            rows[_name] += len(pts)
+            return _method(self, pts, *args)
+
+        monkeypatch.setattr(cx.CurveSpec, name, counted)
+    pc.potential.hess(X)
+    monkeypatch.undo()
+    g, h = pc._global, 1e-5
+    flat, patch, _ = g._patches(X)
+    rest = flat[~patch]
+    inside = np.abs(pc.curve.project(g._folded(rest)[0])[1]) <= 5.0 * pc.eps_tube / 6.0 + 2.0 * h
+    stencil = np.concatenate([rest + d for d in h * np.concatenate([np.eye(2), -np.eye(2)])])
+    live = (~g._patches(stencil)[1] & g._folded(stencil)[1]).reshape(4, -1)
+    return rows["_newton"] - rows["project"], int(np.count_nonzero(live[:, inside])), int(np.count_nonzero(inside))
+
+
+def test_hessian_stencil_newton_stops_at_the_tube_support(assembled, monkeypatch):
+    """The stencil Newton runs on exactly the stencil points, off the patches
+    and in the box, of the centres within the support plus 2h: at most four
+    per such centre.  A threshold of eps / 2 skips points the gradient needs."""
+    pc = assembled.pc
+    X = _hessian_probe_points(pc)
+    projected, needed, centres = _stencil_newton_rows(pc, X, monkeypatch)
+    assert projected == needed <= 4 * centres
+    assert needed > 0
+    monkeypatch.setattr(cx.TubePotential, "support", property(lambda self: self.eps / 2.0 - 2e-5))
+    projected, needed, _ = _stencil_newton_rows(pc, X, monkeypatch)
+    assert projected < needed
 
 
 def test_hamiltonian_series_is_constant(assembled):

@@ -317,6 +317,36 @@ def test_speed_envelope_attainment():
     assert report.constants["worst_attainment_gap"] <= 1e-4
 
 
+def test_speed_envelope_margins_equal_those_of_the_summed_squares(monkeypatch):
+    """Each orbit's kinetic maximum is read from vx^2 + vy^2; the margins
+    equal, bit for bit, those from np.sum(v**2, axis=-1) on each orbit's
+    velocity view."""
+    seen = {}
+    integrate_many, from_margins = estimates.integrate_many, estimates.DefectReport.from_margins
+
+    def recording_integrate(*args, **kwargs):
+        seen["trajs"] = integrate_many(*args, **kwargs)
+        return seen["trajs"]
+
+    def recording_margins(cls, check_id, margins, *args, **kwargs):
+        seen["margins"] = np.asarray(margins)
+        return from_margins(check_id, margins, *args, **kwargs)
+
+    monkeypatch.setattr(estimates, "integrate_many", recording_integrate)
+    monkeypatch.setattr(estimates.DefectReport, "from_margins", classmethod(recording_margins))
+    R_grid = np.sqrt(np.linspace(0.05, 0.95, 19) + np.random.default_rng(8).uniform(-0.02, 0.02, 19))
+    estimates.speed_envelope_check(R_grid=R_grid)
+    het = dynamics.shoot_heteroclinic(DW, -1.0, 1.0, dt=1e-3)
+    order = np.argsort(np.abs(het.u[:, 0]))
+    het_mod, het_kin = np.abs(het.u[:, 0])[order], (0.5 * het.v[:, 0] ** 2)[order]
+    expected = []
+    for R, traj in zip(R_grid, seen["trajs"]):
+        envelope = max(float(np.max(0.5 * np.sum(traj.v**2, axis=-1))), float(np.interp(R, het_mod, het_kin)))
+        w = 0.25 * (R * R - 1.0) ** 2
+        expected.append(envelope - (R * R * math.sqrt(w) if R * R >= 1.0 / 3.0 else w))
+    assert np.array_equal(seen["margins"], expected)
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 

@@ -132,3 +132,41 @@ def test_every_public_name_is_reached():
     assert not extra, f"public names nothing reaches: {extra}"
     stale = UNREACHED_ON_PURPOSE - unreached
     assert not stale, f"allowlisted names that are reached or gone: {sorted(stale)}"
+
+
+# Settable values in src/: defaulted parameters, of lambdas too, plus the
+# dataclass fields given a value on the class (a default or a field(...)
+# spec).  A new knob has to raise this ratchet in the same change.
+SETTABLE_VALUES = 63
+
+
+def _settable_values(source: str, name: str) -> list:
+    """'name:line' of each settable value in one module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            found += [f"{name}:{d.lineno}" for d in defaults]
+        elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            found += [f"{name}:{st.lineno}" for st in node.body if isinstance(st, ast.AnnAssign) and st.value]
+    return found
+
+
+def test_settable_values_do_not_grow():
+    found = [v for path in sorted(PACKAGE.glob("*.py")) for v in _settable_values(path.read_text(), path.name)]
+    assert len(found) <= SETTABLE_VALUES, f"{len(found)} settable values, over {SETTABLE_VALUES}: {found}"
+
+
+def test_the_settable_value_walk_counts_each_kind():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "def f(a, b=1, *, c=2, d): return lambda x, y=3: x\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    c: dict = field(default_factory=dict)\n"
+        "class Plain:\n"
+        "    e: int = 0\n"
+    )
+    assert len(_settable_values(source, "m.py")) == 5

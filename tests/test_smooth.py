@@ -93,3 +93,49 @@ def test_kernels_reach_their_limit_at_tiny_positive_t():
     for kernel in (smooth.flat_exp, smooth.smoothstep, smooth.smoothstep_d, smooth.bump01, smooth.bump01_d):
         out = kernel(t)
         assert np.array_equal(out, np.zeros(3)), kernel.__name__
+
+
+def _masked_flat_exp(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-1.0 / t[pos])
+    return out
+
+
+def _masked_bump01(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = (t > 0) & (t < 1)
+    with np.errstate(over="ignore"):
+        out[inside] = np.exp(-1.0 / (t[inside] * (1.0 - t[inside])))
+    return out
+
+
+def test_kernels_equal_their_masked_form_bit_for_bit():
+    """flat_exp and bump01 exponentiate every lane, with -inf on the lanes
+    outside their support; that gives the bits, shape and dtype of the
+    masked gather and scatter, on signed zeros, subnormals, infinities and
+    NaN too, and raises no floating-point warning (pytest makes one an
+    error)."""
+    rng = np.random.default_rng(3)
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e-160, 1e-3, 0.5, 1.0 - 2.0**-53,
+                        1.0, 1.0 + 2.0**-52, 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan])
+    t = np.concatenate([special, rng.uniform(-0.5, 1.5, 20_000), 1.0 - rng.uniform(0.0, 1e-2, 500)])
+    for kernel, masked in ((smooth.flat_exp, _masked_flat_exp), (smooth.bump01, _masked_bump01)):
+        assert np.array_equal(kernel(t).view(np.int64), masked(t).view(np.int64)), kernel.__name__
+        for x in (t.reshape(-1, 2), np.array(0.3), 0.3, [1, 2]):
+            got, want = kernel(x), masked(x)
+            assert type(got) is type(want) and got.shape == want.shape and got.dtype == want.dtype
+
+
+def test_smoothstep_integral_of_nan_is_nan():
+    # freed blocks of 6.0 first, so an uninitialised output would not read NaN by chance
+    junk = [np.full(1000, 6.0) for _ in range(4)]
+    del junk
+    assert np.all(np.isnan(smooth.smoothstep_integral(np.full(1000, np.nan))))
+    out = smooth.smoothstep_integral(np.array([np.nan, -1.0, 0.25, 2.0, np.nan]))
+    assert np.isnan(out[0]) and np.isnan(out[4])
+    assert out[1] == 0.0 and out[3] == 1.5 and 0.0 < out[2] < 0.25
+    assert np.isnan(smooth.smoothstep_integral(np.nan))
