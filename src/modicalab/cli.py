@@ -11,9 +11,9 @@ function of one params dict returning (report, artifacts, ok).  The
 subcommands and the suite dispatch through that table, and a subcommand
 accepts only the flags and --params keys its selected runner reads.
 
-All file artifacts are byte-reproducible: JSON is written with sorted keys,
-floats with repr round-trip precision, and wall-clock time is printed to the
-console only, never stored.
+All file artifacts are byte-reproducible: JSON is written with sorted keys and
+repr floats, bulk arrays as `.npy` files, whose header is fixed, and
+wall-clock time is printed to the console only, never stored.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def _write_artifacts(out: Path, artifacts: dict) -> None:
 
 
 def _write_connection_artifacts(pc, path: Path) -> None:
-    """The periodic connection's trajectory CSV, in the Trajectory format."""
-    dynamics.Trajectory(pc.times, pc.u, pc.v, pc.hamiltonian_series()).to_csv(path)
+    """The periodic connection's trajectory, in the Trajectory format."""
+    dynamics.Trajectory(pc.times, pc.u, pc.v, pc.hamiltonian_series()).save(path)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def _connection(p, verify: bool):
     report = cx.verify_counterexample(pc, tol=p["tol"])
     artifacts = {
         "counterexample.json": report,
-        "counterexample_trajectory.csv": functools.partial(_write_connection_artifacts, pc),
+        "counterexample_trajectory.npy": functools.partial(_write_connection_artifacts, pc),
     }
     # a construction that fails its own checks is no verdict either way
     ok = report["checks_pass"] and (not verify or report["liouville_violated"] == p["expect_violation"])
@@ -179,7 +179,7 @@ def _orbit(p):
     }
     # the integrated orbit conserves the closed-form H = (-3R^4 + 4R^2 - 1)/4
     ok = report["drift"] <= p["tol"] and abs(report["measured_H_mean"] - fam.H) <= p["tol"]
-    return report, {"orbit.json": report, "orbit_trajectory.csv": traj.to_csv}, ok
+    return report, {"orbit.json": report, "orbit_trajectory.npy": traj.save}, ok
 
 
 def _modica(p) -> DefectReport:
@@ -273,7 +273,7 @@ def _ufield(p):
         "h": h,
         "gate": gate,
     }
-    artifacts = {"ufield.json": report, "ufield.txt": functools.partial(fields.save_gridfield, rec.grid)}
+    artifacts = {"ufield.json": report, "ufield.npy": functools.partial(fields.save_gridfield, rec.grid)}
     return report, artifacts, max(rec.path_defect, rec.laplacian_defect) <= gate
 
 
@@ -330,7 +330,7 @@ def _relax(p):
     result = solver.relax(pot, cfg)
     log = solver.run_log(result)
     report = {**log, "levels": result.levels, "energy": solver.energy(result.field, pot)}
-    artifacts = {"relax.json": log, "relax_field.txt": functools.partial(fields.save_gridfield, result.field)}
+    artifacts = {"relax.json": log, "relax_field.npy": functools.partial(fields.save_gridfield, result.field)}
     return report, artifacts, result.converged
 
 
@@ -665,14 +665,16 @@ def main(argv=None) -> int:
     args = vars(parser.parse_args(argv))
     t0 = time.perf_counter()
     try:
-        rc = _dispatch(parser, args)
+        # overflow is refused, not read as a verdict; the kernels' own errstate wins
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rc = _dispatch(parser, args)
     except HypothesisError as e:
         print(f"hypothesis not satisfied: {e}", file=sys.stderr)
         rc = EXIT_USAGE
     except (cx.ConstructionError, solver.RelaxError, dynamics.BlowUpError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         rc = EXIT_VIOLATION
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         rc = EXIT_USAGE
     finally:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -154,6 +154,24 @@ def solve_segment(lam: float, dt: float = 1e-3) -> SegmentSolution:
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    clock = _segment_clock(lam)
+    t2 = float(clock.total)
+    _check_count("dt", dt, t2 / dt)
+    times = np.arange(0.0, t2, dt)
+    y = clock.inverse(times)
+    residual = float(np.max(np.abs(clock(y) - times)))
+    if residual > 1e-12:
+        raise ConstructionError(f"segment inversion residual {residual:.3e} exceeds 1e-12")
+    return SegmentSolution(
+        t1=float(clock(math.sqrt(0.75))), t2=t2, times=times, y=y, v=1.0 / clock.f(y),
+        inversion_residual=residual, _clock=clock,
+    )
+
+
+@cache
+def _segment_clock(lam: float) -> smooth._PanelIntegral:
+    """The segment's clock t(y) on [0, 1], integrand the slowness 1 / y'; built
+    once per lam, so assemble reads t2 before solve_segment samples."""
     rho = RhoSpec()
     # rho is nondecreasing with rho(0) = 0, so (y')^2 is least at y = 0 or y = 1
     floor = 0.25 + min(0.0, 4.0 * lam * float(rho.rho(1.0)))
@@ -163,18 +181,7 @@ def solve_segment(lam: float, dt: float = 1e-3) -> SegmentSolution:
     def slowness(y):
         return 1.0 / np.sqrt(0.25 + 4.0 * lam * rho.rho(y * y))
 
-    clock = smooth._PanelIntegral(slowness, 0.0, 1.0, panels=256)
-    t2 = float(clock.total)
-    _check_count("dt", dt, t2 / dt)
-    times = np.arange(0.0, t2, dt)
-    y = clock.inverse(times)
-    residual = float(np.max(np.abs(clock(y) - times)))
-    if residual > 1e-12:
-        raise ConstructionError(f"segment inversion residual {residual:.3e} exceeds 1e-12")
-    return SegmentSolution(
-        t1=float(clock(math.sqrt(0.75))), t2=t2, times=times, y=y, v=1.0 / slowness(y),
-        inversion_residual=residual, _clock=clock,
-    )
+    return smooth._PanelIntegral(slowness, 0.0, 1.0, panels=256)
 
 
 # ---------------------------------------------------------------------------
@@ -666,22 +673,24 @@ def assemble(dt: float = 1e-3) -> PeriodicConnection:
     """Build the full periodic connection, sampled at step about dt, and run
     junction consistency checks."""
     lam = lambda_from_hamiltonian()
-    seg = solve_segment(lam, dt=dt)
     curve = build_curve()
-    eps = min(0.1, lam / (2.0 * curve.max_kappa))
-
-    t1, t2 = seg.t1, seg.t2
+    # T needs only the clock's t2 and the curve: a dt past the cap is refused
+    # before the segment is sampled (and one not positive by solve_segment)
+    t2 = float(_segment_clock(lam).total)
     t3 = t2 + curve.L
     T = 2.0 * (t2 + t3)
+    if dt > 0.0:
+        _check_count("dt", dt, T / dt + 1.0)
+    seg = solve_segment(lam, dt=dt)
+    eps = min(0.1, lam / (2.0 * curve.max_kappa))
     glob = _GlobalPotential(RhoSpec(), curve, lam, eps)
 
-    _check_count("dt", dt, T / dt + 1.0)
     n = int(round(T / dt))
     times = (T / n) * np.arange(n + 1)
 
     pc = PeriodicConnection(
         lam=lam,
-        t1=t1,
+        t1=seg.t1,
         t2=t2,
         t3=t3,
         T=T,

@@ -11,6 +11,7 @@ is its single-start case, and batching changes no trajectory by a bit.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -59,16 +60,16 @@ class Trajectory:
     def drift(self) -> float:
         return float(np.max(np.abs(self.H - self.H[0])))
 
-    def to_csv(self, path: str) -> None:
-        """Rows t, u_1..u_m, v_1..v_m, H with repr floats and CRLF line ends,
-        written 1024 rows at a time."""
+    def save(self, path) -> None:
+        """The rows t, u_1..u_m, v_1..v_m, H as one C-ordered float64 `.npy`
+        array at path, and their column names in the sidecar `path.json`."""
         m = self.m
-        header = ["t"] + [f"u_{j+1}" for j in range(m)] + [f"v_{j+1}" for j in range(m)] + ["H"]
-        rows = np.column_stack([self.times, self.u, self.v, self.H])
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for lo in range(0, len(rows), 1024):
-                fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows[lo : lo + 1024].tolist()))
+        columns = ["t"] + [f"u_{j+1}" for j in range(m)] + [f"v_{j+1}" for j in range(m)] + ["H"]
+        with open(path, "wb") as fh:
+            np.save(fh, np.column_stack([self.times, self.u, self.v, self.H]), allow_pickle=False)
+        with open(f"{path}.json", "w") as fh:
+            json.dump({"columns": columns}, fh, indent=1)
+            fh.write("\n")
 
 
 class BlowUpError(RuntimeError):

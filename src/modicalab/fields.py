@@ -358,44 +358,28 @@ def grid_jets(g: GridField) -> Jet2:
 
 
 # ---------------------------------------------------------------------------
-# persistence: plain text payload plus a JSON sidecar with the origin
+# persistence: one `.npy` array of the values plus a JSON sidecar
 
 
-def save_gridfield(g: GridField, path: str) -> None:
-    """Write `gridfield n m h... extents...` header plus node lines (row-major)."""
-    header = (
-        "gridfield "
-        + f"{g.n} {g.m} "
-        + " ".join(repr(float(h)) for h in g.spacing)
-        + " "
-        + " ".join(str(e) for e in g.extents)
-    )
-    flat = g.values.reshape(-1, g.m)
-    lines = [header] + [" ".join(repr(float(x)) for x in row) for row in flat]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    sidecar = {"format": "gridfield-v1", "origin": list(map(float, g.origin)), "meta": g.meta}
+def save_gridfield(g: GridField, path) -> None:
+    """Write g.values, shape extents + (m,), as one C-ordered `.npy` array at
+    path, and n, m, origin, spacing and meta in the sidecar `path.json`."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(g.values), allow_pickle=False)
+    sidecar = {"format": "gridfield-v2", "n": g.n, "m": g.m, "origin": g.origin.tolist(),
+               "spacing": g.spacing.tolist(), "meta": g.meta}
     with open(f"{path}.json", "w") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def load_gridfield(path: str) -> GridField:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "gridfield":
-            raise ValueError(f"{path}: not a gridfield file")
-        n, m = int(header[1]), int(header[2])
-        spacing = np.array([float(t) for t in header[3 : 3 + n]])
-        extents = tuple(int(t) for t in header[3 + n : 3 + 2 * n])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (int(np.prod(extents)), m):
-        raise ValueError(f"{path}: payload shape {data.shape} inconsistent with header")
-    try:
-        with open(f"{path}.json") as fh:
-            sidecar = json.load(fh)
-        origin = np.array(sidecar.get("origin", [0.0] * n), float)
-        meta = sidecar.get("meta", {})
-    except FileNotFoundError:
-        origin, meta = np.zeros(n), {}
-    return GridField(origin, spacing, data.reshape(extents + (m,)), meta)
+def load_gridfield(path) -> GridField:
+    """The GridField that save_gridfield wrote at path."""
+    values = np.load(path, allow_pickle=False)
+    with open(f"{path}.json") as fh:
+        sidecar = json.load(fh)
+    if sidecar.get("format") != "gridfield-v2":
+        raise ValueError(f"{path}.json: not a gridfield-v2 sidecar")
+    if values.ndim != sidecar["n"] + 1 or values.shape[-1:] != (sidecar["m"],):
+        raise ValueError(f"{path}: array shape {values.shape} does not fit n = {sidecar['n']}, m = {sidecar['m']}")
+    return GridField(sidecar["origin"], sidecar["spacing"], values, sidecar["meta"])

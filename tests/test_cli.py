@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from modicalab import cli, counterexample, dynamics, fields
+from modicalab import cli, counterexample, dynamics, fields, smooth
 
 CLI = [sys.executable, "-m", "modicalab.cli"]
 
@@ -81,7 +81,7 @@ def test_orbit_artifacts_are_byte_reproducible(tmp_path):
     for d in (d1, d2):
         proc = run_cli("orbit", "--R", "0.5", "--out", str(d))
         assert proc.returncode == 0, proc.stderr
-    for name in ("orbit.json", "orbit_trajectory.csv"):
+    for name in ("orbit.json", "orbit_trajectory.npy", "orbit_trajectory.npy.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
@@ -167,14 +167,14 @@ def test_a_connection_that_fails_its_own_checks_never_passes_verify(capsys):
 
 def test_connection_runner_inverts_the_segment_at_most_four_times(tmp_path, monkeypatch):
     """Only the orbit's own samples and its two endpoints invert t(y); the
-    report and the trajectory CSV read the stored samples."""
+    report and the trajectory array read the stored samples."""
     calls = []
     sol = counterexample.SegmentSolution.sol
     monkeypatch.setattr(counterexample.SegmentSolution, "sol", lambda self, t: calls.append(t) or sol(self, t))
     _, artifacts, ok = cli.CHECKS["counterexample verify"]({"expect_violation": True})
     cli._write_artifacts(tmp_path, artifacts)
     assert ok
-    assert (tmp_path / "counterexample_trajectory.csv").exists()
+    assert (tmp_path / "counterexample_trajectory.npy").exists()
     assert len(calls) <= 4
 
 
@@ -224,7 +224,7 @@ def test_planar_ufield_artifact_roundtrips(tmp_path):
     out = tmp_path / "art"
     proc = run_cli("planar", "ufield", "--h", "0.05", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    rec = fields.load_gridfield(out / "ufield.txt")
+    rec = fields.load_gridfield(out / "ufield.npy")
     assert rec.meta["content"] == "auxiliary-U"
     report = json.loads((out / "ufield.json").read_text())
     assert report["path_defect"] <= report["gate"]
@@ -255,7 +255,7 @@ def test_relax_from_config(relax_config, tmp_path):
     assert "cycles on 2 levels, residual" in proc.stdout  # 41 x 5 halves once
     log = json.loads((out / "relax.json").read_text())
     assert log["converged"] is True
-    g = fields.load_gridfield(out / "relax_field.txt")
+    g = fields.load_gridfield(out / "relax_field.npy")
     assert g.values.shape == (41, 5, 1)
 
 
@@ -433,11 +433,16 @@ def test_planar_checks_on_a_line_field_name_the_planar_requirement(capsys, op, n
                  "A must be finite", id="31-A-inf"),
     # counts no allocator grants: refused before anything is allocated
     pytest.param(["counterexample", "verify", "--dt", "1e-12"],
-                 "dt 1e-12 asks for 1,370,113,951,594 samples, over the cap of 10,000,000", id="dt-past-the-cap"),
+                 "dt 1e-12 asks for 19,650,902,463,806 samples, over the cap of 10,000,000", id="dt-past-the-cap"),
     pytest.param(["orbit", "--R", "0.5", "--dt", "1e-12"],
                  "--dt 1e-12 asks for 7,255,197,456,938 samples, over the cap of 10,000,000", id="orbit-dt-past-the-cap"),
     pytest.param(["planar", "tensor", "--h", "1e-7"],
                  "--h 1e-07 asks for 400,000,040,000,001 samples, over the cap of 10,000,000", id="h-past-the-cap"),
+    # an overflow is refused, not read as a verdict
+    pytest.param(["planar", "green", "--params", '{"radius": 1e300}'], "overflow encountered",
+                 id="green-radius-overflows"),
+    pytest.param(["estimates", "--theorem", "3.2", "--params", '{"R": 1e300}'], "overflow encountered",
+                 id="32-R-overflows"),
 ])
 def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
     if "{map-config}" in argv:
@@ -450,6 +455,15 @@ def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err
     assert reason in err and "Traceback" not in err
+
+
+def test_dt_past_the_cap_is_refused_before_the_segment_is_sampled(capsys, monkeypatch):
+    def sampled(self, F):
+        raise AssertionError("the segment was sampled")
+
+    monkeypatch.setattr(smooth._PanelIntegral, "inverse", sampled)
+    assert _exit_code(["counterexample", "verify", "--dt", "1.5e-6"]) == 2
+    assert "dt 1.5e-06 asks for 13,100,603 samples, over the cap of 10,000,000" in capsys.readouterr().err
 
 
 class _Recording(dict):
@@ -534,3 +548,25 @@ def test_suite_step_artifacts_are_the_subcommand_artifacts(two_suite_runs, tmp_p
     suite_out = two_suite_runs[0][0]
     for name in written:
         assert (tmp_path / name).read_bytes() == (suite_out / name).read_bytes(), name
+
+
+def test_suite_runs_in_one_process_write_identical_trees(two_suite_runs):
+    trees = [{p.name: p.read_bytes() for p in sorted(out.iterdir())} for out, _ in two_suite_runs]
+    assert len(trees[0]) == 24
+    assert trees[0] == trees[1]
+
+
+def test_suite_arrays_load_as_c_ordered_float64(two_suite_runs):
+    out = two_suite_runs[0][0]
+    names = sorted(p.name for p in out.glob("*.npy"))
+    assert names == ["counterexample_trajectory.npy", "orbit_trajectory.npy", "relax_field.npy", "ufield.npy"]
+    for name in names:
+        a = np.load(out / name, allow_pickle=False)
+        assert a.dtype == np.dtype("<f8") and a.flags.c_contiguous, name
+        assert json.loads((out / f"{name}.json").read_text()), name
+
+
+def test_suite_out_stays_small(two_suite_runs):
+    # bulk text (2.95 MB of repr floats) must not come back unnoticed
+    size = sum(p.stat().st_size for p in two_suite_runs[0][0].iterdir())
+    assert size <= 1_500_000, f"suite --out holds {size:,} bytes"

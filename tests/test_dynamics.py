@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import warnings
 
@@ -232,22 +233,20 @@ def test_integrate_many_rejects_bad_batches():
         dynamics.integrate_many(GL, mixed, 1e-3, 10)
 
 
-def test_trajectory_csv_format(tmp_path):
+def test_trajectory_npy_format(tmp_path):
     traj = dynamics.integrate(GL, dynamics.orbit_family(0.5).start_state(), 1e-2, 5)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,u_1,u_2,v_1,v_2,H"
-    assert len(lines) == 7
-    row = lines[1].split(",")
-    assert float(row[0]) == 0.0
-    assert float(row[1]) == 0.5  # starts on the circle
-    # repr round-trip: parsing the text reproduces the stored floats exactly
-    assert float(lines[3].split(",")[5]) == traj.H[2]
+    path = tmp_path / "traj.npy"
+    traj.save(path)
+    rows = np.load(path, allow_pickle=False)
+    assert rows.dtype == np.dtype("<f8") and rows.flags.c_contiguous and rows.shape == (6, 6)
+    assert json.loads((tmp_path / "traj.npy.json").read_text()) == {"columns": ["t", "u_1", "u_2", "v_1", "v_2", "H"]}
+    assert rows[0, 0] == 0.0
+    assert rows[0, 1] == 0.5  # starts on the circle
+    assert np.array_equal(rows[:, 5], traj.H)
 
 
 def _csv_writer_rows(traj, path):
-    """The trajectory CSV as csv.writer writes it, one repr per field."""
+    """The trajectory as the CSV format wrote it: csv.writer, one repr per field."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["t"] + [f"u_{j+1}" for j in range(traj.m)] + [f"v_{j+1}" for j in range(traj.m)] + ["H"])
@@ -260,9 +259,9 @@ def _csv_writer_rows(traj, path):
             )
 
 
-def test_trajectory_csv_is_byte_equal_to_csv_writer(tmp_path):
+def test_trajectory_array_is_bit_equal_to_the_csv_values(tmp_path):
     rng = np.random.default_rng(5)
-    n = 2500  # more than two blocks of rows
+    n = 2500
     special = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1])
     u = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-20, 20, (n, 2))
     v = rng.standard_normal((n, 2))
@@ -271,9 +270,15 @@ def test_trajectory_csv_is_byte_equal_to_csv_writer(tmp_path):
     v[:len(special), 1] = special
     H[-len(special):] = special
     traj = dynamics.Trajectory(np.arange(n) * 1e-3, u, v, H)
-    traj.to_csv(tmp_path / "new.csv")
+    traj.save(tmp_path / "new.npy")
     _csv_writer_rows(traj, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    with open(tmp_path / "old.csv", newline="") as fh:
+        header, *text = list(csv.reader(fh))
+    old = np.array([[float(x) for x in row] for row in text])
+    new = np.load(tmp_path / "new.npy", allow_pickle=False)
+    assert json.loads((tmp_path / "new.npy.json").read_text())["columns"] == header
+    # as integers, so that -0.0 differs from 0.0 and NaN equals itself
+    assert np.array_equal(new.view("<u8"), old.view("<u8"))
 
 
 # ---------------------------------------------------------------------------

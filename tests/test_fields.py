@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -216,27 +217,61 @@ def test_grid_jets_reductions():
     assert jets.laplacian().shape == (39, 5, 1)
 
 
-# ---------------------------------------------------------------------------
-# text format round trip
+# persistence: .npy array plus JSON sidecar
+
+
+def _text_gridfield_values(g, path):
+    """The node values as the text format wrote them, one repr per value and
+    one row per node, parsed back with float."""
+    flat = g.values.reshape(-1, g.m)
+    with open(path, "w") as fh:
+        fh.write("".join(" ".join(repr(float(x)) for x in row) + "\n" for row in flat))
+    with open(path) as fh:
+        return np.array([[float(x) for x in line.split()] for line in fh]).reshape(g.values.shape)
 
 
 def test_save_load_roundtrip_exact(tmp_path):
     f = fields.make_field("gl_circle_planar", R=0.37)
     g = fields.sample_field(f, (-1.0, -1.0), (0.125, 0.25), (9, 9))
-    g = fields.GridField(g.origin, g.spacing, g.values, {"k": [1, 2]})
-    path = tmp_path / "field.txt"
+    values = g.values.copy()
+    values[0, 0] = [-0.0, 5e-324]
+    values[0, 1] = [1e300, -1e300]
+    g = fields.GridField(g.origin, g.spacing, values, {"k": [1, 2]})
+    path = tmp_path / "field.npy"
     fields.save_gridfield(g, path)
     back = fields.load_gridfield(path)
-    assert np.array_equal(back.values, g.values)  # repr round-trips floats exactly
+    # as integers, so that -0.0 differs from 0.0
+    assert np.array_equal(back.values.view("<u8"), g.values.view("<u8"))
+    assert np.array_equal(back.values.view("<u8"), _text_gridfield_values(g, tmp_path / "old.txt").view("<u8"))
     assert np.array_equal(back.spacing, g.spacing)
-    assert np.allclose(back.origin, g.origin)
+    assert np.array_equal(back.origin, g.origin)
     assert back.meta["k"] == [1, 2]
+
+
+def test_save_writes_c_order_even_from_a_fortran_array(tmp_path):
+    g = fields.sample_field(fields.make_field("gl_circle_planar", R=0.37), (-1.0, -1.0), (0.25, 0.25), (9, 7))
+    g = fields.GridField(g.origin, g.spacing, np.asfortranarray(g.values))
+    fields.save_gridfield(g, tmp_path / "f.npy")
+    assert b"'fortran_order': False" in (tmp_path / "f.npy").read_bytes()[:128]
+    assert np.array_equal(fields.load_gridfield(tmp_path / "f.npy").values, g.values)
+
+
+@pytest.mark.parametrize("key, value", [("n", 1), ("m", 3), ("format", "gridfield-v1")])
+def test_load_refuses_a_sidecar_that_does_not_fit(tmp_path, key, value):
+    g = fields.sample_field(fields.make_field("gl_circle_planar", R=0.37), (-1.0, -1.0), (0.25, 0.25), (9, 9))
+    path = tmp_path / "f.npy"
+    fields.save_gridfield(g, path)
+    sidecar = json.loads((tmp_path / "f.npy.json").read_text())
+    sidecar[key] = value
+    (tmp_path / "f.npy.json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match="does not fit" if key != "format" else "gridfield-v2"):
+        fields.load_gridfield(path)
 
 
 def test_save_is_deterministic(tmp_path):
     g = fields.sample_field(fields.make_field("tanh_profile"), (0.0,), (0.3,), (7,))
-    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+    p1, p2 = tmp_path / "a.npy", tmp_path / "b.npy"
     fields.save_gridfield(g, p1)
     fields.save_gridfield(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert (tmp_path / "a.txt.json").read_bytes() == (tmp_path / "b.txt.json").read_bytes()
+    assert (tmp_path / "a.npy.json").read_bytes() == (tmp_path / "b.npy.json").read_bytes()
