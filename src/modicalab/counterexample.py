@@ -27,10 +27,12 @@ Construction, in the order the code builds it:
     projection, and the constant lam everywhere else.  The projection starts
     at the nearest of about 1024 arc nodes, iterates Newton on the cubic
     Hermite interpolant of the arc's node table (positions and unit
-    tangents), and finishes with one Newton step on the exact curve.  The
-    Hessian off the patches is a central difference of the gradient whose
-    stencil points start their Newton from their centre's projection, so
-    every evaluated point is projected cold once.
+    tangents), and finishes with one Newton step on the tabulated curve,
+    whose position and tangent angle are each one quintic Hermite read of a
+    cumulative table, with no quadrature per point.  The Hessian off the
+    patches is a central difference of the gradient whose stencil points
+    start their Newton from their centre's projection, so every evaluated
+    point is projected cold once.
 5.  The full orbit: up the right segment, across the arc, down the left
     segment, then reflected through the origin for the second half-period.
 """
@@ -181,7 +183,10 @@ def _segment_clock(lam: float) -> smooth._PanelIntegral:
     def slowness(y):
         return 1.0 / np.sqrt(0.25 + 4.0 * lam * rho.rho(y * y))
 
-    return smooth._PanelIntegral(slowness, 0.0, 1.0, panels=256)
+    def slowness_d(y):
+        return -4.0 * lam * rho.drho(y * y) * y * (0.25 + 4.0 * lam * rho.rho(y * y)) ** -1.5
+
+    return smooth._PanelIntegral(slowness, slowness_d, 0.0, 1.0, 512)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +359,8 @@ class CurveSpec:
     def _newton(self, pts, s):
         """Arc coordinates (s, mu) of points (n, 2) from Newton starts s (n,)
         on the tangency condition <p - gamma(s), gamma'(s)> = 0: four steps on
-        the Hermite interpolant, then one on the exact curve, whose gamma and
-        normal also give the returned (s, mu)."""
+        the Hermite interpolant, then one on the tabulated curve, whose gamma
+        and normal also give the returned (s, mu)."""
         if len(s) == 0:  # nothing to project, so no node table to build
             return s, s.copy()
 
@@ -374,7 +379,8 @@ class CurveSpec:
     def project(self, pts):
         """Arc coordinates (s, mu) of planar points near the arc, cold: the
         nearest of the coarse nodes starts `_newton`, which iterates on the
-        Hermite interpolant of the node table and finishes on the exact curve.
+        Hermite interpolant of the node table and finishes on the tabulated
+        curve.
         """
         pts = np.atleast_2d(np.asarray(pts, float))
         return self._newton(pts, self._coarse(pts))
@@ -388,14 +394,22 @@ def build_curve() -> CurveSpec:
     unit arc G(sigma) = integral of (cos theta, sin theta) over [0, sigma].
     It ends at u1 = 2 + ell C with C = G(1)_1 < 0, which puts the end on the
     symmetry axis u1 = 0, and so closes the full curve, for ell = -2 / C.
+    The tangent angle's bump integral and the arc G are each one cumulative
+    table, read by quintic Hermite interpolation from the integrand and its
+    derivative at the panel edges, so theta and gamma evaluate no bump.
     """
-    ieta = smooth._PanelIntegral(smooth.bump01, 0.0, 1.0, panels=8192)
+    ieta = smooth._PanelIntegral(smooth.bump01, smooth.bump01_d, 0.0, 1.0, 8192)
 
     def unit_tangent(sigma):
         th = _tangent_angle(ieta, sigma)
         return np.stack([np.cos(th), np.sin(th)])
 
-    arc = smooth._PanelIntegral(unit_tangent, 0.0, 1.0, panels=16384)
+    def unit_tangent_d(sigma):
+        th = _tangent_angle(ieta, sigma)
+        dth = 0.5 * math.pi * smooth.bump01(sigma) / ieta.total
+        return dth * np.stack([-np.sin(th), np.cos(th)])
+
+    arc = smooth._PanelIntegral(unit_tangent, unit_tangent_d, 0.0, 1.0, 16384)
     ell = -2.0 / float(arc.total[0])
     gamma_nodes = (_ARC_START[:, None] + ell * arc.table).T
     amplitude = 0.5 * math.pi / (ell * float(ieta.total))

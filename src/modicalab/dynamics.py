@@ -252,7 +252,13 @@ def shoot_heteroclinic(p: Potential, a_minus, a_plus, dt: float = 1e-3) -> Traje
         def dt_dsigma(sigma):
             return abs(a - mid) * np.exp(-sigma) / np.sqrt(2.0 * p.w(u_of(sigma)[..., None]))
 
-        clock = smooth._PanelIntegral(dt_dsigma, 0.0, math.log(abs(a - mid) / tol), panels=256)
+        def dt_dsigma_d(sigma):
+            # d/dsigma of log(dt/dsigma) is -1 - W'(u) u'(sigma) / (2 W(u))
+            u = u_of(sigma)[..., None]
+            f = dt_dsigma(sigma)
+            return -f - f * p.grad(u)[..., 0] * (a - mid) * np.exp(-sigma) / (2.0 * p.w(u))
+
+        clock = smooth._PanelIntegral(dt_dsigma, dt_dsigma_d, 0.0, math.log(abs(a - mid) / tol), 4096)
         span = float(clock.total)
         if not span <= max_span:
             raise RuntimeError(f"connection did not reach the wells within max_span: {span:.3e} > {max_span:g}")

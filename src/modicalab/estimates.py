@@ -503,7 +503,7 @@ class PhiBarrier:
         Gauss-Legendre inside it."""
         x = np.asarray(x, float)
         e = self.eps
-        nodes, weights = np.polynomial.legendre.leggauss(32)
+        nodes, weights = smooth._gauss_legendre(32)
         # the blend on [0, clip(x)] and, as its last entry, on [0, 2 eps]
         xc = np.append(np.clip(x, 0.0, 2.0 * e), 2.0 * e)
         t = 0.5 * xc[..., None] * (nodes + 1.0)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import smooth
 from .estimates import _solution_gate
 from .fields import ClosedFormField, GridField, Jet2, _first_differences, _laplacian, grid_jets
 from .potentials import Potential
@@ -223,7 +224,7 @@ def disk_integral(fn, center, r: float, n_r: int = 64, n_theta: int = 256) -> fl
     center = np.asarray(center, float)
     if center.shape != (2,) or not np.all(np.isfinite(center)):
         raise ValueError(f"center must be a finite point of the plane, got {center.tolist()}")
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    nodes, weights = smooth._gauss_legendre(n_r)
     radii = 0.5 * r * (nodes + 1.0)
     ang = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (n_theta, 2)

@@ -7,10 +7,19 @@ to all orders at t = 0.  That flat contact is what lets piecewise definitions
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-_GL64 = np.polynomial.legendre.leggauss(64)
-_GL8 = np.polynomial.legendre.leggauss(8)
+
+@cache
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per order on first use and returned read-only, since every caller shares
+    them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def flat_exp(t):
@@ -64,7 +73,8 @@ def smoothstep_integral(x):
 
     Exploits the symmetry smoothstep(t) + smoothstep(1-t) = 1, which gives
     I(x) = x - 1/2 + I(1-x); in particular I(1) = 1/2 exactly.  The remaining
-    quadrature only ever runs over [0, 1/2] where the integrand is tame.
+    integral only ever runs over [0, 1/2], where the integrand is tame, and is
+    read from one cumulative table, built on first use.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -81,43 +91,49 @@ def smoothstep_integral(x):
         # fold the upper half onto the lower half
         fold = xm > 0.5
         base = np.where(fold, xm - 0.5, 0.0)
-        xe = np.where(fold, 1.0 - xm, xm)
-        nodes, weights = _GL64
-        # map GL nodes to [0, xe] per query
-        t = 0.5 * xe[:, None] * (nodes[None, :] + 1.0)
-        vals = smoothstep(t)
-        integ = 0.5 * xe * (vals @ weights)
-        out[mid] = base + integ
+        out[mid] = base + _smoothstep_table()(np.where(fold, 1.0 - xm, xm))
 
     return out[0] if scalar else out
 
 
 class _PanelIntegral:
-    """Cumulative Gauss-Legendre integral F(x) = integral of f from a to x on
-    [a, b]: a table of prefix sums over uniform panels plus one partial panel
-    per query, each with the 8-point rule.  f maps abscissae of shape (..., 8)
-    to values of the same shape, or of shape (d, ..., 8) for a d-vector
-    integrand, in which case F has the components on its leading axis too."""
+    """Cumulative integral F(x) = integral of f from a to x on [a, b], read
+    from a table.  The table holds, at the edges of uniform panels, the prefix
+    sums of the 8-point Gauss-Legendre rule per panel together with h f and
+    h^2 f' (df is the derivative of f), and a query reads the quintic Hermite
+    interpolant of F, F' = f and F'' = f' on its panel: no integrand call.
+    f and df map abscissae of any shape to values of the same shape, or of
+    shape (d, ...) for a d-vector integrand, in which case F has the
+    components on its leading axis too."""
 
-    def __init__(self, f, a: float, b: float, panels: int):
+    def __init__(self, f, df, a: float, b: float, panels: int):
         self.f, self.a, self.panels = f, a, panels
         self.h = (b - a) / panels
-        self.nodes, self.weights = _GL8
         self.edges = np.linspace(a, b, panels + 1)
-        lo = self.edges[:-1]
-        sums = np.cumsum(self._panel(lo, self.edges[1:] - lo), axis=-1)
+        width = np.diff(self.edges)
+        nodes, weights = _gauss_legendre(8)
+        t = 0.5 * width[:, None] * (nodes + 1.0) + self.edges[:-1, None]
+        sums = np.cumsum(0.5 * width * (f(t) @ weights), axis=-1)
         self.table = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
         self.total = self.table[..., -1]
-
-    def _panel(self, lo, width):
-        t = 0.5 * width[..., None] * (self.nodes + 1.0) + lo[..., None]
-        return 0.5 * width * (self.f(t) @ self.weights)
+        self.slope = self.h * f(self.edges)
+        self.bend = self.h**2 * df(self.edges)
 
     def __call__(self, x):
         x = np.clip(np.asarray(x, float), self.edges[0], self.edges[-1])
         k = np.minimum(((x - self.a) / self.h).astype(int), self.panels - 1)
-        lo = self.edges[k]
-        return self.table[..., k] + self._panel(lo, x - lo)
+        t = (x - self.edges[k]) / self.h
+        u = 1.0 - t
+        t3 = t**3
+        F0, F1 = self.table[..., k], self.table[..., k + 1]
+        # F0 plus the quintic's correction, the basis functions in factored form
+        return F0 + (
+            (F1 - F0) * t3 * (10.0 + t * (6.0 * t - 15.0))
+            + self.slope[..., k] * t * u**3 * (1.0 + 3.0 * t)
+            - self.slope[..., k + 1] * t3 * u * (4.0 - 3.0 * t)
+            + 0.5 * self.bend[..., k] * t**2 * u**3
+            + 0.5 * self.bend[..., k + 1] * t3 * u**2
+        )
 
     def inverse(self, F):
         """x with F(x) = F for a positive scalar integrand: three Newton steps,
@@ -127,6 +143,12 @@ class _PanelIntegral:
         for _ in range(3):
             x = x - (self(x) - F) / self.f(x)
         return x
+
+
+@cache
+def _smoothstep_table() -> _PanelIntegral:
+    """The integral of smoothstep over [0, x] for x in [0, 1/2], built once."""
+    return _PanelIntegral(smoothstep, smoothstep_d, 0.0, 0.5, 1024)
 
 
 def bump01(t):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -493,3 +495,82 @@ def test_verify_counterexample_report(assembled):
     assert rep["w_at_start"] == 0.0
     assert rep["oscillation"] > 1.0
     assert rep["curve"]["profile"] == "exp-flat-bump"
+
+
+# ---------------------------------------------------------------------------
+# the cumulative tables: one Hermite read per query, no quadrature inside
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """The four module-level tables, built without the checks of assemble."""
+    curve = cx.build_curve()
+    return {
+        "smoothstep": smooth._smoothstep_table(),
+        "tangent-angle": curve._ieta,
+        "arc": curve._arc,
+        "segment-clock": cx._segment_clock(cx.lambda_from_hamiltonian()),
+    }
+
+
+def _partial_panel(P, x):
+    """The read the Hermite interpolant replaces: the prefix sum up to x's
+    panel plus the 8-point Gauss-Legendre rule from the panel's edge to x."""
+    k = np.minimum(((x - P.a) / P.h).astype(int), P.panels - 1)
+    lo = P.edges[k]
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    t = 0.5 * (x - lo)[:, None] * (nodes + 1.0) + lo[:, None]
+    return P.table[..., k] + 0.5 * (x - lo) * (P.f(t) @ weights)
+
+
+@pytest.mark.parametrize("name", ["smoothstep", "tangent-angle", "arc", "segment-clock"])
+def test_table_read_matches_the_partial_panel(tables, name):
+    """Each table's quintic Hermite read agrees with the table plus an exact
+    partial panel to 1e-15 at 2 x 10^4 seeded points (measured: at most
+    4.4e-16, on the segment clock).  Storing h f' in place of h^2 f' misses
+    by far more than that."""
+    P = tables[name]
+    x = np.random.default_rng(17).uniform(P.edges[0], P.edges[-1], 20_000)
+    assert np.max(np.abs(P(x) - _partial_panel(P, x))) <= 1e-15
+
+
+def test_queries_evaluate_no_kernel(assembled, monkeypatch):
+    """Once the tables are built, reading the curve, the segment orbit and
+    the smoothstep integral evaluates no flat exponential and no bump: every
+    cumulative integral is one table read, with no quadrature nested in it.
+    The counter itself sees the kernels that a query does call."""
+    pc = assembled.pc
+    smooth.smoothstep_integral(0.25)  # builds the smoothstep table before counting
+    evaluated = []
+
+    def counted(kernel):
+        def wrapper(t):
+            evaluated.append(np.size(t))
+            return kernel(t)
+        return wrapper
+
+    for name in ("flat_exp", "bump01"):
+        monkeypatch.setattr(smooth, name, counted(getattr(smooth, name)))
+    s = np.linspace(0.0, pc.curve.L, 1000)
+    pc.curve.gamma(s)
+    pc.curve.theta(s)
+    pc.curve.tangent(s)
+    pc.segment.sol(np.linspace(0.0, pc.t2, 1000))
+    smooth.smoothstep_integral(np.linspace(-0.5, 1.5, 1000))
+    assert sum(evaluated) == 0
+    pc.curve.kappa(s)
+    smooth.smoothstep(s)
+    assert sum(evaluated) == 3000
+
+
+def test_import_builds_no_table():
+    """The command line's import leaves every lazily built table unbuilt."""
+    code = (
+        "import modicalab.cli\n"
+        "from modicalab import counterexample, smooth\n"
+        "print([f.cache_info().currsize for f in (counterexample._segment_clock,"
+        " smooth._smoothstep_table, smooth._gauss_legendre)])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0]"
