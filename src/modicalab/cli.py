@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -498,42 +499,114 @@ CHECKS = {
     "suite transition-profile": Check(_transition_profile),
 }
 
-# (step, check, params); every step writes the artifacts its runner returns
+# units of (step, check, params), costliest first: workers claim whole units,
+# so the steps of one unit share its per-run cache (the R = 0.5 orbit), and
+# the verdicts print in this order.  Each step writes the artifacts its runner
+# returns, under file names no other step writes.
 SUITE = (
-    ("counterexample-violation", "counterexample verify", {"expect_violation": True}),
-    ("orbit-hamiltonian", "orbit", {"R": 0.5}),
-    ("estimate-modica-profile", "estimates modica", {}),
-    ("estimate-3.1-constants", "estimates 3.1", {}),
-    ("estimate-3.2-constants", "estimates 3.2", {}),
-    ("estimate-3.3-margin", "estimates 3.3", {"R": 0.9}),
-    ("estimate-3.4-envelope", "estimates 3.4", {}),
-    ("estimate-3.5-floor", "estimates 3.5", {}),
-    ("estimate-polygon", "estimates polygon", {}),
-    ("planar-green-identity", "planar green", {}),
-    ("planar-convexity-dichotomy", "suite convexity-dichotomy", {}),
-    ("planar-monotone-profiles", "suite monotone-profiles", {}),
-    ("planar-divergence-decay", "suite divergence-decay", {}),
-    ("planar-u-reconstruction", "planar ufield", {}),
-    ("relax-transition-profile", "suite transition-profile", {}),
+    (("orbit-hamiltonian", "orbit", {"R": 0.5}),
+     ("estimate-3.4-envelope", "estimates 3.4", {})),
+    (("planar-divergence-decay", "suite divergence-decay", {}),),
+    (("counterexample-violation", "counterexample verify", {"expect_violation": True}),),
+    (("relax-transition-profile", "suite transition-profile", {}),),
+    (("estimate-3.2-constants", "estimates 3.2", {}),),
+    (("planar-monotone-profiles", "suite monotone-profiles", {}),),
+    (("planar-u-reconstruction", "planar ufield", {}),),
+    (("estimate-3.1-constants", "estimates 3.1", {}),),
+    (("planar-green-identity", "planar green", {}),),
+    (("estimate-polygon", "estimates polygon", {}),),
+    (("estimate-3.5-floor", "estimates 3.5", {}),),
+    (("planar-convexity-dichotomy", "suite convexity-dichotomy", {}),),
+    (("estimate-modica-profile", "estimates modica", {}),),
+    (("estimate-3.3-margin", "estimates 3.3", {"R": 0.9}),),
 )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_units(queue: int, out: Path, orbit, send) -> None:
+    """Claim unit indices from the pipe `queue` until it is empty and run
+    their steps, writing the artifacts under `out`: send(unit) on each claim,
+    then send([step, ok, error, seconds]) after each of its steps."""
+    while claim := os.read(queue, 1):
+        send(claim[0])
+        for step, words, params in SUITE[claim[0]]:
+            t0, error = time.perf_counter(), None
+            try:
+                _, artifacts, ok = CHECKS[words]({**params, "orbit": orbit})
+                _write_artifacts(out, artifacts)
+            except Exception as e:  # noqa: BLE001 -- suite reports, never crashes
+                ok, error = False, str(e)
+            send([step, bool(ok), error, time.perf_counter() - t0])
 
 
 def run_suite(out: Path) -> int:
     """Run every suite step, writing its artifacts under `out`; a step that
-    raises fails, and the suite goes on."""
+    raises fails, and the suite goes on.
+
+    One worker per usable CPU, this process among them, claims units from a
+    pipe holding one byte per unit index; a one-byte read is atomic, so each
+    unit runs exactly once.  Forked workers send their messages back as JSON
+    lines on a pipe of their own, and this process prints the verdicts in
+    table order, then each step's wall time on stderr.  The steps of a unit
+    whose worker died fail with the worker's exit status."""
     orbit = functools.cache(_circular_orbit)  # one integration per orbit per run
-    failed = 0
-    for step, words, params in SUITE:
-        try:
-            _, artifacts, ok = CHECKS[words]({**params, "orbit": orbit})
-            _write_artifacts(out, artifacts)
-        except Exception as e:  # noqa: BLE001 -- suite reports, never crashes
-            print(f"ERROR {step}: {e}", file=sys.stderr)
-            ok = False
-        failed += not ok
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(SUITE))))
+    os.close(fill)
+    sent, pipes, status = {0: []}, {}, {0: 0}  # by worker pid, 0 for this process
+    try:
+        for _ in range(min(_usable_cpus(), len(SUITE)) - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # the workers running drain the queue
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:  # a worker: it never returns into the caller
+                code = 1
+                try:
+                    os.close(r)
+                    _run_units(queue, out, orbit, lambda m: os.write(w, json.dumps(m).encode() + b"\n"))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            pipes[pid] = r
+        _run_units(queue, out, orbit, lambda m: sent[0].append(json.dumps(m)))
+    finally:
+        os.close(queue)
+        for pid, r in pipes.items():
+            with open(r, "rb") as fh:
+                sent[pid] = fh.read().splitlines()
+            status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    steps = [step for unit in SUITE for step, _, _ in unit]
+    rows = dict.fromkeys(steps, (False, "no worker reported this step", 0.0))  # step -> (ok, error, seconds)
+    for pid, messages in sent.items():
+        for m in map(json.loads, messages):
+            if isinstance(m, int):  # a claimed unit fails unless its rows arrive
+                rows.update(dict.fromkeys((step for step, _, _ in SUITE[m]),
+                                          (False, f"worker exited with status {status[pid]}", 0.0)))
+            else:
+                rows[m[0]] = tuple(m[1:])
+    for step in steps:
+        ok, error, _ = rows[step]
+        if error is not None:
+            print(f"ERROR {step}: {error}", file=sys.stderr)
         print(f"{'PASS' if ok else 'FAIL'}  {step}")
-    print(f"suite: {len(SUITE) - failed}/{len(SUITE)} checks passed")
-    return EXIT_OK if not failed else EXIT_VIOLATION
+    passed = sum(rows[step][0] for step in steps)
+    print(f"suite: {passed}/{len(steps)} checks passed")
+    for step in steps:
+        print(f"{step:28s} {1e3 * rows[step][2]:7.1f} ms", file=sys.stderr)
+    return EXIT_OK if passed == len(steps) else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """End-to-end command-line runs: exit codes, JSON output, artifacts."""
 
 import argparse
+import dataclasses
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -504,21 +508,26 @@ def test_each_subcommand_registers_exactly_the_flags_its_runners_read(tmp_path):
 @pytest.fixture(scope="module")
 def two_suite_runs(tmp_path_factory):
     """Two suite runs in one process, each with the radii of the circular
-    orbits it integrated."""
+    orbits it integrated.  Every integration, in whichever worker, appends
+    one line to a file opened with O_APPEND, so no worker's count is lost."""
     runs = []
     integrate = dynamics.integrate
     with pytest.MonkeyPatch.context() as mp:
         for k in range(2):
-            radii = []
+            log = tmp_path_factory.mktemp(f"radii{k}") / "radii"
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
             def counting(p, start, *args, **kwargs):
-                radii.append(float(np.linalg.norm(start.u)))
+                os.write(fd, f"{float(np.linalg.norm(start.u))!r}\n".encode())
                 return integrate(p, start, *args, **kwargs)
 
             mp.setattr(dynamics, "integrate", counting)
             out = tmp_path_factory.mktemp(f"suite{k}")
-            assert cli.main(["suite", "--out", str(out)]) == 0
-            runs.append((out, radii))
+            try:
+                assert cli.main(["suite", "--out", str(out)]) == 0
+            finally:
+                os.close(fd)
+            runs.append((out, [float(r) for r in log.read_text().split()]))
     return runs
 
 
@@ -527,7 +536,7 @@ def test_each_suite_run_integrates_the_shared_orbit_once(two_suite_runs):
         assert radii.count(0.5) == 1
 
 
-_SUBCOMMAND_STEPS = [s for s in cli.SUITE if not s[1].startswith("suite ")]
+_SUBCOMMAND_STEPS = [s for unit in cli.SUITE for s in unit if not s[1].startswith("suite ")]
 
 
 @pytest.mark.parametrize("step, words, params", _SUBCOMMAND_STEPS, ids=[s[0] for s in _SUBCOMMAND_STEPS])
@@ -570,3 +579,118 @@ def test_suite_out_stays_small(two_suite_runs):
     # bulk text (2.95 MB of repr floats) must not come back unnoticed
     size = sum(p.stat().st_size for p in two_suite_runs[0][0].iterdir())
     assert size <= 1_500_000, f"suite --out holds {size:,} bytes"
+
+
+def _writers(out) -> dict:
+    """Each file name the suite steps write, run one by one into directories
+    of their own under `out`, with the steps that write it."""
+    writers = {}
+    for step, words, params in (s for unit in cli.SUITE for s in unit):
+        _, artifacts, _ = cli.CHECKS[words](params)
+        cli._write_artifacts(out / step, artifacts)
+        for path in (out / step).iterdir():
+            writers.setdefault(path.name, []).append(step)
+    return writers
+
+
+def test_each_out_file_is_written_by_exactly_one_suite_step(tmp_path):
+    """The suite's workers write into one --out side by side: a file name two
+    steps write would be a race between them."""
+    steps = [step for unit in cli.SUITE for step, _, _ in unit]
+    assert len(set(steps)) == len(steps) == 15
+    writers = _writers(tmp_path)
+    assert len(writers) == 24
+    assert {name: by for name, by in writers.items() if len(by) > 1} == {}
+
+
+def test_a_step_that_reuses_a_file_name_fails_the_guard(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "SUITE", ((("estimate-3.1-constants", "estimates 3.1", {}),),
+                                       (("estimate-3.1-again", "estimates 3.1", {"tol": 1e-6}),)))
+    assert _writers(tmp_path) == {"estimate_3_1.json": ["estimate-3.1-constants", "estimate-3.1-again"]}
+
+
+@pytest.fixture()
+def within_a_minute():
+    """Fails the test, rather than hanging it, if it runs past 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the suite run did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_suite_workers_print_and_write_what_one_worker_does(monkeypatch, capsys, tmp_path, within_a_minute):
+    """Four workers, more than the cores of a small box, against one: the
+    same stdout and the same --out bytes, and each step's time on stderr."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = []
+    for n in (1, 4):
+        _cpus(monkeypatch, n)
+        assert cli.main(["suite", "--out", str(tmp_path / str(n))]) == 0
+        out, err = capsys.readouterr()
+        runs.append((out, {p.name: p.read_bytes() for p in sorted((tmp_path / str(n)).iterdir())}))
+    assert len(forks) == 3
+    assert runs[0] == runs[1]
+    assert len(runs[1][1]) == 24
+    steps = [step for unit in cli.SUITE for step, _, _ in unit]
+    assert [line.split()[0] for line in err.splitlines() if line.endswith(" ms")] == steps
+    assert " ms" not in out
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _raise():
+    raise RuntimeError("a step raised in a worker")
+
+
+@pytest.mark.parametrize("fault, reason", [
+    pytest.param(_exit_3, "worker exited with status 3", id="worker-dies"),
+    pytest.param(_raise, "a step raised in a worker", id="step-raises"),
+])
+def test_a_step_that_fails_in_a_worker_fails_the_suite(monkeypatch, capsys, tmp_path, within_a_minute,
+                                                         fault, reason):
+    """Every runner faults in a worker and passes at once in this process,
+    which waits until a worker has claimed a unit."""
+    parent, faulted = os.getpid(), tmp_path / "faulted"
+
+    def run(p):
+        if os.getpid() != parent:
+            faulted.touch()
+            fault()
+        while not faulted.exists():
+            time.sleep(0.001)
+        return {}, {}, True
+
+    for words in {words for unit in cli.SUITE for _, words, _ in unit}:
+        monkeypatch.setitem(cli.CHECKS, words, dataclasses.replace(cli.CHECKS[words], run=run))
+    _cpus(monkeypatch, 2)
+    assert cli.main(["suite", "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed, out
+    assert all(f"ERROR {step}: {reason}" in err for step in failed), err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_fork_that_fails_leaves_the_queue_to_the_running_workers(monkeypatch, capsys, tmp_path):
+    def refused():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    _cpus(monkeypatch, 2)
+    assert cli.main(["suite", "--out", str(tmp_path)]) == 0
+    assert "suite: 15/15 checks passed" in capsys.readouterr().out
+    assert len(list(tmp_path.iterdir())) == 24
