@@ -376,7 +376,10 @@ def _divergence_decay(p):
         return solver.relax(GL2, cfg).field
 
     pair = planar.divergence_pair(relaxed, GL2, 0.05, margin=0.15)
-    return pair, {"tensor.json": pair}, 3.5 <= pair["ratio"] <= 4.5
+    # past the sixth digit these are set by where relax stops, not by the
+    # discretisation; the gate reads the unrounded ratio
+    report = {**pair, **{k: float(f"{pair[k]:.6g}") for k in ("ratio", "residual_h", "residual_h2")}}
+    return report, {"tensor.json": report}, 3.5 <= pair["ratio"] <= 4.5
 
 
 def _transition_profile(p):
@@ -499,15 +502,18 @@ CHECKS = {
     "suite transition-profile": Check(_transition_profile),
 }
 
-# units of (step, check, params), costliest first: workers claim whole units,
-# so the steps of one unit share its per-run cache (the R = 0.5 orbit), and
-# the verdicts print in this order.  Each step writes the artifacts its runner
-# returns, under file names no other step writes.
+# units of (step, check, params): workers claim whole units, so the steps of
+# one unit share its per-run cache (the R = 0.5 orbit), and the verdicts print
+# in this order.  The calling process runs unit 0, claimed before any fork:
+# the counterexample, which holds the suite's largest transient memory (about
+# 15 MB), so the caller's peak memory does not depend on which worker wins a
+# claim.  The rest come costliest first.  Each step writes the artifacts its
+# runner returns, under file names no other step writes.
 SUITE = (
+    (("counterexample-violation", "counterexample verify", {"expect_violation": True}),),
     (("orbit-hamiltonian", "orbit", {"R": 0.5}),
      ("estimate-3.4-envelope", "estimates 3.4", {})),
     (("planar-divergence-decay", "suite divergence-decay", {}),),
-    (("counterexample-violation", "counterexample verify", {"expect_violation": True}),),
     (("relax-transition-profile", "suite transition-profile", {}),),
     (("estimate-3.2-constants", "estimates 3.2", {}),),
     (("planar-monotone-profiles", "suite monotone-profiles", {}),),
@@ -531,11 +537,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_units(queue: int, out: Path, orbit, send) -> None:
-    """Claim unit indices from the pipe `queue` until it is empty and run
-    their steps, writing the artifacts under `out`: send(unit) on each claim,
-    then send([step, ok, error, seconds]) after each of its steps."""
-    while claim := os.read(queue, 1):
+def _run_units(queue: int, out: Path, orbit, send, claim: bytes) -> None:
+    """Run the steps of the unit `claim`, unless it is b"", then claim unit
+    indices from the pipe `queue` until it is empty and run theirs, writing
+    the artifacts under `out`: send(unit) on each claim, then
+    send([step, ok, error, seconds]) after each of its steps."""
+    while claim or (claim := os.read(queue, 1)):
         send(claim[0])
         for step, words, params in SUITE[claim[0]]:
             t0, error = time.perf_counter(), None
@@ -545,6 +552,7 @@ def _run_units(queue: int, out: Path, orbit, send) -> None:
             except Exception as e:  # noqa: BLE001 -- suite reports, never crashes
                 ok, error = False, str(e)
             send([step, bool(ok), error, time.perf_counter() - t0])
+        claim = b""
 
 
 def run_suite(out: Path) -> int:
@@ -553,14 +561,16 @@ def run_suite(out: Path) -> int:
 
     One worker per usable CPU, this process among them, claims units from a
     pipe holding one byte per unit index; a one-byte read is atomic, so each
-    unit runs exactly once.  Forked workers send their messages back as JSON
-    lines on a pipe of their own, and this process prints the verdicts in
-    table order, then each step's wall time on stderr.  The steps of a unit
-    whose worker died fail with the worker's exit status."""
+    unit runs exactly once.  This process claims unit 0 before it forks.
+    Forked workers send their messages back as JSON lines on a pipe of their
+    own, and this process prints the verdicts in table order, then each
+    step's wall time on stderr.  The steps of a unit whose worker died fail
+    with the worker's exit status."""
     orbit = functools.cache(_circular_orbit)  # one integration per orbit per run
     queue, fill = os.pipe()
     os.write(fill, bytes(range(len(SUITE))))
     os.close(fill)
+    first = os.read(queue, 1)
     sent, pipes, status = {0: []}, {}, {0: 0}  # by worker pid, 0 for this process
     try:
         for _ in range(min(_usable_cpus(), len(SUITE)) - 1):
@@ -575,13 +585,13 @@ def run_suite(out: Path) -> int:
                 code = 1
                 try:
                     os.close(r)
-                    _run_units(queue, out, orbit, lambda m: os.write(w, json.dumps(m).encode() + b"\n"))
+                    _run_units(queue, out, orbit, lambda m: os.write(w, json.dumps(m).encode() + b"\n"), b"")
                     code = 0
                 finally:
                     os._exit(code)
             os.close(w)
             pipes[pid] = r
-        _run_units(queue, out, orbit, lambda m: sent[0].append(json.dumps(m)))
+        _run_units(queue, out, orbit, lambda m: sent[0].append(json.dumps(m)), first)
     finally:
         os.close(queue)
         for pid, r in pipes.items():

@@ -11,8 +11,11 @@ level takes its step size from one sampled stiffness bound of W, so the
 discrete flow energy is a Lyapunov function of the sweeps.
 The grid halves while both node counts minus one are even and the coarse
 grid keeps an interior node; a grid that cannot coarsen is one level, where
-a cycle is one sweep of the plain flow.  A coarse correction is kept only
-if it does not raise the energy beyond roundoff, so the fine flow energy
+a cycle is one sweep of the plain flow.  On the coarsest of several levels a
+cycle takes one Newton step where that level has at most 256 unknowns and
+its energy is locally convex, else 16 sweeps of the flow.  A coarse
+correction is kept only if it does not raise the energy beyond roundoff, so
+the fine flow energy
 (edge-based gradient plus node-based W) is nonincreasing from cycle to
 cycle up to roundoff.  It is checked every cycle: any increase beyond roundoff aborts the
 run, as does value blow-up.  The number of cycles to a given residual does
@@ -112,6 +115,7 @@ class RelaxResult:
     residuals: np.ndarray  # recorded per cycle
     energies: np.ndarray  # flow energy per cycle (nonincreasing)
     levels: int  # grids in the multigrid hierarchy; 1 is the plain flow
+    newton_steps: int  # coarsest-grid visits that took the Newton step
 
     @property
     def final_residual(self) -> float:
@@ -123,6 +127,12 @@ class RelaxResult:
 _PRE_SWEEPS = 2
 _POST_SWEEPS = 2
 _COARSEST_SWEEPS = 16
+# Most unknowns, (n1 - 2)(n2 - 2) m, for which the coarsest grid holds the
+# dense Lap_H (x) I_m and may take a Newton step: 512 KB and about 2e7 flops
+# per step.  It covers the 6 x 6 and 11 x 11 grids that GL (m = 2) squares
+# coarsen to; a larger coarsest grid, left by a node count minus one that is
+# odd, keeps the 16 sweeps, which cost O(unknowns) and not O(unknowns^3).
+_NEWTON_MAX_UNKNOWNS = 256
 # Relative rise of a level's energy that a coarse correction may cause and
 # still be kept: the roundoff of summing the energy, far below the 1e-12
 # that aborts a run.  Near convergence a correction gains less than roundoff.
@@ -137,21 +147,57 @@ _STALL_CYCLES = 8
 class _Level:
     spacing: tuple
     tau: float
-    colors: tuple  # checkerboard masks of the interior nodes, in sweep order
+    # per checkerboard colour, in sweep order: the element indices of its
+    # interior nodes in u.reshape(-1) and in the defect's a.reshape(-1)
+    colors: tuple
+    # Lap_h (x) I_m on the coarsest of several levels with at most
+    # _NEWTON_MAX_UNKNOWNS unknowns, else None
+    lap: np.ndarray | None
 
 
-def _hierarchy(shape, spacing, L: float) -> list[_Level]:
+def _color_indices(n1: int, n2: int, m: int) -> tuple:
+    """((iu, ia), (iu, ia)) for the colours (i + j) even, then odd, each
+    listing its nodes in row-major order and every node's m components."""
+    ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
+    even = (ii + jj) % 2 == 0
+    comps = np.arange(m)
+    out = []
+    for color in (even, ~even):
+        i, j = ii[color][:, None], jj[color][:, None]
+        out.append((((i * n2 + j) * m + comps).reshape(-1),
+                    (((i - 1) * (n2 - 2) + j - 1) * m + comps).reshape(-1)))
+    return tuple(out)
+
+
+def _interior_laplacian(n1: int, n2: int, spacing, m: int) -> np.ndarray:
+    """The five-point Lap_h on the interior nodes in row-major order, acting
+    on each of m components: the dense matrix Lap_h (x) I_m.  The Dirichlet
+    data enters through the defect instead."""
+    def second_difference(n, h):
+        return (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / (h * h)
+
+    k1, k2 = n1 - 2, n2 - 2
+    lap = (np.kron(second_difference(k1, spacing[0]), np.eye(k2))
+           + np.kron(np.eye(k1), second_difference(k2, spacing[1])))
+    return np.kron(lap, np.eye(m))
+
+
+def _hierarchy(shape, spacing, m: int, L: float) -> list[_Level]:
     """Grids from fine to coarse: halve while n1 - 1 and n2 - 1 are both
     even and the coarse grid keeps an interior node.  Every level steps with
-    tau = _SAFETY h^2 / (4 + h^2 L), which keeps the flow a descent there."""
+    tau = _SAFETY h^2 / (4 + h^2 L), which keeps the flow a descent there;
+    the coarsest of two or more levels also holds its Lap_h matrix if it has
+    at most _NEWTON_MAX_UNKNOWNS unknowns."""
     (n1, n2), (h1, h2) = shape, spacing
     levels = []
     while True:
         h = min(h1, h2)
-        ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
-        colors = ((ii + jj) % 2 == 0)
-        levels.append(_Level((h1, h2), _SAFETY * h * h / (4.0 + h * h * L), (colors, ~colors)))
-        if (n1 - 1) % 2 or (n2 - 1) % 2 or min(n1, n2) < 5:
+        coarsest = (n1 - 1) % 2 or (n2 - 1) % 2 or min(n1, n2) < 5
+        small = (n1 - 2) * (n2 - 2) * m <= _NEWTON_MAX_UNKNOWNS
+        lap = _interior_laplacian(n1, n2, (h1, h2), m) if coarsest and levels and small else None
+        levels.append(_Level((h1, h2), _SAFETY * h * h / (4.0 + h * h * L),
+                             _color_indices(n1, n2, m), lap))
+        if coarsest:
             return levels
         n1, n2, h1, h2 = (n1 - 1) // 2 + 1, (n2 - 1) // 2 + 1, 2.0 * h1, 2.0 * h2
 
@@ -170,14 +216,14 @@ def _level_energy(u: np.ndarray, p: Potential, spacing, f) -> float:
 
 
 def _smooth(u: np.ndarray, p: Potential, lvl: _Level, f, sweeps: int, a=None) -> None:
-    """Red-black sweeps of u += tau (Lap_h u - grad W(u) + f) in place;
-    `a` is the defect of u when the caller already has it."""
-    inner = u[1:-1, 1:-1]
+    """Red-black sweeps of u += tau (Lap_h u - grad W(u) + f) in place, u
+    C-contiguous; `a` is the defect of u when the caller already has it."""
+    flat = u.reshape(-1)
     for _ in range(sweeps):
-        for color in lvl.colors:
+        for iu, ia in lvl.colors:
             if a is None:
                 a = _defect(u, p, lvl.spacing, f)
-            inner[color] += lvl.tau * a[color]
+            flat[iu] += lvl.tau * a.reshape(-1)[ia]
             a = None
 
 
@@ -196,9 +242,35 @@ def _prolong(e: np.ndarray, shape) -> np.ndarray:
     return fine
 
 
-def _vcycle(u: np.ndarray, p: Potential, levels: list, f, a=None) -> None:
+def _coarsest_solve(u: np.ndarray, p: Potential, lvl: _Level, f) -> bool:
+    """One Newton step for Lap_H u - grad W(u) + f = 0 where the level
+    holds its Lap_H and its energy is locally convex, that is where -J,
+    J = Lap_H (x) I_m - blockdiag(D2W(u)), has a Cholesky factor; else
+    _COARSEST_SWEEPS sweeps.  On a nonconvex energy Newton would head for a
+    saddle.  True if the step was Newton's."""
+    if lvl.lap is None:
+        _smooth(u, p, lvl, f, _COARSEST_SWEEPS)
+        return False
+    inner = u[1:-1, 1:-1]
+    m = u.shape[-1]
+    nodes = lvl.lap.shape[0] // m
+    J = lvl.lap.copy()
+    k = np.arange(nodes)
+    J.reshape(nodes, m, nodes, m)[k, :, k, :] -= np.asarray(p.hess(inner)).reshape(nodes, m, m)
+    try:
+        np.linalg.cholesky(-J)
+    except np.linalg.LinAlgError:
+        _smooth(u, p, lvl, f, _COARSEST_SWEEPS)
+        return False
+    F = _defect(u, p, lvl.spacing, f)
+    inner += np.linalg.solve(J, -F.reshape(-1)).reshape(F.shape)
+    return True
+
+
+def _vcycle(u: np.ndarray, p: Potential, levels: list, f, a=None) -> bool:
     """One FAS V-cycle for Lap_h u - grad W(u) + f = 0 on levels[0], in place;
-    `a` is the defect of u when the caller already has it.
+    `a` is the defect of u when the caller already has it.  True if the
+    coarsest grid took the Newton step.
 
     The coarse problem is Lap_H v - grad W(v) + f_H = 0 with
     f_H = R(Lap_h u - grad W(u) + f) - (Lap_H - grad W)(u_hat), where R is
@@ -208,19 +280,19 @@ def _vcycle(u: np.ndarray, p: Potential, levels: list, f, a=None) -> None:
     sweeps."""
     lvl = levels[0]
     if len(levels) == 1:
-        _smooth(u, p, lvl, f, _COARSEST_SWEEPS)
-        return
+        return _coarsest_solve(u, p, lvl, f)
     _smooth(u, p, lvl, f, _PRE_SWEEPS, a)
     u_hat = u[::2, ::2].copy()
     f_H = _restrict(_defect(u, p, lvl.spacing, f)) - _defect(u_hat, p, levels[1].spacing, None)
     v = u_hat.copy()
-    _vcycle(v, p, levels[1:], f_H)
+    newton = _vcycle(v, p, levels[1:], f_H)
     trial = u + _prolong(v - u_hat, u.shape)
     e = _level_energy(u, p, lvl.spacing, f)
     # `<=` is False on nan, so a correction that overflowed is dropped too
     if _level_energy(trial, p, lvl.spacing, f) <= e + _ENERGY_ROUNDOFF * max(1.0, abs(e)):
         u[...] = trial
     _smooth(u, p, lvl, f, _POST_SWEEPS)
+    return newton
 
 
 def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> RelaxResult:
@@ -261,7 +333,7 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
     lo = u.reshape(-1, m).min(axis=0) - _VALUE_MARGIN
     hi = u.reshape(-1, m).max(axis=0) + _VALUE_MARGIN
     L = stiffness_bound(p, lo, hi)
-    levels = _hierarchy((n1, n2), (h1, h2), L)
+    levels = _hierarchy((n1, n2), (h1, h2), m, L)
     fine = levels[0]
 
     energies = []
@@ -269,12 +341,13 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
     e_prev = flow_energy(u, p, (h1, h2))
     converged = False
     best, since_best = math.inf, 0
+    newton_steps = 0
     a = None  # defect of u, carried from one cycle's residual into the next sweep
     for cycles in range(1, cfg.max_iters + 1):
         if len(levels) == 1:
             _smooth(u, p, fine, None, 1, a)
         else:
-            _vcycle(u, p, levels, None, a)
+            newton_steps += _vcycle(u, p, levels, None, a)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e6:
             raise RelaxError(f"values blew up after {cycles} cycles")
         e_now = flow_energy(u, p, (h1, h2))
@@ -309,6 +382,7 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
         residuals=np.asarray(residuals),
         energies=np.asarray(energies),
         levels=len(levels),
+        newton_steps=newton_steps,
     )
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from modicalab import cli, counterexample, dynamics, fields, smooth
+from modicalab import cli, counterexample, dynamics, fields, planar, smooth
 
 CLI = [sys.executable, "-m", "modicalab.cli"]
 
@@ -581,6 +581,27 @@ def test_suite_out_stays_small(two_suite_runs):
     assert size <= 1_500_000, f"suite --out holds {size:,} bytes"
 
 
+def test_suite_tensor_json_holds_six_significant_digits(two_suite_runs):
+    pair = json.loads((two_suite_runs[0][0] / "tensor.json").read_text())
+    for key in ("ratio", "residual_h", "residual_h2"):
+        assert float(f"{pair[key]:.6g}") == pair[key], key
+    assert 3.5 <= pair["ratio"] <= 4.5
+
+
+@pytest.mark.parametrize("ratio, rounded, ok", [
+    pytest.param(3.9061887951327954, 3.90619, True, id="the-suite-ratio"),
+    pytest.param(4.5000004, 4.5, False, id="rounds-onto-the-gate"),
+])
+def test_divergence_decay_rounds_its_report_and_gates_the_unrounded_ratio(monkeypatch, ratio, rounded, ok):
+    pair = {"h": 0.05, "margin": 0.15, "ratio": ratio,
+            "residual_h": 0.004900303821918292, "residual_h2": 0.0012544974344363968}
+    monkeypatch.setattr(planar, "divergence_pair", lambda *args, **kwargs: dict(pair))
+    report, artifacts, passed = cli.CHECKS["suite divergence-decay"]({})
+    assert report == artifacts["tensor.json"] == {
+        "h": 0.05, "margin": 0.15, "ratio": rounded, "residual_h": 0.0049003, "residual_h2": 0.0012545}
+    assert passed is ok
+
+
 def _writers(out) -> dict:
     """Each file name the suite steps write, run one by one into directories
     of their own under `out`, with the steps that write it."""
@@ -683,6 +704,37 @@ def test_a_step_that_fails_in_a_worker_fails_the_suite(monkeypatch, capsys, tmp_
     assert all(f"ERROR {step}: {reason}" in err for step in failed), err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_caller_runs_the_counterexample_unit_whoever_claims_first(monkeypatch, tmp_path, within_a_minute):
+    """The caller's peak memory is that of unit 0, the counterexample, on
+    every run: it claims the unit before it forks, so a worker that reads
+    the queue first still gets another."""
+    ran = tmp_path / "ran"
+    ran.mkdir()
+
+    def run(p):
+        (ran / str(os.getpid())).touch()
+        return {}, {}, True
+
+    for words in {words for unit in cli.SUITE for _, words, _ in unit}:
+        monkeypatch.setitem(cli.CHECKS, words, dataclasses.replace(cli.CHECKS[words], run=run))
+    # the caller resumes only once the worker has run a step of its first claim
+    fork = os.fork
+
+    def fork_then_wait():
+        pid = fork()
+        while pid and not (ran / str(pid)).exists():
+            time.sleep(0.001)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_wait)
+    monkeypatch.setitem(cli.CHECKS, "counterexample verify", dataclasses.replace(
+        cli.CHECKS["counterexample verify"], run=lambda p: (ran / f"cx-{os.getpid()}").touch() or run(p)))
+    _cpus(monkeypatch, 2)
+    assert cli.SUITE[0] == (("counterexample-violation", "counterexample verify", {"expect_violation": True}),)
+    assert cli.main(["suite", "--out", str(tmp_path / "out")]) == 0
+    assert (ran / f"cx-{os.getpid()}").exists()
 
 
 def test_a_fork_that_fails_leaves_the_queue_to_the_running_workers(monkeypatch, capsys, tmp_path):

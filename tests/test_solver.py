@@ -326,3 +326,142 @@ def test_run_log_keys_and_values():
     assert log["residual"] == result.final_residual
     assert log["tau"] == result.tau
 
+
+
+def _mask_sweeps(u, p, lvl, f, sweeps):
+    """Red-black sweeps through boolean checkerboard masks of a strided
+    interior view, as the solver wrote them before its flat indices."""
+    n1, n2 = u.shape[:2]
+    ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
+    colors = (ii + jj) % 2 == 0
+    inner = u[1:-1, 1:-1]
+    for _ in range(sweeps):
+        for color in (colors, ~colors):
+            a = solver._defect(u, p, lvl.spacing, f)
+            inner[color] += lvl.tau * a[color]
+
+
+def _sweeps_agree(u, p, lvl, f) -> bool:
+    ref, flat = u.copy(), u.copy()
+    _mask_sweeps(ref, p, lvl, f, 3)
+    solver._smooth(flat, p, lvl, f, 3)
+    return np.array_equal(ref.view("<u8"), flat.view("<u8"))
+
+
+@pytest.mark.parametrize("shape", [(41, 41), (21, 11), (6, 6)])
+@pytest.mark.parametrize("potential", [("double_well", {}), ("ginzburg_landau", {"m": 2})])
+def test_flat_index_sweeps_equal_mask_sweeps_bit_for_bit(shape, potential):
+    p = potentials.make_potential(potential[0], **potential[1])
+    rng = np.random.default_rng(7)
+    u = rng.uniform(-1.0, 1.0, shape + (p.m,))
+    u[: shape[0] // 2, : shape[1] // 2] = -0.0  # a signed-zero block, boundary included
+    f = rng.uniform(-1.0, 1.0, (shape[0] - 2, shape[1] - 2, p.m))
+    f[: shape[0] // 3] = -0.0
+    lvl = solver._hierarchy(shape, (0.05, 0.05), p.m, 4.0)[0]
+    assert _sweeps_agree(u, p, lvl, f) and _sweeps_agree(u, p, lvl, None)
+    # must fail: every colour's u indices one element off
+    shifted = tuple((iu + 1, ia) for iu, ia in lvl.colors)
+    assert not _sweeps_agree(u, p, dataclasses.replace(lvl, colors=shifted), f)
+
+
+def _coarse_gl_problem():
+    """GL (m = 2) on the 6 x 6 coarsest grid of a 21 x 21 square with
+    identity-map data, solved by repeated Newton steps."""
+    glp = potentials.make_potential("ginzburg_landau", m=2)
+    lvl = solver._hierarchy((21, 21), (0.05, 0.05), 2, 4.0)[-1]
+    axis = -0.5 + lvl.spacing[0] * np.arange(6)
+    u = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    for _ in range(6):
+        assert solver._coarsest_solve(u, glp, lvl, None)
+    return glp, lvl, u
+
+
+def _newton_defects(p, lvl, u, eps):
+    """The coarse defect of u plus an eps-perturbation, before and after one
+    coarsest-grid step."""
+    v = u.copy()
+    v[1:-1, 1:-1] += eps * np.random.default_rng(3).uniform(-1.0, 1.0, v[1:-1, 1:-1].shape)
+    before = np.max(np.abs(solver._defect(v, p, lvl.spacing, None)))
+    assert solver._coarsest_solve(v, p, lvl, None)
+    return before, np.max(np.abs(solver._defect(v, p, lvl.spacing, None)))
+
+
+def test_one_coarsest_newton_step_cuts_the_defect_quadratically():
+    glp, lvl, u = _coarse_gl_problem()
+    assert np.max(np.abs(solver._defect(u, glp, lvl.spacing, None))) < 1e-12
+
+    def order(p):
+        (b1, a1), (b2, a2) = _newton_defects(p, lvl, u, 1e-2), _newton_defects(p, lvl, u, 1e-3)
+        return math.log(a1 / a2) / math.log(b1 / b2)
+
+    assert order(glp) >= 1.8
+    # must fail: without the D2W blocks in J the step is Picard's, linear
+    picard = potentials.Potential("gl-picard", 2, {}, (), glp.w, glp.grad,
+                                  lambda v: np.zeros(v.shape + (2,)))
+    assert order(picard) < 1.5
+
+
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_the_suite_solves_take_newton_on_the_coarsest_grid_within_nine_cycles(h):
+    # the divergence-decay solves: GL (m = 2), identity-map data, boundary start
+    n = int(round(1.0 / h)) + 1
+    cfg = solver.RelaxConfig(
+        origin=(-0.5, -0.5), spacing=(h, h), shape=(n, n),
+        boundary=fields.make_field("harmonic_linear_map"), max_iters=400_000, tol=1e-10,
+    )
+    result = solver.relax(potentials.make_potential("ginzburg_landau", m=2), cfg)
+    assert result.converged and result.iterations <= 9
+    assert 0 < result.newton_steps <= result.iterations
+
+
+def test_a_nonconvex_coarsest_grid_keeps_the_sweeps(monkeypatch):
+    # the concave W of test_unstable_potential_blows_up, on four levels
+    concave = potentials.Potential(
+        "concave", 1, {}, (), lambda u: -25.0 * np.sum(u * u, axis=-1), lambda u: -50.0 * u,
+        lambda u: np.broadcast_to(-50.0 * np.eye(1), u.shape[:-1] + (1, 1)))
+    cfg = solver.RelaxConfig(
+        origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(17, 17),
+        boundary=fields.make_field("constant", value=[0.1], n=2), max_iters=1, tol=1e-14,
+    )
+    one_cycle = solver.relax(concave, cfg)
+    assert one_cycle.levels == 4 and one_cycle.newton_steps == 0
+    visits, coarsest_solve = [], solver._coarsest_solve
+    monkeypatch.setattr(solver, "_coarsest_solve", lambda *args: visits.append(coarsest_solve(*args)) or visits[-1])
+    with pytest.raises(solver.RelaxError, match="blew up"):
+        solver.relax(concave, dataclasses.replace(cfg, max_iters=100_000))
+    assert visits and not any(visits)
+
+    def sweeps(u, p, lvl, f):
+        solver._smooth(u, p, lvl, f, solver._COARSEST_SWEEPS)
+        return False
+
+    monkeypatch.setattr(solver, "_coarsest_solve", sweeps)
+    reference = solver.relax(concave, cfg)
+    assert np.array_equal(one_cycle.field.values.view("<u8"), reference.field.values.view("<u8"))
+
+
+def test_a_large_coarsest_grid_builds_no_dense_matrix_and_takes_the_sweeps(monkeypatch):
+    # 151 x 151 GL (m = 2) coarsens once, to 76 x 76: 10,952 unknowns, whose
+    # dense Lap_H would be 0.96 GB
+    def refuse(*args):
+        raise AssertionError("dense Lap_H built")
+
+    monkeypatch.setattr(solver, "_interior_laplacian", refuse)
+    cfg = solver.RelaxConfig(
+        origin=(-0.5, -0.5), spacing=(0.01, 0.01), shape=(151, 151),
+        boundary=fields.make_field("harmonic_linear_map"), max_iters=2, tol=1e-14,
+    )
+    result = solver.relax(potentials.make_potential("ginzburg_landau", m=2), cfg)
+    assert result.levels == 2 and result.iterations == 2 and result.newton_steps == 0
+
+
+@pytest.mark.parametrize("shape, m, dense", [
+    pytest.param((21, 21), 2, True, id="6x6-m2"),
+    pytest.param((41, 41), 2, True, id="11x11-m2"),
+    pytest.param((21, 21), 16, True, id="6x6-m16-at-the-cap"),
+    pytest.param((21, 21), 17, False, id="6x6-m17-past-the-cap"),
+])
+def test_the_coarsest_grid_holds_its_dense_laplacian_up_to_the_cap(shape, m, dense):
+    levels = solver._hierarchy(shape, (0.05, 0.05), m, 4.0)
+    assert (levels[-1].lap is not None) is dense
+    assert all(lvl.lap is None for lvl in levels[:-1])
