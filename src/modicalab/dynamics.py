@@ -4,9 +4,17 @@ The conserved quantity throughout is H = |u'|^2 / 2 - W(u) (note the minus
 sign: the system is Newtonian in the inverted potential -W).  Orbits are
 integrated with position Verlet, which preserves H up to a bounded O(dt^2)
 oscillation, so a drift check is a meaningful diagnostic of step size:
-integration raises when max |H - H_0| exceeds its `drift_tol`.  One loop,
-`integrate_many`, advances a batch of starting states together; `integrate`
-is its single-start case, and batching changes no trajectory by a bit.
+integration raises when max |H - H_0| exceeds its `drift_tol`.
+
+Two loops take the steps.  `integrate_many` advances a batch of B starting
+states together as one (B, m) state through numpy calls.  `integrate` steps
+one planar start on Python floats when the potential's gradient carries a
+point kernel, as the catalog's `ginzburg_landau` with m = 2 does: on a
+single point numpy's per-call overhead is most of a step's cost, and the
+float step has none.  Any other start is the batch loop's single-start
+case.  Both loops do the same IEEE additions and multiplications in the
+same order and test for blow-up at the same steps, so a trajectory is
+bit-identical whichever loop computes it, alone or in a batch.
 """
 
 from __future__ import annotations
@@ -87,6 +95,47 @@ def _trajectory(p, times, uu, vv):
     return Trajectory(times=times, u=uu, v=vv, H=H)
 
 
+# A coordinate past _BLOWUP, inf or nan ends an integration; the test runs
+# once per block of _BLOCK steps.
+_BLOWUP = 1e6
+_BLOCK = 256
+
+
+def _check_arguments(dt, steps, drift_tol) -> None:
+    if not (dt > 0 and steps >= 1 and drift_tol >= 0):
+        raise ValueError("need dt > 0, steps >= 1 and drift_tol >= 0")
+
+
+def _which(i: int, B: int) -> str:
+    return f"trajectory {i}: " if B > 1 else ""
+
+
+def _check_rows(p, dt, uu, vv, lo, hi) -> None:
+    """Raise BlowUpError for the first step in lo < k <= hi of the (steps + 1,
+    B, m) samples whose state leaves [-_BLOWUP, _BLOWUP]^m, naming its first
+    failing trajectory and attaching that trajectory's valid prefix."""
+    inside = np.abs(uu[lo + 1 : hi + 1]) <= _BLOWUP  # False on inf and nan as well
+    if inside.all():
+        return
+    rows = inside.all(axis=2)
+    j = int(np.argmin(rows.all(axis=1)))
+    k, i = lo + 1 + j, int(np.argmin(rows[j]))
+    partial = _trajectory(p, dt * np.arange(k), uu[:k, i], vv[:k, i])
+    raise BlowUpError(_which(i, uu.shape[1]) + f"blow-up at step {k} (t = {k * dt:g})", partial)
+
+
+def _trajectories(p, dt, uu, vv, drift_tol) -> list[Trajectory]:
+    """The trajectories of the (steps + 1, B, m) samples; raises BlowUpError
+    for the first whose energy drift exceeds drift_tol."""
+    times = dt * np.arange(uu.shape[0])
+    B = uu.shape[1]
+    trajectories = [_trajectory(p, times, uu[:, i], vv[:, i]) for i in range(B)]
+    for i, traj in enumerate(trajectories):
+        if traj.drift() > drift_tol:
+            raise BlowUpError(_which(i, B) + f"energy drift {traj.drift():.3e} > drift_tol {drift_tol:g}", traj)
+    return trajectories
+
+
 def integrate_many(
     p: Potential,
     starts,
@@ -96,12 +145,14 @@ def integrate_many(
 ) -> list[Trajectory]:
     """Position-Verlet integration of u'' = grad W(u) from every start at once.
 
-    The B starting states advance together as one (B, m) state, and each
-    returned trajectory is bit-identical to its run on its own: the update
-    is elementwise per row, and a potential evaluates each point on its
-    own.  Each step is written in place into row k of time-major
-    (steps + 1, B, m) buffers, so every Trajectory's u and v are views of
-    them, with no copy (contiguous when B = 1).
+    The B starting states advance together as one (B, m) state through numpy
+    calls, and each returned trajectory is bit-identical to its run on its
+    own, by this loop or by `integrate`'s loop on floats: the update is
+    elementwise per row, and a potential evaluates each point on its own.
+    Each step is written in place into row k of time-major (steps + 1, B, m)
+    buffers, so every Trajectory's u and v are views of them, with no copy
+    (contiguous when B = 1).  The kick dt grad W is written into the array
+    that `p.grad` returns.
 
     Raises BlowUpError at the first step where a coordinate of a trajectory
     leaves [-1e6, 1e6] or stops being finite, attaching that trajectory's valid
@@ -112,63 +163,40 @@ def integrate_many(
     runs on past a blow-up, with floating-point warnings silenced, before
     the test reports its first failing step.
     """
-    if not (dt > 0 and steps >= 1 and drift_tol >= 0):
-        raise ValueError("need dt > 0, steps >= 1 and drift_tol >= 0")
+    _check_arguments(dt, steps, drift_tol)
     starts = list(starts)
     if not starts:
         raise ValueError("need at least one starting state")
     m = starts[0].u.size
     if any(s.u.size != m for s in starts):
         raise ValueError("all starting states must have the same dimension m")
-    B = len(starts)
-    blowup, block = 1e6, 256
-
-    def which(i):
-        return f"trajectory {i}: " if B > 1 else ""
-
-    def check_rows(lo, hi):
-        """Raise BlowUpError for the first step in lo < k <= hi whose state
-        leaves [-blowup, blowup]^m, naming its first failing trajectory."""
-        inside = np.abs(uu[lo + 1 : hi + 1]) <= blowup  # False on inf and nan as well
-        if inside.all():
-            return
-        rows = inside.all(axis=2)
-        j = int(np.argmin(rows.all(axis=1)))
-        k, i = lo + 1 + j, int(np.argmin(rows[j]))
-        partial = _trajectory(p, dt * np.arange(k), uu[:k, i], vv[:k, i])
-        raise BlowUpError(which(i) + f"blow-up at step {k} (t = {k * dt:g})", partial)
-
-    uu = np.empty((steps + 1, B, m))
-    vv = np.empty((steps + 1, B, m))
+    uu = np.empty((steps + 1, len(starts), m))
+    vv = np.empty((steps + 1, len(starts), m))
     uu[0] = [s.u for s in starts]
     vv[0] = [s.v for s in starts]
     u, v = uu[0], vv[0]
-    half = 0.5 * dt
+    grad, add, multiply = p.grad, np.add, np.multiply
+    dt64, half = np.float64(dt), np.float64(0.5 * dt)
     half_v = half * v  # the last half-drift's product is the next half-kick's
-    u_mid, kick = np.empty((B, m)), np.empty((B, m))
-    for lo in range(0, steps, block):
-        hi = min(lo + block, steps)
+    u_mid = np.empty_like(u)
+    for lo in range(0, steps, _BLOCK):
+        hi = min(lo + _BLOCK, steps)
         try:
             with np.errstate(all="ignore"):
-                for k, (u_next, v_next) in enumerate(zip(uu[lo + 1 : hi + 1], vv[lo + 1 : hi + 1]), lo + 1):
-                    np.add(u, half_v, out=u_mid)
-                    np.multiply(dt, p.grad(u_mid), out=kick)
-                    np.add(v, kick, out=v_next)
-                    np.multiply(half, v_next, out=half_v)
-                    np.add(u_mid, half_v, out=u_next)
-                    u, v = u_next, v_next
+                for k in range(lo + 1, hi + 1):
+                    add(u, half_v, out=u_mid)
+                    kick = grad(u_mid)
+                    kick *= dt64
+                    v = add(v, kick, out=vv[k])
+                    multiply(half, v, out=half_v)
+                    u = add(u_mid, half_v, out=uu[k])
         except Exception:
             # the potential may fail on the values computed past a blow-up,
             # and then the blow-up is the result, as the per-step test gave
-            check_rows(lo, k - 1)
+            _check_rows(p, dt, uu, vv, lo, k - 1)
             raise
-        check_rows(lo, hi)
-    times = dt * np.arange(steps + 1)
-    trajectories = [_trajectory(p, times, uu[:, i], vv[:, i]) for i in range(B)]
-    for i, traj in enumerate(trajectories):
-        if traj.drift() > drift_tol:
-            raise BlowUpError(which(i) + f"energy drift {traj.drift():.3e} > drift_tol {drift_tol:g}", traj)
-    return trajectories
+        _check_rows(p, dt, uu, vv, lo, hi)
+    return _trajectories(p, dt, uu, vv, drift_tol)
 
 
 def integrate(
@@ -183,9 +211,54 @@ def integrate(
     Returns the synchronized (u_k, v_k) samples at t_k = k dt together with
     the measured Hamiltonian series.  Raises BlowUpError when the state
     leaves [-1e6, 1e6]^m or stops being finite, attaching the valid prefix,
-    and when the energy drift exceeds `drift_tol` (see `integrate_many`).
+    and when the energy drift exceeds `drift_tol`, as `integrate_many` does.
+
+    A planar start on a potential whose gradient offers a point kernel
+    (`p.grad` of a tuple of floats returns a tuple, as for the catalog's
+    `ginzburg_landau` with m = 2) steps on Python floats, the same IEEE
+    operations in the same order as `integrate_many`'s loop, and copies
+    each 256-step block into the same (steps + 1, 1, 2) buffers before the
+    same blow-up test, so the trajectory is bit-identical to its row there,
+    blow-up and drift errors included.  Every other start is
+    `integrate_many`'s single-start case.
     """
-    return integrate_many(p, [start], dt, steps, drift_tol)[0]
+    if p.m != 2 or start.u.size != 2 or not hasattr(p._grad, "point"):
+        return integrate_many(p, [start], dt, steps, drift_tol)[0]
+    _check_arguments(dt, steps, drift_tol)
+    # Python floats throughout: a numpy scalar would bring back numpy's
+    # per-operation overhead
+    grad, dt = p.grad, float(dt)
+    half = 0.5 * dt
+    uu = np.empty((steps + 1, 1, 2))
+    vv = np.empty((steps + 1, 1, 2))
+    uu[0, 0], vv[0, 0] = start.u, start.v
+    x, y = start.u.tolist()
+    vx, vy = start.v.tolist()
+    hx, hy = half * vx, half * vy  # the last half-drift's product is the next half-kick's
+    for lo in range(0, steps, _BLOCK):
+        hi = min(lo + _BLOCK, steps)
+        # the block's coordinates, copied into rows lo + 1 .. hi after it
+        block_u, block_v = [], []
+        put_u, put_v = block_u.append, block_v.append
+        # past a blow-up, floats run on through inf and nan without raising
+        for _ in range(lo, hi):
+            x += hx
+            y += hy
+            gx, gy = grad((x, y))
+            vx += dt * gx
+            vy += dt * gy
+            hx = half * vx
+            hy = half * vy
+            x += hx
+            y += hy
+            put_u(x)
+            put_u(y)
+            put_v(vx)
+            put_v(vy)
+        uu[lo + 1 : hi + 1] = np.reshape(block_u, (-1, 1, 2))
+        vv[lo + 1 : hi + 1] = np.reshape(block_v, (-1, 1, 2))
+        _check_rows(p, dt, uu, vv, lo, hi)
+    return _trajectories(p, dt, uu, vv, drift_tol)[0]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,12 @@ class Potential:
     """A smooth potential W: R^m -> R with its first two derivatives.
 
     w, grad, hess accept arrays of shape (..., m) and return shapes (...),
-    (..., m) and (..., m, m) respectively.
+    (..., m) and (..., m, m) respectively; grad returns a new float64 array,
+    which the caller may overwrite.  A gradient may also carry a point
+    kernel, `_grad.point(x_1, ..., x_m)`, that returns the gradient at one
+    point of Python floats as a tuple, bit for bit as the array path gives
+    it, inf and nan included, without raising; `grad` of a tuple of floats
+    then calls it.
     """
 
     name: str
@@ -43,6 +48,8 @@ class Potential:
         return self._w(self._check(u))
 
     def grad(self, u):
+        if type(u) is tuple and hasattr(self._grad, "point"):
+            return self._grad.point(*u)
         return self._grad(self._check(u))
 
     def hess(self, u):
@@ -83,9 +90,19 @@ def _make_ginzburg_landau(m=2):
     def grad(u):
         # add.reduce and u * u are np.sum and u**2 without their Python
         # wrappers: the same bits at a fraction of the call cost
-        q = np.add.reduce(u * u, axis=-1)
+        q = np.add.reduce(u * u, axis=-1, keepdims=True)
         q -= 1.0
-        return q[..., None] * u
+        return q * u
+
+    if m == 2:
+        def point(x, y):
+            # grad's operations in grad's order on one point of floats, so
+            # the bits agree with every row of an array call
+            q = x * x + y * y
+            q -= 1.0
+            return q * x, q * y
+
+        grad.point = point
 
     def hess(u):
         q = np.sum(u**2, axis=-1) - 1.0

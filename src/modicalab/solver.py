@@ -12,8 +12,9 @@ discrete flow energy is a Lyapunov function of the sweeps.
 The grid halves while both node counts minus one are even and the coarse
 grid keeps an interior node; a grid that cannot coarsen is one level, where
 a cycle is one sweep of the plain flow.  On the coarsest of several levels a
-cycle takes one Newton step where that level has at most 256 unknowns and
-its energy is locally convex, else 16 sweeps of the flow.  A coarse
+cycle takes one Newton step where that level has at most 256 unknowns, a
+spacing with h^2 L <= 4 for the stiffness bound L of W, and a locally
+convex energy, else 16 sweeps of the flow.  A coarse
 correction is kept only if it does not raise the energy beyond roundoff, so
 the fine flow energy
 (edge-based gradient plus node-based W) is nonincreasing from cycle to
@@ -133,6 +134,11 @@ _COARSEST_SWEEPS = 16
 # coarsen to; a larger coarsest grid, left by a node count minus one that is
 # odd, keeps the 16 sweeps, which cost O(unknowns) and not O(unknowns^3).
 _NEWTON_MAX_UNKNOWNS = 256
+# Largest h^2 L for which the coarsest grid may take the Newton step: there
+# Lap_H dominates the step's denominator 4 + h^2 L.  On a coarser grid
+# (squares of side 16 coarsen to spacing 3.2 or 6.4) the exact coarse solve
+# overcorrects the fine grid, and relaxation stalls short of its tolerance.
+_NEWTON_MAX_H2L = 4.0
 # Relative rise of a level's energy that a coarse correction may cause and
 # still be kept: the roundoff of summing the energy, far below the 1e-12
 # that aborts a run.  Near convergence a correction gains less than roundoff.
@@ -151,7 +157,7 @@ class _Level:
     # interior nodes in u.reshape(-1) and in the defect's a.reshape(-1)
     colors: tuple
     # Lap_h (x) I_m on the coarsest of several levels with at most
-    # _NEWTON_MAX_UNKNOWNS unknowns, else None
+    # _NEWTON_MAX_UNKNOWNS unknowns and h^2 L <= _NEWTON_MAX_H2L, else None
     lap: np.ndarray | None
 
 
@@ -187,14 +193,14 @@ def _hierarchy(shape, spacing, m: int, L: float) -> list[_Level]:
     even and the coarse grid keeps an interior node.  Every level steps with
     tau = _SAFETY h^2 / (4 + h^2 L), which keeps the flow a descent there;
     the coarsest of two or more levels also holds its Lap_h matrix if it has
-    at most _NEWTON_MAX_UNKNOWNS unknowns."""
+    at most _NEWTON_MAX_UNKNOWNS unknowns and h^2 L <= _NEWTON_MAX_H2L."""
     (n1, n2), (h1, h2) = shape, spacing
     levels = []
     while True:
         h = min(h1, h2)
         coarsest = (n1 - 1) % 2 or (n2 - 1) % 2 or min(n1, n2) < 5
-        small = (n1 - 2) * (n2 - 2) * m <= _NEWTON_MAX_UNKNOWNS
-        lap = _interior_laplacian(n1, n2, (h1, h2), m) if coarsest and levels and small else None
+        newton = (n1 - 2) * (n2 - 2) * m <= _NEWTON_MAX_UNKNOWNS and h * h * L <= _NEWTON_MAX_H2L
+        lap = _interior_laplacian(n1, n2, (h1, h2), m) if coarsest and levels and newton else None
         levels.append(_Level((h1, h2), _SAFETY * h * h / (4.0 + h * h * L),
                              _color_indices(n1, n2, m), lap))
         if coarsest:

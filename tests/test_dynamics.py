@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -111,23 +112,62 @@ def _verlet_reference(p, start, dt, steps):
     return np.array(uu), np.array(vv)
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view("<u8"), b.view("<u8"))
+
+
 def test_integrate_many_matches_unbatched_runs():
-    # the R^2 grid of the speed-envelope check, radially unstable R^2 > 2/3 included
+    # integrate steps each planar GL start on Python floats, integrate_many on
+    # numpy rows.  The R^2 grid of the speed-envelope check includes the
+    # radially unstable R^2 > 2/3, where a rounding difference would grow
+    # like e^(sqrt(6 R^2 - 4) t)
     R_grid = np.sqrt(np.linspace(0.05, 0.95, 19))
     starts = [dynamics.orbit_family(float(R)).start_state() for R in R_grid]
     batch = dynamics.integrate_many(GL, starts, 1e-3, 6000)
     assert len(batch) == len(starts)
     for start, traj in zip(starts, batch):
         alone = dynamics.integrate(GL, start, 1e-3, 6000)
-        assert np.array_equal(traj.u, alone.u)
-        assert np.array_equal(traj.v, alone.v)
-        assert np.array_equal(traj.H, alone.H)
-        assert np.array_equal(traj.times, alone.times)
+        assert _same_bits(traj.u, alone.u) and _same_bits(traj.v, alone.v)
+        assert _same_bits(traj.H, alone.H) and _same_bits(traj.times, alone.times)
         ref_u, ref_v = _verlet_reference(GL, start, 1e-3, 6000)
         assert np.array_equal(traj.u, ref_u) and np.array_equal(traj.v, ref_v)
         assert traj.u.base is not None and traj.v.base is not None  # views of the time-major buffers
-    # one start has the (steps + 1, 1, m) buffer to itself, so its rows are contiguous
+    # one start has its buffers to itself, so its rows are contiguous
     assert dynamics.integrate(GL, starts[0], 1e-3, 10).u.flags.c_contiguous
+    assert dynamics.integrate_many(GL, starts[:1], 1e-3, 10)[0].u.flags.c_contiguous
+
+
+def test_the_float_loop_matches_the_batch_loop_over_a_full_period():
+    fam = dynamics.orbit_family(0.5)
+    steps = int(math.ceil(fam.period / 1e-3))
+    alone = dynamics.integrate(GL, fam.start_state(), 1e-3, steps, drift_tol=math.inf)
+    (row,) = dynamics.integrate_many(GL, [fam.start_state()], 1e-3, steps, drift_tol=math.inf)
+    for a, b in ((alone.u, row.u), (alone.v, row.v), (alone.H, row.H), (alone.times, row.times)):
+        assert _same_bits(a, b)
+    assert alone.drift() < 1e-9 and np.linalg.norm(alone.u[-1] - alone.u[0]) < 5e-3
+
+
+def test_a_planar_gl_orbit_never_calls_the_array_gradient():
+    # the float loop is the fast path: a refactor that falls back to the
+    # numpy loop for one start must fail here.  The point kernel runs once
+    # per step
+    calls = []
+
+    def refuse(u):
+        raise AssertionError("array gradient called")
+
+    def point(x, y):
+        calls.append(1)
+        return GL._grad.point(x, y)
+
+    refuse.point = point
+    fast = dataclasses.replace(GL, _grad=refuse)
+    start = dynamics.orbit_family(0.5).start_state()
+    traj = dynamics.integrate(fast, start, 1e-3, 600)
+    assert len(calls) == 600
+    assert _same_bits(traj.u, dynamics.integrate(GL, start, 1e-3, 600).u)
+    with pytest.raises(AssertionError, match="array gradient called"):
+        dynamics.integrate_many(fast, [start], 1e-3, 600)
 
 
 def test_integrate_many_blowup_names_the_trajectory():
@@ -187,6 +227,46 @@ def test_block_blowup_gate_reports_the_stepwise_first_failure(target, steps):
     assert np.array_equal(partial.u, ref_u) and np.array_equal(partial.v, ref_v)
     with pytest.raises(dynamics.BlowUpError, match=rf"^blow-up at step {target} \(t = {target * dt:g}\)$"):
         dynamics.integrate(quad, starts[2], dt, steps)
+
+
+@pytest.mark.parametrize("u0, v0, dt, k", [
+    ((3.0, 0.0), (0.0, 0.0), 1e-2, 66),
+    ((1.2, 0.9), (0.3, -0.2), 1e-2, 139),
+    ((3.0, 0.0), (0.0, 0.0), 0.002506, 256),
+    ((3.0, 0.0), (0.0, 0.0), 0.002496, 257),
+    ((0.0, 1.5), (0.0, 0.0), 5e-3, 290),
+    ((3.0, 0.0), (0.0, 0.0), 1e-3, 640),
+])
+def test_a_planar_gl_blowup_matches_its_batch_row(u0, v0, dt, k):
+    # outside the unit disk the cubic force blows up in finite time; the
+    # float loop runs on through inf and nan to the end of its 256-step
+    # block as numpy does, and must report the same step and prefix
+    start = dynamics.PhasePoint(np.array(u0), np.array(v0))
+    rest = dynamics.PhasePoint(np.zeros(2), np.zeros(2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(dynamics.BlowUpError, match=rf"^blow-up at step {k} \(t = {k * dt:g}\)$") as alone:
+            dynamics.integrate(GL, start, dt, 1000)
+    assert caught == []
+    with pytest.raises(dynamics.BlowUpError, match=rf"^trajectory 1: blow-up at step {k} ") as batch:
+        dynamics.integrate_many(GL, [rest, start], dt, 1000)
+    a, b = alone.value.trajectory, batch.value.trajectory
+    for x, y in ((a.u, b.u), (a.v, b.v), (a.H, b.H), (a.times, b.times)):
+        assert _same_bits(x, y)
+    with np.errstate(all="ignore"):
+        assert _stepwise_until_blowup(GL, [start], dt, 1000)[0] == k
+
+
+def test_a_planar_gl_drift_failure_matches_its_batch_row():
+    start = dynamics.PhasePoint(np.array([0.5, 0.0]), np.array([0.1, 0.3]))
+    rest = dynamics.PhasePoint(np.zeros(2), np.zeros(2))
+    with pytest.raises(dynamics.BlowUpError, match=r"^energy drift 1\.0\d\de-04 > drift_tol 1e-06$") as alone:
+        dynamics.integrate(GL, start, 0.1, 200, drift_tol=1e-6)
+    with pytest.raises(dynamics.BlowUpError, match=r"^trajectory 1: energy drift") as batch:
+        dynamics.integrate_many(GL, [rest, start], 0.1, 200, drift_tol=1e-6)
+    assert str(batch.value) == "trajectory 1: " + str(alone.value)
+    a, b = alone.value.trajectory, batch.value.trajectory
+    assert _same_bits(a.u, b.u) and _same_bits(a.v, b.v) and _same_bits(a.H, b.H)
 
 
 def test_block_runs_past_an_overflow_without_warnings():

@@ -128,6 +128,22 @@ def test_one_point_equals_its_row_of_a_batch(name):
             assert np.array_equal(fn(u), rows[k])
 
 
+def test_the_planar_gl_point_kernel_gives_the_array_gradient_bit_for_bit():
+    # dynamics.integrate steps a planar orbit through this kernel and must
+    # reproduce integrate_many's numpy rows exactly
+    p = potentials.make_potential("ginzburg_landau", m=2)
+    rng = np.random.default_rng(7)
+    U = rng.standard_normal((2000, 2)) * 10.0 ** rng.integers(-8, 8, (2000, 2))
+    U[:5] = [[-0.0, 0.0], [1.0, -0.0], [0.6, 0.8], [-1.0, 0.0], [1e-160, -1e-160]]
+    points = [p.grad((x, y)) for x, y in U.tolist()]
+    assert all(type(g) is tuple and type(g[0]) is float for g in points)
+    assert np.array_equal(np.array(points).view("<u8"), p.grad(U).view("<u8"))
+    # potentials without a point kernel read a tuple as an array, as before
+    for other in (potentials.make_potential("ginzburg_landau", m=3), potentials.make_potential("n_well")):
+        u = (0.5, -0.25, 2.0)[: other.m]
+        assert np.array_equal(other.grad(u), other.grad(np.array(u)))
+
+
 def test_wrong_dimension_raises():
     p = potentials.make_potential("ginzburg_landau", m=2)
     with pytest.raises(ValueError, match="trailing axis"):
