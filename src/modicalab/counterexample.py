@@ -487,7 +487,9 @@ class TubePotential:
 class _GlobalPotential:
     """The assembled planar potential: the patch piece on the two squares,
     the tube piece (mirrored below u_2 = 0) within eps of the arcs, and the
-    constant lam everywhere else."""
+    constant lam everywhere else, infinite points included, since lam is
+    the limit there.  A point with a NaN coordinate is in no region, and its
+    W, gradient and Hessian are NaN."""
 
     def __init__(self, rho: RhoSpec, curve: CurveSpec, lam: float, eps: float):
         self.curve = curve
@@ -536,6 +538,7 @@ class _GlobalPotential:
         out = np.full(len(flat), self.lam)
         out[patch] = self.patch.w(v[patch])
         out[rows] = self.tube.w(s, mu)
+        out[np.isnan(flat[:, 0]) | np.isnan(flat[:, 1])] = np.nan
         return out.reshape(np.shape(u)[:-1])
 
     def grad(self, u):
@@ -548,6 +551,7 @@ class _GlobalPotential:
         g = self.tube.grad(s, mu)
         g[:, 1] *= sign
         out[rows] = g
+        out[np.isnan(flat[:, 0]) | np.isnan(flat[:, 1])] = np.nan  # and with it the Hessian's quotients
         return out.reshape(np.shape(u))
 
     def hess(self, u):

@@ -96,6 +96,12 @@ def smoothstep_integral(x):
     return out[0] if scalar else out
 
 
+# Abscissae per block of a table build (1,024 panels of the 8-point rule) or
+# of a table read: a block and the temporaries on it stay cache-sized, where
+# one pass over the largest table's 131,072 abscissae would hold over 10 MB.
+_BLOCK = 8192
+
+
 class _PanelIntegral:
     """Cumulative integral F(x) = integral of f from a to x on [a, b], read
     from a table.  The table holds, at the edges of uniform panels, the prefix
@@ -104,24 +110,38 @@ class _PanelIntegral:
     interpolant of F, F' = f and F'' = f' on its panel: no integrand call.
     f and df map abscissae of any shape to values of the same shape, or of
     shape (d, ...) for a d-vector integrand, in which case F has the
-    components on its leading axis too."""
+    components on its leading axis too.  The panel sums are computed one
+    block of panels at a time, each panel's sum bit for bit what one pass
+    over all panels gives, and then accumulated by one cumsum; a query of
+    more than a block is read a block at a time, bit for bit as in one pass."""
 
     def __init__(self, f, df, a: float, b: float, panels: int):
         self.f, self.a, self.panels = f, a, panels
         self.h = (b - a) / panels
         self.edges = np.linspace(a, b, panels + 1)
-        width = np.diff(self.edges)
         nodes, weights = _gauss_legendre(8)
-        t = 0.5 * width[:, None] * (nodes + 1.0) + self.edges[:-1, None]
-        sums = np.cumsum(0.5 * width * (f(t) @ weights), axis=-1)
+        blocks, step = [], _BLOCK // nodes.size
+        for lo in range(0, panels, step):
+            edges = self.edges[lo : lo + step + 1]
+            width = np.diff(edges)
+            t = 0.5 * width[:, None] * (nodes + 1.0) + edges[:-1, None]
+            blocks.append(0.5 * width * (f(t) @ weights))
+        sums = np.cumsum(np.concatenate(blocks, axis=-1), axis=-1)
         self.table = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
         self.total = self.table[..., -1]
         self.slope = self.h * f(self.edges)
         self.bend = self.h**2 * df(self.edges)
 
     def __call__(self, x):
-        x = np.clip(np.asarray(x, float), self.edges[0], self.edges[-1])
-        k = np.minimum(((x - self.a) / self.h).astype(int), self.panels - 1)
+        x = np.asarray(x, float)
+        if x.size > _BLOCK:
+            flat = x.ravel()
+            out = np.concatenate([self(flat[lo : lo + _BLOCK]) for lo in range(0, flat.size, _BLOCK)], axis=-1)
+            return out.reshape(out.shape[:-1] + x.shape)
+        x = np.clip(x, self.edges[0], self.edges[-1])
+        # fmax equals x for every clipped non-NaN x, and sends NaN to panel 0,
+        # where it reads NaN
+        k = np.minimum(((np.fmax(x, self.a) - self.a) / self.h).astype(int), self.panels - 1)
         t = (x - self.edges[k]) / self.h
         u = 1.0 - t
         t3 = t**3

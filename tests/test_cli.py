@@ -41,6 +41,21 @@ def test_orbit_json_reports_the_positive_defect():
     assert json.loads(proc.stdout)["positive_defect"] is True
 
 
+def test_a_failing_orbit_prints_both_gates_with_tol_and_headroom(tmp_path):
+    """dt = 0.5 fails both energy gates: stdout names each with its value,
+    the tolerance and the (negative) headroom; orbit.json holds the report's
+    keys only, as a passing run writes them."""
+    proc = run_cli("orbit", "--R", "0.5", "--dt", "0.5", "--out", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "drift        1.120e-04  tol 1e-06  headroom -1.110e-04  FAIL" in lines[2]
+    assert "|mean H - H| 5.509e-05  tol 1e-06  headroom -5.409e-05  FAIL" in lines[3]
+    assert "tol" not in json.loads((tmp_path / "orbit.json").read_text())
+    passing = run_cli("orbit", "--R", "0.5")
+    assert passing.returncode == 0
+    assert [line.split()[-1] for line in passing.stdout.splitlines()[2:]] == ["pass", "pass"]
+
+
 def test_orbit_rejects_radius_outside_unit_interval():
     assert run_cli("orbit", "--R", "1.5").returncode == 2
     assert run_cli("orbit", "--R", "0").returncode == 2

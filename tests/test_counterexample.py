@@ -1,12 +1,14 @@
 import math
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from modicalab import counterexample as cx
-from modicalab import smooth
+from modicalab import dynamics, potentials, smooth
 
 
 def test_plateau_level_from_energy_bookkeeping():
@@ -574,3 +576,118 @@ def test_import_builds_no_table():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0]"
+
+
+def _one_shot(f, df, a, b, panels):
+    """(table, slope, bend) from one pass of the Gauss-Legendre rule over
+    every panel's abscissae at once: the build before it went by blocks."""
+    edges = np.linspace(a, b, panels + 1)
+    width = np.diff(edges)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    t = 0.5 * width[:, None] * (nodes + 1.0) + edges[:-1, None]
+    sums = np.cumsum(0.5 * width * (f(t) @ weights), axis=-1)
+    table = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), sums], axis=-1)
+    h = (b - a) / panels
+    return table, h * f(edges), h**2 * df(edges)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view("<u8")
+
+
+def _assert_one_shot(P, f, df, a, b, panels):
+    for built, reference in zip((P.table, P.slope, P.bend), _one_shot(f, df, a, b, panels)):
+        assert built.shape == reference.shape
+        assert np.array_equal(_bits(built), _bits(reference))
+
+
+def test_every_table_matches_its_one_shot_build(monkeypatch):
+    """The segment clock, the smoothstep table, both heteroclinic clocks, the
+    bump integral and the 2-vector unit arc, each built in blocks of panels,
+    equal the one-pass build bit for bit in table, slope and bend."""
+    built = []
+
+    class Recorded(smooth._PanelIntegral):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self, args))
+
+    smooth._smoothstep_table()  # the segment clock's integrand reads it
+    monkeypatch.setattr(smooth, "_PanelIntegral", Recorded)
+    cx._segment_clock.__wrapped__(cx.lambda_from_hamiltonian())
+    smooth._smoothstep_table.__wrapped__()
+    dynamics.shoot_heteroclinic(potentials.make_potential("double_well"), -1.0, 1.0)
+    cx.build_curve()
+    assert sorted(args[-1] for _, args in built) == [512, 1024, 4096, 4096, 8192, 16384]
+    assert built[-1][0].table.shape == (2, 16385)  # the unit arc
+    for P, args in built:
+        _assert_one_shot(P, *args)
+
+
+def test_a_table_with_a_partial_last_block_matches_its_one_shot_build():
+    """1,500 panels: one whole block and a partial one."""
+    args = (smooth.bump01, smooth.bump01_d, 0.0, 1.0, 1500)
+    assert 1500 % (smooth._BLOCK // 8) != 0
+    _assert_one_shot(smooth._PanelIntegral(*args), *args)
+
+
+@pytest.mark.parametrize("name", ["smoothstep", "tangent-angle", "arc", "segment-clock"])
+def test_a_read_of_many_blocks_equals_its_pieces_bit_for_bit(tables, name):
+    """A query of 20,000 points, or of shape (100, 200), is read a block at a
+    time, bit for bit as its pieces of 1,000 points are read alone, with the
+    query's shape after a vector integrand's component axis."""
+    P = tables[name]
+    x = np.random.default_rng(5).uniform(P.edges[0], P.edges[-1], 20_000)
+    pieces = np.concatenate([P(x[lo : lo + 1000]) for lo in range(0, x.size, 1000)], axis=-1)
+    assert x.size > smooth._BLOCK
+    assert np.array_equal(_bits(P(x)), _bits(pieces))
+    grid = P(x.reshape(100, 200))
+    assert grid.shape == pieces.shape[:-1] + (100, 200)
+    assert np.array_equal(_bits(grid).reshape(pieces.shape), _bits(pieces))
+
+
+def test_build_curve_traced_peak_stays_under_4_mb():
+    """Both curve tables built in blocks of panels: the traced peak of
+    build_curve is 2.3 MB (the one-pass build took 13.2 MB).  The Gauss-
+    Legendre rule is computed before tracing, since its first use imports
+    numpy's polynomial package."""
+    smooth._gauss_legendre(8)
+    tracemalloc.start()
+    try:
+        cx.build_curve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, f"build_curve traced peak {peak / 1e6:.2f} MB"
+
+
+def test_a_nan_read_is_nan_and_leaves_the_other_lanes_alone(tables, assembled):
+    """A NaN query reads NaN, with no warning, and every finite lane of the
+    same query reads what it reads alone."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for P in tables.values():
+            x = np.linspace(P.edges[0], P.edges[-1], 7)
+            mixed = P(np.insert(x, 3, np.nan))
+            assert np.all(np.isnan(mixed[..., 3]))
+            assert np.array_equal(_bits(np.delete(mixed, 3, axis=-1)), _bits(P(x)))
+        pc = assembled.pc
+        y, v = pc.segment.sol(np.array([np.nan, 0.5]))
+        assert np.isnan(y[0]) and np.isnan(v[0]) and np.isfinite(y[1]) and np.isfinite(v[1])
+        g = pc.curve.gamma(np.array([np.nan, 1.0]))
+        assert np.all(np.isnan(g[0])) and np.all(np.isfinite(g[1]))
+
+
+def test_the_potential_is_nan_on_nan_rows_and_lam_at_infinity(assembled):
+    """A row holding a NaN has NaN W, gradient and Hessian; an infinite row
+    keeps the plateau value lam, its limit; the finite rows are untouched."""
+    P = assembled.pc.potential
+    lam = assembled.pc.lam
+    finite = np.array([[2.0, 0.3], [0.0, 1.0], [-1.5, -1.2]])
+    bad = np.array([[np.nan, 0.0], [0.0, np.nan], [np.nan, np.inf], [np.inf, 0.0], [-np.inf, np.inf]])
+    u = np.concatenate([finite, bad])
+    w, g, H = P.w(u), P.grad(u), P.hess(u)
+    assert np.all(np.isnan(w[3:6])) and np.all(np.isnan(g[3:6])) and np.all(np.isnan(H[3:6]))
+    assert np.all(w[6:] == lam) and np.all(g[6:] == 0.0) and np.all(H[6:] == 0.0)
+    for fn, rows in ((P.w, w), (P.grad, g), (P.hess, H)):
+        assert np.array_equal(fn(finite), rows[:3])
