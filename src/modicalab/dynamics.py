@@ -214,9 +214,8 @@ def integrate(
     and when the energy drift exceeds `drift_tol`, as `integrate_many` does.
 
     A planar start on a potential whose gradient offers a point kernel
-    (`p._grad.point(x, y)` returns the gradient at one point of floats as a
-    tuple, as for the catalog's `ginzburg_landau` with m = 2) steps on
-    Python floats through that kernel, called directly, with the same IEEE
+    (`p.grad` of a tuple of floats returns a tuple, as for the catalog's
+    `ginzburg_landau` with m = 2) steps on Python floats, the same IEEE
     operations in the same order as `integrate_many`'s loop, and copies
     each 256-step block into the same (steps + 1, 1, 2) buffers before the
     same blow-up test, so the trajectory is bit-identical to its row there,
@@ -228,7 +227,7 @@ def integrate(
     _check_arguments(dt, steps, drift_tol)
     # Python floats throughout: a numpy scalar would bring back numpy's
     # per-operation overhead
-    point, dt = p._grad.point, float(dt)
+    grad, dt = p.grad, float(dt)
     half = 0.5 * dt
     uu = np.empty((steps + 1, 1, 2))
     vv = np.empty((steps + 1, 1, 2))
@@ -245,7 +244,7 @@ def integrate(
         for _ in range(lo, hi):
             x += hx
             y += hy
-            gx, gy = point(x, y)
+            gx, gy = grad((x, y))
             vx += dt * gx
             vy += dt * gy
             hx = half * vx

@@ -32,8 +32,8 @@ class Potential:
     which the caller may overwrite.  A gradient may also carry a point
     kernel, `_grad.point(x_1, ..., x_m)`, that returns the gradient at one
     point of Python floats as a tuple, bit for bit as the array path gives
-    it, inf and nan included, without raising; `dynamics.integrate` steps
-    a planar orbit through it.
+    it, inf and nan included, without raising; `grad` of a tuple of floats
+    then calls it.
     """
 
     name: str
@@ -48,6 +48,8 @@ class Potential:
         return self._w(self._check(u))
 
     def grad(self, u):
+        if type(u) is tuple and hasattr(self._grad, "point"):
+            return self._grad.point(*u)
         return self._grad(self._check(u))
 
     def hess(self, u):
