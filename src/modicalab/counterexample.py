@@ -46,7 +46,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import smooth
-from .potentials import Potential
+from .potentials import Potential, _sum_columns
 
 __all__ = [
     "RhoSpec",
@@ -370,11 +370,11 @@ class CurveSpec:
         for _ in range(4):
             g, d1, d2 = self._hermite(s)
             diff = pts - g
-            s = step(s, np.sum(diff * d1, axis=-1), np.sum(d1 * d1, axis=-1) - np.sum(diff * d2, axis=-1))
+            s = step(s, _sum_columns(diff * d1), _sum_columns(d1 * d1) - _sum_columns(diff * d2))
         tvec, nvec = self._frame(s)
         diff = pts - self.gamma(s)
-        s = step(s, np.sum(diff * tvec, axis=-1), 1.0 - self.kappa(s) * np.sum(diff * nvec, axis=-1))
-        return s, np.sum((pts - self.gamma(s)) * self.normal(s), axis=-1)
+        s = step(s, _sum_columns(diff * tvec), 1.0 - self.kappa(s) * _sum_columns(diff * nvec))
+        return s, _sum_columns((pts - self.gamma(s)) * self.normal(s))
 
     def project(self, pts):
         """Arc coordinates (s, mu) of planar points near the arc, cold: the
@@ -436,13 +436,13 @@ class _Patch:
     lam: float
 
     def w(self, v):
-        return 2.0 * self.lam * self.rho.rho(np.sum(v**2, axis=-1))
+        return 2.0 * self.lam * self.rho.rho(_sum_columns(v * v))
 
     def grad(self, v):
-        return 4.0 * self.lam * self.rho.drho(np.sum(v**2, axis=-1))[..., None] * v
+        return 4.0 * self.lam * self.rho.drho(_sum_columns(v * v))[..., None] * v
 
     def hess(self, v):
-        a = np.sum(v**2, axis=-1)
+        a = _sum_columns(v * v)
         d1 = self.rho.drho(a)[..., None, None]
         d2 = self.rho.d2rho(a)[..., None, None]
         return 4.0 * self.lam * (d1 * np.eye(2) + 2.0 * d2 * v[..., :, None] * v[..., None, :])
@@ -505,7 +505,7 @@ class _GlobalPotential:
         each row's offset from the well on its side of u_1 = 0."""
         flat = np.asarray(u, float).reshape(-1, 2)
         v = flat - np.where(flat[:, :1] > 0.0, A_PLUS, A_MINUS)
-        return flat, np.all(np.abs(v) <= 1.0, axis=-1), v
+        return flat, (np.abs(v[:, 0]) <= 1.0) & (np.abs(v[:, 1]) <= 1.0), v
 
     def _folded(self, flat):
         """The rows folded onto the upper half plane, (u_1, |u_2|), and the
@@ -675,7 +675,7 @@ class PeriodicConnection:
 
     def hamiltonian_series(self):
         """0.5 |v|^2 - W(u) along the stored samples."""
-        return 0.5 * np.sum(self.v**2, axis=1) - self._sampled[0]
+        return 0.5 * _sum_columns(self.v * self.v) - self._sampled[0]
 
     def ode_residual(self) -> float:
         """sup |second difference of the sampled orbit - grad W(u)| over the

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smooth
-from .potentials import Potential
+from .potentials import Potential, _sum_columns
 
 __all__ = [
     "PhasePoint",
@@ -91,7 +91,7 @@ class BlowUpError(RuntimeError):
 
 def _trajectory(p, times, uu, vv):
     """The trajectory through the samples (uu, vv), with H = 0.5|v|^2 - W(u)."""
-    H = 0.5 * np.sum(vv**2, axis=1) - p.w(uu)
+    H = 0.5 * _sum_columns(vv * vv) - p.w(uu)
     return Trajectory(times=times, u=uu, v=vv, H=H)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import smooth
 from .dynamics import Trajectory, integrate, integrate_many, orbit_family, shoot_heteroclinic
 from .fields import GridField, Jet2, _laplacian, grid_jets
-from .potentials import Potential, make_potential
+from .potentials import Potential, _sum_columns, make_potential
 
 __all__ = [
     "DefectReport",
@@ -616,10 +616,7 @@ def speed_envelope_check(R_grid=None, dt: float = 1e-3) -> DefectReport:
     margins = []
     points = []
     for R, traj in zip(R_grid, trajs):
-        # |v|^2 as vx^2 + vy^2, the bits of np.sum(v**2, axis=-1) without a
-        # length-2 reduction per row of a strided view
-        vx, vy = traj.v.T
-        measured_orbit = float(np.max(0.5 * (vx * vx + vy * vy)))
+        measured_orbit = float(np.max(0.5 * _sum_columns(traj.v * traj.v)))
         measured_het = float(np.interp(R, het_mod, het_kin))
         envelope = max(measured_orbit, measured_het)
         w = 0.25 * (R * R - 1.0) ** 2

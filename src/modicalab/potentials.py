@@ -79,18 +79,36 @@ def _make_double_well():
     )
 
 
+def _sum_columns(a):
+    """np.sum(a, axis=-1) bit for bit, as one array operation per column.
+
+    numpy reduces a short trailing axis with one small loop per row, which
+    is slow on a grid.  Below 8 columns its sum is ((0.0 + a_0) + a_1) + ...,
+    taken here column by column, signed zeros, inf, nan and subnormals
+    included; from 8 columns on numpy unrolls the sum into another order,
+    so there this is numpy's reduction.
+    """
+    m = a.shape[-1]
+    if not 0 < m < 8:
+        return np.add.reduce(a, axis=-1)
+    s = 0.0 + a[..., 0]  # an all -0.0 row sums to +0.0, as in numpy
+    for k in range(1, m):
+        s += a[..., k]
+    return s
+
+
 def _make_ginzburg_landau(m=2):
     m = int(m)
     if m < 1:
         raise ValueError("ginzburg_landau needs m >= 1")
 
     def w(u):
-        return 0.25 * np.square(np.sum(u**2, axis=-1) - 1.0)
+        return 0.25 * np.square(_sum_columns(u * u) - 1.0)
 
     def grad(u):
-        # add.reduce and u * u are np.sum and u**2 without their Python
-        # wrappers: the same bits at a fraction of the call cost
-        q = np.add.reduce(u * u, axis=-1, keepdims=True)
+        # u * u is u**2, and _sum_columns the reduction over the value axis,
+        # both bit for bit; on a grid that reduction was the slow part
+        q = _sum_columns(u * u)[..., None]
         q -= 1.0
         return q * u
 
@@ -105,7 +123,7 @@ def _make_ginzburg_landau(m=2):
         grad.point = point
 
     def hess(u):
-        q = np.sum(u**2, axis=-1) - 1.0
+        q = _sum_columns(u * u) - 1.0
         eye = np.eye(m)
         return q[..., None, None] * eye + 2.0 * u[..., :, None] * u[..., None, :]
 
@@ -164,7 +182,7 @@ def _make_polygon_product(vertices=None):
 
     def _pieces(u):
         d = u[..., None, :] - verts  # (..., N, 2)
-        p = np.sum(d**2, axis=-1)  # (..., N)
+        p = _sum_columns(d * d)  # (..., N)
         return d, p
 
     def w(u):
@@ -187,7 +205,7 @@ def _make_polygon_product(vertices=None):
     def hess(u):
         d, p = _pieces(u)
         pr = _partials(p)
-        out = 2.0 * np.sum(pr, axis=-1)[..., None, None] * np.eye(2)
+        out = 2.0 * _sum_columns(pr)[..., None, None] * np.eye(2)
         for i in range(N):
             for k in range(N):
                 if i == k:
@@ -205,7 +223,7 @@ def _make_quadratic(m=2):
     m = int(m)
 
     def w(u):
-        return 0.5 * np.sum(u**2, axis=-1)
+        return 0.5 * _sum_columns(u * u)
 
     def grad(u):
         return u.copy()

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ClosedFormField, GridField, _laplacian
-from .potentials import Potential
+from .potentials import Potential, _sum_columns
 
 __all__ = [
     "RelaxError",
@@ -101,7 +101,7 @@ def energy(g: GridField, p: Potential) -> float:
     h1, h2 = g.spacing
     d1 = np.gradient(u, h1, axis=0)
     d2 = np.gradient(u, h2, axis=1)
-    density = 0.5 * (np.sum(d1**2, axis=-1) + np.sum(d2**2, axis=-1)) + np.asarray(p.w(u))
+    density = 0.5 * (_sum_columns(d1 * d1) + _sum_columns(d2 * d2)) + np.asarray(p.w(u))
     wts1 = np.ones(u.shape[0]); wts1[0] = wts1[-1] = 0.5
     wts2 = np.ones(u.shape[1]); wts2[0] = wts2[-1] = 0.5
     return float(h1 * h2 * np.einsum("i,j,ij->", wts1, wts2, density))
@@ -210,8 +210,11 @@ def _hierarchy(shape, spacing, m: int, L: float) -> list[_Level]:
 
 def _defect(u: np.ndarray, p: Potential, spacing, f) -> np.ndarray:
     """Lap_h u - grad W(u) + f over the interior nodes (f = None is zero)."""
-    a = _laplacian(u, spacing) - np.asarray(p.grad(u[1:-1, 1:-1]))
-    return a if f is None else a + f
+    a = _laplacian(u, spacing)
+    a -= p.grad(u[1:-1, 1:-1])
+    if f is not None:
+        a += f
+    return a
 
 
 def _level_energy(u: np.ndarray, p: Potential, spacing, f) -> float:

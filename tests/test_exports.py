@@ -170,3 +170,49 @@ def test_the_settable_value_walk_counts_each_kind():
         "    e: int = 0\n"
     )
     assert len(_settable_values(source, "m.py")) == 5
+
+
+# Reductions over a trailing axis (np.sum, np.all, np.any and np.add.reduce,
+# or the method forms, with axis=-1) in the modules of the relaxation sweeps
+# and the Verlet loop.  numpy reduces a short value axis with one small loop
+# per row, slower than one array operation per column, so these modules sum
+# it with potentials._sum_columns, whose fallback from 8 columns on is the
+# one left.  A new one has to raise this ratchet.
+TRAILING_REDUCTIONS = 1
+SWEEP_MODULES = ("potentials.py", "fields.py", "solver.py", "dynamics.py")
+
+
+def _trailing_reductions(source: str, name: str) -> list:
+    """'name:line' of each reduction over axis -1 in one module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = ast.unparse(node.func)
+        if func in ("np.sum", "np.all", "np.any", "np.add.reduce"):
+            axis = node.args[1:2]
+        elif node.func.attr in ("sum", "all", "any"):
+            axis = node.args[:1]
+        else:
+            continue
+        axis += [kw.value for kw in node.keywords if kw.arg == "axis"]
+        if any(ast.unparse(a) == "-1" for a in axis):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_trailing_axis_reductions_do_not_grow_in_the_sweep_modules():
+    found = [v for name in SWEEP_MODULES for v in _trailing_reductions((PACKAGE / name).read_text(), name)]
+    assert len(found) <= TRAILING_REDUCTIONS, f"{len(found)} trailing-axis reductions, over {TRAILING_REDUCTIONS}: {found}"
+
+
+def test_the_trailing_reduction_walk_counts_each_form():
+    source = (
+        "np.sum(u * u, axis=-1)\n"
+        "np.all(u, -1)\n"
+        "np.any(u > 0, axis=-1, keepdims=True)\n"
+        "np.add.reduce(u, axis=-1)\n"
+        "u.sum(axis=-1) + u.all(-1)\n"
+        "np.sum(u, axis=0) + np.sum(u) + u.sum(axis=(-2, -1)) + np.prod(u, axis=-1)\n"
+    )
+    assert len(_trailing_reductions(source, "m.py")) == 6

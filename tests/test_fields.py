@@ -275,3 +275,14 @@ def test_save_is_deterministic(tmp_path):
     fields.save_gridfield(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert (tmp_path / "a.npy.json").read_bytes() == (tmp_path / "b.npy.json").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(9, 13), (9, 13, 1), (9, 13, 2), (9, 13, 3)])
+def test_the_five_point_laplacian_is_its_two_product_form_bit_for_bit(shape):
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    h1, h2 = 0.05, 0.0375
+    core = v[1:-1, 1:-1]
+    ref = (v[2:, 1:-1] - 2 * core + v[:-2, 1:-1]) / h1**2 + (v[1:-1, 2:] - 2 * core + v[1:-1, :-2]) / h2**2
+    lap = fields._laplacian(v, (h1, h2))
+    assert lap.shape == ref.shape and np.array_equal(lap.view("<u8"), ref.view("<u8"))

@@ -54,12 +54,40 @@ def test_ginzburg_landau_vanishes_on_sphere(m):
     assert np.max(np.abs(p.grad(u))) < 1e-14
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+def _same_bits(a, b) -> bool:
+    # integer bit patterns, which tell -0.0 from 0.0 and compare nan as equal
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view("<u8"), b.view("<u8"))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
 @pytest.mark.parametrize("lead", [(), (40,), (6, 7)])
 def test_ginzburg_landau_gradient_is_bit_identical_to_its_closed_form(m, lead):
+    # w and hess too, against np.sum's formulas; from m = 8 on the column
+    # sum is numpy's own reduction
     p = potentials.make_potential("ginzburg_landau", m=m)
     u = 1.5 * np.random.default_rng(11).standard_normal(lead + (m,))
-    assert np.array_equal(p.grad(u), (np.sum(u**2, axis=-1) - 1.0)[..., None] * u)
+    q = np.sum(u**2, axis=-1) - 1.0
+    assert _same_bits(p.w(u), 0.25 * np.square(q))
+    assert _same_bits(p.grad(u), q[..., None] * u)
+    assert _same_bits(p.hess(u), q[..., None, None] * np.eye(m) + 2.0 * u[..., :, None] * u[..., None, :])
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, -2.2e-308, 1.0, -3.0, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_the_column_sum_is_numpys_sum_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((3000, m)) * 10.0 ** rng.integers(-30, 30, (3000, m))
+    special = rng.random((3000, m)) < 0.4
+    a[special] = rng.choice(_SPECIAL, np.count_nonzero(special))
+    a[:20] = -0.0  # numpy sums an all -0.0 row to +0.0
+    a[20:40] = rng.choice([0.0, -0.0], (20, m))
+    with np.errstate(all="ignore"):
+        # contiguous, strided, column-major and with two leading axes
+        for b in (a, a[::3], np.asfortranarray(a), a.reshape(60, 50, m)):
+            assert _same_bits(potentials._sum_columns(b), np.sum(b, axis=-1))
 
 
 def test_ginzburg_landau_gradient_of_a_scalar_is_bit_identical_to_its_closed_form():

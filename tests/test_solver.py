@@ -493,3 +493,49 @@ def test_gl_relaxation_converges_over_the_square_matrix(a, side, h):
         # the unit squares, as in the suite and the relax ladder, keep the
         # Newton step in every cycle
         assert result.newton_steps == result.iterations
+
+
+def _sum_formula_gl():
+    # GL (m = 2) from np.sum's formulas, the reductions the column sums replace
+    def w(u):
+        return 0.25 * np.square(np.sum(u**2, axis=-1) - 1.0)
+
+    def grad(u):
+        return (np.sum(u**2, axis=-1) - 1.0)[..., None] * u
+
+    def hess(u):
+        q = np.sum(u**2, axis=-1) - 1.0
+        return q[..., None, None] * np.eye(2) + 2.0 * u[..., :, None] * u[..., None, :]
+
+    gl = potentials.make_potential("ginzburg_landau", m=2)
+    return potentials.Potential("gl_by_np_sum", 2, {}, gl.zeros, w, grad, hess)
+
+
+def _two_product_defect(u, p, spacing, f):
+    # Lap_h u - grad W(u) + f as it read before: 2 * core formed for each
+    # axis, grad W subtracted and f added into new arrays
+    h1, h2 = spacing
+    core = u[1:-1, 1:-1]
+    lap = (u[2:, 1:-1] - 2 * core + u[:-2, 1:-1]) / h1**2 + (u[1:-1, 2:] - 2 * core + u[1:-1, :-2]) / h2**2
+    a = lap - np.asarray(p.grad(core))
+    return a if f is None else a + f
+
+
+def test_relaxation_with_the_column_sums_is_the_np_sum_relaxation_bit_for_bit(monkeypatch):
+    # the relax ladder's h = 0.05 rung: identity data, a seeded start
+    h, n = 0.05, 21
+    axis = -0.5 + h * np.arange(n)
+    start = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    start += np.random.default_rng(77).uniform(-0.01, 0.01, start.shape)
+    cfg = solver.RelaxConfig(
+        origin=(-0.5, -0.5), spacing=(h, h), shape=(n, n),
+        boundary=fields.make_field("harmonic_linear_map"), max_iters=400_000, tol=1e-10,
+    )
+    init = fields.GridField((-0.5, -0.5), (h, h), start)
+    ours = solver.relax(potentials.make_potential("ginzburg_landau", m=2), cfg, init=init)
+    monkeypatch.setattr(solver, "_defect", _two_product_defect)
+    ref = solver.relax(_sum_formula_gl(), cfg, init=init)
+    assert ours.converged and (ours.iterations, ours.newton_steps) == (ref.iterations, ref.newton_steps)
+    for a, b in ((ours.field.values, ref.field.values), (ours.residuals, ref.residuals),
+                 (ours.energies, ref.energies)):
+        assert a.shape == b.shape and np.array_equal(a.view("<u8"), b.view("<u8"))
