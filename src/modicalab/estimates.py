@@ -99,7 +99,7 @@ def modica_defect(jet: Jet2, p: Potential):
 def gl_pointwise_bound(jet: Jet2):
     """Margin of the sharp Ginzburg-Landau bound 0.5|grad u|^2 <= (1-|u|^2)/2,
     per node of a batched jet."""
-    return 0.5 * (1.0 - np.sum(jet.u**2, axis=-1)) - 0.5 * jet.grad_sq()
+    return 0.5 * (1.0 - _sum_columns(jet.u * jet.u)) - 0.5 * jet.grad_sq()
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +115,10 @@ def gl_p_residual(g: GridField, tol_solution: float = 1e-4) -> np.ndarray:
     """
     jets = grid_jets(g)
     u = jets.u
-    q = 0.5 * (np.sum(u**2, axis=-1) - 1.0)
+    q = 0.5 * (_sum_columns(u * u) - 1.0)
     _solution_gate(jets.laplacian() - 2.0 * q[..., None] * u, tol_solution, "grid is not a GL solution")
     p_vals = 0.5 * jets.grad_sq() + q
-    lap_p = _laplacian(p_vals, g.spacing)
+    lap_p = _laplacian(p_vals, g.spacing)[:, 1:-1]
     core = p_vals[1:-1, 1:-1]
     q_core = q[1:-1, 1:-1]
     return lap_p - 2.0 * (2.0 * q_core + 1.0) * core
@@ -204,7 +204,7 @@ def _diagonal_solution(g: GridField, cfg: DiagonalSystemConfig, gate: float):
     system residual D Lap u + (1 - <Au,u>) u, gated at `gate`."""
     jets = grid_jets(g)
     u = jets.u
-    quad = np.sum(np.einsum("ij,...j->...i", cfg.A, u) * u, axis=-1)
+    quad = _sum_columns(np.einsum("ij,...j->...i", cfg.A, u) * u)
     resid = np.einsum("jk,...k->...j", cfg.D, jets.laplacian()) + (1.0 - quad)[..., None] * u
     return jets, quad, _solution_gate(resid, gate, "grid does not solve the diagonal system")
 
@@ -216,12 +216,12 @@ def diagonal_p_residual(g: GridField, cfg: DiagonalSystemConfig, lam: float | No
     jets, quad, _ = _diagonal_solution(g, cfg, tol_solution)
     lam = cfg.lambda_multiplier() if lam is None else float(lam)
     nu = cfg.nu
-    gradsq_j = np.sum(jets.du**2, axis=-1)  # (ni, nj, m)
-    p_vals = 0.5 * np.sum(nu * gradsq_j, axis=-1) + 0.5 * lam * (quad - 1.0)
-    lap_p = _laplacian(p_vals, g.spacing)
+    gradsq_j = _sum_columns(jets.du * jets.du)  # (ni, nj, m)
+    p_vals = 0.5 * _sum_columns(nu * gradsq_j) + 0.5 * lam * (quad - 1.0)
+    lap_p = _laplacian(p_vals, g.spacing)[:, 1:-1]
     b_term = np.sum(nu[:, None, None] * jets.d2u**2, axis=(-3, -2, -1))
     su = np.einsum("ij,...j->...i", cfg.S, jets.u)
-    h_factor = np.sum(su * jets.u, axis=-1)
+    h_factor = _sum_columns(su * jets.u)
     core = slice(1, -1)
     return lap_p - b_term[core, core] - h_factor[core, core] * p_vals[core, core]
 
@@ -259,7 +259,7 @@ def _field_states(obj):
     """(u, grad_sq, points) triples from either a Trajectory or a GridField."""
     if isinstance(obj, Trajectory):
         u = obj.u
-        gradsq = np.sum(obj.v**2, axis=-1)
+        gradsq = _sum_columns(obj.v * obj.v)
         pts = obj.times[:, None]
         return u, gradsq, pts
     if isinstance(obj, GridField):
@@ -292,8 +292,8 @@ def diagonal_system_check(cfg: DiagonalSystemConfig, g: GridField | None = None,
         return DefectReport.from_margins("diagonal-system", [], None, tol, constants)
     jets, quad, residual = _diagonal_solution(g, cfg, 1e-4)
     constants["solution_residual"] = residual
-    gradsq_j = np.sum(jets.du**2, axis=-1)
-    lhs = 0.5 * np.sum(cfg.nu * gradsq_j, axis=-1)
+    gradsq_j = _sum_columns(jets.du * jets.du)
+    lhs = 0.5 * _sum_columns(cfg.nu * gradsq_j)
     margins = (0.5 * lam * (1.0 - quad) - lhs).ravel()
     conf = (1.0 - quad).ravel()
     pts = jets.x.reshape(-1, jets.n)
@@ -319,7 +319,7 @@ def ball_confinement_check(p: Potential, obj, R: float, tol: float = 1e-7) -> De
     outside = ball_samples(p.m, R + 1.0, n_samples)
     norms = np.linalg.norm(outside, axis=1)
     mask = norms > R * (1.0 + 1e-9)
-    radial = np.sum(outside * p.grad(outside), axis=-1)
+    radial = _sum_columns(outside * p.grad(outside))
     bad = mask & (radial <= 0.0)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -328,8 +328,8 @@ def ball_confinement_check(p: Potential, obj, R: float, tol: float = 1e-7) -> De
         )
 
     inside = ball_samples(p.m, R, n_samples)
-    radial_in = np.sum(inside * p.grad(inside), axis=-1)
-    denom = np.sum(inside**2, axis=-1) - R * R
+    radial_in = _sum_columns(inside * p.grad(inside))
+    denom = _sum_columns(inside * inside) - R * R
     neg = radial_in < 0.0
     kappa = float(np.max(radial_in[neg] / denom[neg])) if np.any(neg) else tol
 
@@ -342,7 +342,7 @@ def ball_confinement_check(p: Potential, obj, R: float, tol: float = 1e-7) -> De
     if obj is None:
         return DefectReport.from_margins("ball-confinement", [], None, tol, constants)
     u, gradsq, pts = _field_states(obj)
-    unorm2 = np.sum(u**2, axis=-1)
+    unorm2 = _sum_columns(u * u)
     margins = C * (R * R - unorm2) - 0.5 * gradsq
     confinement = R * R - unorm2
     constants["confinement_worst"] = float(np.min(confinement))
@@ -563,12 +563,12 @@ def ode_bound_check(traj: Trajectory, p: Potential, tol: float = 1e-7) -> Defect
     0.5|u'|^2 <= |u|^2 sqrt(W) when |u|^2 >= 2/3 and <= W + 1/12 otherwise;
     globally H <= 1/12, refined to (1/4)(1-S)(3S-1) when S = sup|u|^2 > 2/3."""
     u, v = traj.u, traj.v
-    unorm2 = np.sum(u**2, axis=-1)
+    unorm2 = _sum_columns(u * u)
     w = np.asarray(p.w(u))
     dev = float(np.max(np.abs(w - 0.25 * (unorm2 - 1.0) ** 2)))
     if dev > 1e-10:
         raise HypothesisError(f"potential does not match the GL form on the trajectory (dev {dev:.3e})")
-    kin = 0.5 * np.sum(v**2, axis=-1)
+    kin = 0.5 * _sum_columns(v * v)
     sqrt_w = np.sqrt(np.maximum(w, 0.0))
     upper = np.where(unorm2 >= 2.0 / 3.0, unorm2 * sqrt_w, w + 1.0 / 12.0)
     margins = upper - kin

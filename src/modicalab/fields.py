@@ -340,13 +340,24 @@ def _central_differences(v: np.ndarray, h) -> tuple:
 
 
 def _laplacian(v: np.ndarray, h) -> np.ndarray:
-    """Five-point Laplacian of v over the interior nodes of its two leading
-    axes; trailing axes are carried along."""
+    """Five-point Laplacian of v over the interior rows of its two leading
+    axes, whole rows: shape (n1 - 2, n2, ...), trailing axes carried along.
+
+    One kernel on 1-D contiguous slices of the C-ordered values, so columns
+    0 and n2 - 1 hold the stencil wrapped onto the neighbouring row, which
+    is not a Laplacian; callers read [:, 1:-1].  Every interior value is
+    the 2-D stencil's, bit for bit."""
     if len(h) != 2:
         raise ValueError("the five-point Laplacian needs a planar grid")
     h1, h2 = h
-    core2 = 2 * v[1:-1, 1:-1]  # exact, so one product serves both axes
-    return (v[2:, 1:-1] - core2 + v[:-2, 1:-1]) / h1**2 + (v[1:-1, 2:] - core2 + v[1:-1, :-2]) / h2**2
+    n1, n2 = v.shape[:2]
+    k = math.prod(v.shape[2:])
+    row, flat = n2 * k, v.reshape(-1)
+    size = (n1 - 2) * row
+    core2 = 2 * flat[row : row + size]  # exact, so one product serves both axes
+    lap = ((flat[2 * row :] - core2 + flat[:size]) / h1**2
+           + (flat[row + k : row + k + size] - core2 + flat[row - k : row - k + size]) / h2**2)
+    return lap.reshape((n1 - 2,) + v.shape[1:])
 
 
 def grid_jets(g: GridField) -> Jet2:

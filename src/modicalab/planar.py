@@ -30,7 +30,7 @@ import numpy as np
 from . import smooth
 from .estimates import _solution_gate
 from .fields import ClosedFormField, GridField, Jet2, _first_differences, _laplacian, grid_jets
-from .potentials import Potential
+from .potentials import Potential, _sum_columns
 
 __all__ = [
     "UField",
@@ -65,8 +65,8 @@ def _convexity_terms(jet: Jet2, p: Potential):
     if jet.n != 2:
         raise ValueError("the auxiliary function U needs a planar jet (n=2)")
     du = jet.du
-    d = np.sum(du[..., 0] ** 2, axis=-1) - np.sum(du[..., 1] ** 2, axis=-1)
-    return np.asarray(p.w(jet.u)), d, 2.0 * np.sum(du[..., 0] * du[..., 1], axis=-1)
+    d = _sum_columns(du[..., 0] * du[..., 0]) - _sum_columns(du[..., 1] * du[..., 1])
+    return np.asarray(p.w(jet.u)), d, 2.0 * _sum_columns(du[..., 0] * du[..., 1])
 
 
 def hessian_U(jet: Jet2, p: Potential) -> np.ndarray:
@@ -198,7 +198,7 @@ def reconstruct_U(g: GridField, p: Potential, gate: float = 1e-4) -> UField:
     u_field, defect3 = integrate_from_gauge(ux1, ux2)
     path_defect = max(defect1, defect2, defect3)
 
-    lap = _laplacian(u_field, g.spacing)
+    lap = _laplacian(u_field, g.spacing)[:, 1:-1]
     w_interior = np.asarray(p.w(jets.u))[1:-1, 1:-1]
     lap_defect = float(np.max(np.abs(lap - 4.0 * w_interior)))
 
@@ -258,7 +258,7 @@ def green_boundary_identity(f: ClosedFormField, p: Potential, center, R: float) 
     u_nu = np.matmul(jets.du, nu[:, :, None])[..., 0]
     _solution_gate(jets.laplacian() - p.grad(jets.u), gate,
                    "field does not solve the system on the boundary")
-    integrand = np.sum(u_tau**2, axis=-1) - np.sum(u_nu**2, axis=-1) + 2.0 * p.w(jets.u)
+    integrand = _sum_columns(u_tau * u_tau) - _sum_columns(u_nu * u_nu) + 2.0 * p.w(jets.u)
     rhs = R * R * float(integrand.mean() * 2.0 * math.pi)
     return {
         "lhs": lhs,

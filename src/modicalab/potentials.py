@@ -29,11 +29,14 @@ class Potential:
 
     w, grad, hess accept arrays of shape (..., m) and return shapes (...),
     (..., m) and (..., m, m) respectively; grad returns a new float64 array,
-    which the caller may overwrite.  A gradient may also carry a point
-    kernel, `_grad.point(x_1, ..., x_m)`, that returns the gradient at one
-    point of Python floats as a tuple, bit for bit as the array path gives
-    it, inf and nan included, without raising; `grad` of a tuple of floats
-    then calls it.
+    which the caller may overwrite.  Each evaluates every point on its own:
+    a row of a batch has the bits of that point evaluated alone, whatever
+    else the batch holds; `dynamics.integrate_many` and the solver's one
+    grad W for both colours of a sweep rely on it.  A gradient may also
+    carry a point kernel, `_grad.point(x_1, ..., x_m)`, that returns the
+    gradient at one point of Python floats as a tuple, bit for bit as the
+    array path gives it, inf and nan included, without raising; `grad` of a
+    tuple of floats then calls it.
     """
 
     name: str

@@ -25,6 +25,7 @@ not grow as h shrinks (A. Brandt, Math. Comp. 31, 1977).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,9 +86,11 @@ def flow_energy(u: np.ndarray, p: Potential, spacing) -> float:
     gradient energy plus node-based potential energy.  Its interior gradient
     is exactly -h1 h2 (Lap_h u - grad W), so the damped flow cannot increase it."""
     h1, h2 = spacing
-    e_grad = 0.5 * h2 / h1 * np.sum((u[1:, :] - u[:-1, :]) ** 2) + 0.5 * h1 / h2 * np.sum(
-        (u[:, 1:] - u[:, :-1]) ** 2
-    )
+    d1 = u[1:, :] - u[:-1, :]
+    d1 *= d1
+    d2 = u[:, 1:] - u[:, :-1]
+    d2 *= d2
+    e_grad = 0.5 * h2 / h1 * d1.sum() + 0.5 * h1 / h2 * d2.sum()
     e_pot = h1 * h2 * float(np.sum(p.w(u)))
     return float(e_grad + e_pot)
 
@@ -154,38 +157,48 @@ class _Level:
     spacing: tuple
     tau: float
     # per checkerboard colour, in sweep order: the element indices of its
-    # interior nodes in u.reshape(-1) and in the defect's a.reshape(-1)
+    # interior nodes in u.reshape(-1) and in the whole-row defect's
+    # a.reshape(-1), which starts one row of u later
     colors: tuple
     # Lap_h (x) I_m on the coarsest of several levels with at most
     # _NEWTON_MAX_UNKNOWNS unknowns and h^2 L <= _NEWTON_MAX_H2L, else None
     lap: np.ndarray | None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
 def _color_indices(n1: int, n2: int, m: int) -> tuple:
     """((iu, ia), (iu, ia)) for the colours (i + j) even, then odd, each
-    listing its nodes in row-major order and every node's m components."""
+    listing its nodes in row-major order and every node's m components;
+    cached per shape, read-only."""
     ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
     even = (ii + jj) % 2 == 0
     comps = np.arange(m)
     out = []
     for color in (even, ~even):
         i, j = ii[color][:, None], jj[color][:, None]
-        out.append((((i * n2 + j) * m + comps).reshape(-1),
-                    (((i - 1) * (n2 - 2) + j - 1) * m + comps).reshape(-1)))
+        iu = _read_only(((i * n2 + j) * m + comps).reshape(-1))
+        out.append((iu, _read_only(iu - n2 * m)))
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=16)
 def _interior_laplacian(n1: int, n2: int, spacing, m: int) -> np.ndarray:
     """The five-point Lap_h on the interior nodes in row-major order, acting
-    on each of m components: the dense matrix Lap_h (x) I_m.  The Dirichlet
-    data enters through the defect instead."""
+    on each of m components: the dense matrix Lap_h (x) I_m, cached per
+    shape and spacing, read-only.  The Dirichlet data enters through the
+    defect instead."""
     def second_difference(n, h):
         return (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / (h * h)
 
     k1, k2 = n1 - 2, n2 - 2
     lap = (np.kron(second_difference(k1, spacing[0]), np.eye(k2))
            + np.kron(np.eye(k1), second_difference(k2, spacing[1])))
-    return np.kron(lap, np.eye(m))
+    return _read_only(np.kron(lap, np.eye(m)))
 
 
 def _hierarchy(shape, spacing, m: int, L: float) -> list[_Level]:
@@ -208,13 +221,21 @@ def _hierarchy(shape, spacing, m: int, L: float) -> list[_Level]:
         n1, n2, h1, h2 = (n1 - 1) // 2 + 1, (n2 - 1) // 2 + 1, 2.0 * h1, 2.0 * h2
 
 
-def _defect(u: np.ndarray, p: Potential, spacing, f) -> np.ndarray:
-    """Lap_h u - grad W(u) + f over the interior nodes (f = None is zero)."""
+def _defect(u: np.ndarray, p: Potential, spacing, f, g) -> tuple:
+    """(a, g): a = Lap_h u - grad W(u) + f on the interior rows of u, whole
+    rows (f = None is zero), and g = grad W on those rows, evaluated here
+    when g is None.  Columns 0 and n2 - 1 of a are not defects; the
+    interior is a[:, 1:-1].
+
+    A given g is reused: a potential evaluates each point on its own, so g
+    stays exact at every node that has not moved since it was evaluated."""
+    if g is None:
+        g = p.grad(u[1:-1])
     a = _laplacian(u, spacing)
-    a -= p.grad(u[1:-1, 1:-1])
+    a -= g
     if f is not None:
-        a += f
-    return a
+        a[:, 1:-1] += f
+    return a, g
 
 
 def _level_energy(u: np.ndarray, p: Potential, spacing, f) -> float:
@@ -224,16 +245,19 @@ def _level_energy(u: np.ndarray, p: Potential, spacing, f) -> float:
     return e if f is None else e - spacing[0] * spacing[1] * float(np.sum(f * u[1:-1, 1:-1]))
 
 
-def _smooth(u: np.ndarray, p: Potential, lvl: _Level, f, sweeps: int, a=None) -> None:
+def _smooth(u: np.ndarray, p: Potential, lvl: _Level, f, sweeps: int, a, g) -> None:
     """Red-black sweeps of u += tau (Lap_h u - grad W(u) + f) in place, u
-    C-contiguous; `a` is the defect of u when the caller already has it."""
+    C-contiguous; (a, g) is _defect(u) when the caller already has it, else
+    (None, None).  One grad W per sweep: the second colour's nodes have not
+    moved when the first updates, so the second reuses the first's g."""
     flat = u.reshape(-1)
     for _ in range(sweeps):
         for iu, ia in lvl.colors:
             if a is None:
-                a = _defect(u, p, lvl.spacing, f)
+                a, g = _defect(u, p, lvl.spacing, f, g)
             flat[iu] += lvl.tau * a.reshape(-1)[ia]
             a = None
+        g = None
 
 
 def _restrict(r: np.ndarray) -> np.ndarray:
@@ -251,14 +275,14 @@ def _prolong(e: np.ndarray, shape) -> np.ndarray:
     return fine
 
 
-def _coarsest_solve(u: np.ndarray, p: Potential, lvl: _Level, f) -> bool:
+def _coarsest_solve(u: np.ndarray, p: Potential, lvl: _Level, f, a, g) -> bool:
     """One Newton step for Lap_H u - grad W(u) + f = 0 where the level
     holds its Lap_H and its energy is locally convex, that is where -J,
     J = Lap_H (x) I_m - blockdiag(D2W(u)), has a Cholesky factor; else
     _COARSEST_SWEEPS sweeps.  On a nonconvex energy Newton would head for a
-    saddle.  True if the step was Newton's."""
+    saddle.  (a, g) is _defect(u).  True if the step was Newton's."""
     if lvl.lap is None:
-        _smooth(u, p, lvl, f, _COARSEST_SWEEPS)
+        _smooth(u, p, lvl, f, _COARSEST_SWEEPS, a, g)
         return False
     inner = u[1:-1, 1:-1]
     m = u.shape[-1]
@@ -269,38 +293,41 @@ def _coarsest_solve(u: np.ndarray, p: Potential, lvl: _Level, f) -> bool:
     try:
         np.linalg.cholesky(-J)
     except np.linalg.LinAlgError:
-        _smooth(u, p, lvl, f, _COARSEST_SWEEPS)
+        _smooth(u, p, lvl, f, _COARSEST_SWEEPS, a, g)
         return False
-    F = _defect(u, p, lvl.spacing, f)
+    F = a[:, 1:-1]
     inner += np.linalg.solve(J, -F.reshape(-1)).reshape(F.shape)
     return True
 
 
-def _vcycle(u: np.ndarray, p: Potential, levels: list, f, a=None) -> bool:
+def _vcycle(u: np.ndarray, p: Potential, levels: list, f, a, g) -> bool:
     """One FAS V-cycle for Lap_h u - grad W(u) + f = 0 on levels[0], in place;
-    `a` is the defect of u when the caller already has it.  True if the
-    coarsest grid took the Newton step.
+    (a, g) is _defect(u) when the caller already has it, else (None, None).
+    True if the coarsest grid took the Newton step.
 
     The coarse problem is Lap_H v - grad W(v) + f_H = 0 with
     f_H = R(Lap_h u - grad W(u) + f) - (Lap_H - grad W)(u_hat), where R is
     full weighting and u_hat the injected u (Dirichlet data included); u
     gains the bilinear prolongation of v - u_hat unless that would raise
     the level's energy beyond roundoff, so a cycle keeps the descent of its
-    sweeps."""
+    sweeps.  The coarse defect of u_hat, plus f_H, is the coarse level's
+    first defect bit for bit, so it goes down with its gradient."""
     lvl = levels[0]
     if len(levels) == 1:
-        return _coarsest_solve(u, p, lvl, f)
-    _smooth(u, p, lvl, f, _PRE_SWEEPS, a)
+        return _coarsest_solve(u, p, lvl, f, a, g)
+    _smooth(u, p, lvl, f, _PRE_SWEEPS, a, g)
     u_hat = u[::2, ::2].copy()
-    f_H = _restrict(_defect(u, p, lvl.spacing, f)) - _defect(u_hat, p, levels[1].spacing, None)
+    a_H, g_H = _defect(u_hat, p, levels[1].spacing, None, None)
+    f_H = _restrict(_defect(u, p, lvl.spacing, f, None)[0][:, 1:-1]) - a_H[:, 1:-1]
+    a_H[:, 1:-1] += f_H
     v = u_hat.copy()
-    newton = _vcycle(v, p, levels[1:], f_H)
+    newton = _vcycle(v, p, levels[1:], f_H, a_H, g_H)
     trial = u + _prolong(v - u_hat, u.shape)
     e = _level_energy(u, p, lvl.spacing, f)
     # `<=` is False on nan, so a correction that overflowed is dropped too
     if _level_energy(trial, p, lvl.spacing, f) <= e + _ENERGY_ROUNDOFF * max(1.0, abs(e)):
         u[...] = trial
-    _smooth(u, p, lvl, f, _POST_SWEEPS)
+    _smooth(u, p, lvl, f, _POST_SWEEPS, None, None)
     return newton
 
 
@@ -351,12 +378,13 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
     converged = False
     best, since_best = math.inf, 0
     newton_steps = 0
-    a = None  # defect of u, carried from one cycle's residual into the next sweep
+    # defect of u and its grad W, carried from one cycle's residual into the next sweep
+    a = g = None
     for cycles in range(1, cfg.max_iters + 1):
         if len(levels) == 1:
-            _smooth(u, p, fine, None, 1, a)
+            _smooth(u, p, fine, None, 1, a, g)
         else:
-            newton_steps += _vcycle(u, p, levels, None, a)
+            newton_steps += _vcycle(u, p, levels, None, a, g)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e6:
             raise RelaxError(f"values blew up after {cycles} cycles")
         e_now = flow_energy(u, p, (h1, h2))
@@ -364,8 +392,8 @@ def relax(p: Potential, cfg: RelaxConfig, init: GridField | None = None) -> Rela
             raise RelaxError(
                 f"flow energy increased at cycle {cycles}: {e_prev!r} -> {e_now!r}"
             )
-        a = _defect(u, p, fine.spacing, None)
-        r = float(np.max(np.abs(a)))
+        a, g = _defect(u, p, fine.spacing, None, None)
+        r = float(np.max(np.abs(a[:, 1:-1])))
         energies.append(e_now)
         residuals.append(r)
         e_prev = e_now

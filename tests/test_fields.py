@@ -277,12 +277,22 @@ def test_save_is_deterministic(tmp_path):
     assert (tmp_path / "a.npy.json").read_bytes() == (tmp_path / "b.npy.json").read_bytes()
 
 
-@pytest.mark.parametrize("shape", [(9, 13), (9, 13, 1), (9, 13, 2), (9, 13, 3)])
+@pytest.mark.parametrize("shape", [(9, 13), (9, 13, 1), (9, 13, 2), (9, 13, 3), (21, 21), (21, 21, 2), (81, 6, 1)])
 def test_the_five_point_laplacian_is_its_two_product_form_bit_for_bit(shape):
+    # the kernel runs on whole rows of the flat values; its interior is the
+    # 2-D stencil's, with signed zeros, infinities and nans inside and on
+    # the edges
     rng = np.random.default_rng(5)
     v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    flat = v.reshape(-1)
+    for value, every in ((-0.0, 5), (np.inf, 41), (-np.inf, 43), (np.nan, 47)):
+        flat[rng.integers(0, flat.size, max(1, flat.size // every))] = value
+    v[: shape[0] // 2, : shape[1] // 2] = -0.0  # a signed-zero block, boundary included
     h1, h2 = 0.05, 0.0375
     core = v[1:-1, 1:-1]
-    ref = (v[2:, 1:-1] - 2 * core + v[:-2, 1:-1]) / h1**2 + (v[1:-1, 2:] - 2 * core + v[1:-1, :-2]) / h2**2
-    lap = fields._laplacian(v, (h1, h2))
-    assert lap.shape == ref.shape and np.array_equal(lap.view("<u8"), ref.view("<u8"))
+    with np.errstate(invalid="ignore"):
+        ref = (v[2:, 1:-1] - 2 * core + v[:-2, 1:-1]) / h1**2 + (v[1:-1, 2:] - 2 * core + v[1:-1, :-2]) / h2**2
+        lap = fields._laplacian(v, (h1, h2))
+    assert lap.shape == (shape[0] - 2,) + shape[1:]
+    assert np.array_equal(lap[:, 1:-1].view("<u8"), ref.view("<u8"))
+

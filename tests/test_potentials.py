@@ -156,6 +156,34 @@ def test_one_point_equals_its_row_of_a_batch(name):
             assert np.array_equal(fn(u), rows[k])
 
 
+def _pointwise(p, U) -> bool:
+    """w, grad and hess of the batch U, rows leading, are each row's own
+    evaluation as a batch of one, bit for bit."""
+    rows = U.reshape(-1, p.m)
+    for fn in (p.w, p.grad, p.hess):
+        batch = np.asarray(fn(U))
+        alone = np.stack([np.asarray(fn(rows[k : k + 1]))[0] for k in range(len(rows))])
+        if not np.array_equal(batch.reshape(alone.shape).view("<u8"), alone.view("<u8")):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name, params", [pytest.param(name, {}, id=name) for name in ALL_IDS]
+                         + [pytest.param("ginzburg_landau", {"m": 3}, id="ginzburg_landau-m3")])
+def test_every_potential_evaluates_each_point_on_its_own(name, params):
+    # the solver's colours share one grad W per sweep on a (rows, n2, m) grid
+    p = potentials.make_potential(name, **params)
+    rng = np.random.default_rng(13)
+    U = rng.standard_normal((9, 7, p.m)) * 10.0 ** rng.integers(-3, 3, (9, 7, p.m))
+    U[0, :3] = -0.0
+    assert _pointwise(p, U)
+    # must fail: a potential that reads the rest of its batch
+    gl = potentials.make_potential("ginzburg_landau", m=p.m)
+    centred = potentials.Potential("centred", p.m, {}, (), gl.w,
+                                   lambda u: gl.grad(u) - np.mean(u.reshape(-1, p.m), axis=0), gl.hess)
+    assert not _pointwise(centred, U)
+
+
 def test_the_planar_gl_point_kernel_gives_the_array_gradient_bit_for_bit():
     # dynamics.integrate steps a planar orbit through this kernel and must
     # reproduce integrate_many's numpy rows exactly

@@ -17,6 +17,37 @@ def _zero_potential(m=1):
     return potentials.make_potential("zero", m=m)
 
 
+def _five_point_2d(v, spacing):
+    """The five-point Laplacian on 2-D views, one interior node per entry:
+    the reference the solver's row kernel is held to."""
+    h1, h2 = spacing
+    core = v[1:-1, 1:-1]
+    return ((v[2:, 1:-1] - 2 * core + v[:-2, 1:-1]) / h1**2
+            + (v[1:-1, 2:] - 2 * core + v[1:-1, :-2]) / h2**2)
+
+
+def _reference_defect(u, p, spacing, f, g):
+    """The solver's defect before it worked on whole rows: the 2-D stencil
+    and a fresh grad W at every call, laid into whole rows whose edge
+    columns are nan, so that a sweep reading them spoils the field."""
+    a = np.full((u.shape[0] - 2,) + u.shape[1:], np.nan)
+    a[:, 1:-1] = _five_point_2d(u, spacing) - np.asarray(p.grad(u[1:-1, 1:-1]))
+    if f is not None:
+        a[:, 1:-1] += f
+    return a, None
+
+
+def _interior_defect(u, p, lvl):
+    return solver._defect(u, p, lvl.spacing, None, None)[0][:, 1:-1]
+
+
+def _assert_same_run(ours, ref):
+    assert (ours.iterations, ours.newton_steps, ours.converged) == (ref.iterations, ref.newton_steps, ref.converged)
+    for a, b in ((ours.field.values, ref.field.values), (ours.residuals, ref.residuals),
+                 (ours.energies, ref.energies)):
+        assert a.shape == b.shape and np.array_equal(a.view("<u8"), b.view("<u8"))
+
+
 def test_stiffness_bound_quadratic_is_one():
     q = potentials.make_potential("quadratic", m=2)
     L = solver.stiffness_bound(q, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -128,9 +159,7 @@ def _flow_reference(p, cfg):
     colors = ((ii + jj) % 2 == 0)
 
     def lap(v):
-        core = v[1:-1, 1:-1]
-        return ((v[2:, 1:-1] - 2 * core + v[:-2, 1:-1]) / h1**2
-                + (v[1:-1, 2:] - 2 * core + v[1:-1, :-2]) / h2**2)
+        return _five_point_2d(v, (h1, h2))
 
     energies, residuals = [], []
     for sweeps in range(1, cfg.max_iters + 1):
@@ -330,21 +359,26 @@ def test_run_log_keys_and_values():
 
 def _mask_sweeps(u, p, lvl, f, sweeps):
     """Red-black sweeps through boolean checkerboard masks of a strided
-    interior view, as the solver wrote them before its flat indices."""
+    interior view, as the solver wrote them before its flat indices, with
+    the 2-D stencil and a fresh grad W for each colour."""
     n1, n2 = u.shape[:2]
     ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
     colors = (ii + jj) % 2 == 0
     inner = u[1:-1, 1:-1]
     for _ in range(sweeps):
         for color in (colors, ~colors):
-            a = solver._defect(u, p, lvl.spacing, f)
+            a = _five_point_2d(u, lvl.spacing) - np.asarray(p.grad(inner))
+            if f is not None:
+                a += f
             inner[color] += lvl.tau * a[color]
 
 
-def _sweeps_agree(u, p, lvl, f) -> bool:
+def _sweeps_agree(u, p, lvl, f, g=None) -> bool:
+    """Three sweeps of the solver, its first colour handed grad W = g, are
+    the mask sweeps bit for bit."""
     ref, flat = u.copy(), u.copy()
     _mask_sweeps(ref, p, lvl, f, 3)
-    solver._smooth(flat, p, lvl, f, 3)
+    solver._smooth(flat, p, lvl, f, 3, None, g)
     return np.array_equal(ref.view("<u8"), flat.view("<u8"))
 
 
@@ -359,9 +393,19 @@ def test_flat_index_sweeps_equal_mask_sweeps_bit_for_bit(shape, potential):
     f[: shape[0] // 3] = -0.0
     lvl = solver._hierarchy(shape, (0.05, 0.05), p.m, 4.0)[0]
     assert _sweeps_agree(u, p, lvl, f) and _sweeps_agree(u, p, lvl, None)
+    assert _sweeps_agree(u, p, lvl, f, p.grad(u[1:-1]))
     # must fail: every colour's u indices one element off
     shifted = tuple((iu + 1, ia) for iu, ia in lvl.colors)
     assert not _sweeps_agree(u, p, dataclasses.replace(lvl, colors=shifted), f)
+    # must fail: the first colour also updates the nodes of column 0
+    edge = ((np.arange(1, shape[0] - 1)[:, None] * shape[1]) * p.m + np.arange(p.m)).reshape(-1)
+    (iu, ia), second = lvl.colors
+    touching = ((np.concatenate([iu, edge]), np.concatenate([ia, edge - shape[1] * p.m])), second)
+    assert not _sweeps_agree(u, p, dataclasses.replace(lvl, colors=touching), f)
+    # must fail: a gradient carried over from before the last sweep
+    moved = u.copy()
+    solver._smooth(moved, p, lvl, f, 1, None, None)
+    assert not _sweeps_agree(moved, p, lvl, f, p.grad(u[1:-1]))
 
 
 def _coarse_gl_problem():
@@ -372,8 +416,12 @@ def _coarse_gl_problem():
     axis = -0.5 + lvl.spacing[0] * np.arange(6)
     u = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
     for _ in range(6):
-        assert solver._coarsest_solve(u, glp, lvl, None)
+        assert _coarsest_step(u, glp, lvl)
     return glp, lvl, u
+
+
+def _coarsest_step(u, p, lvl):
+    return solver._coarsest_solve(u, p, lvl, None, *solver._defect(u, p, lvl.spacing, None, None))
 
 
 def _newton_defects(p, lvl, u, eps):
@@ -381,14 +429,14 @@ def _newton_defects(p, lvl, u, eps):
     coarsest-grid step."""
     v = u.copy()
     v[1:-1, 1:-1] += eps * np.random.default_rng(3).uniform(-1.0, 1.0, v[1:-1, 1:-1].shape)
-    before = np.max(np.abs(solver._defect(v, p, lvl.spacing, None)))
-    assert solver._coarsest_solve(v, p, lvl, None)
-    return before, np.max(np.abs(solver._defect(v, p, lvl.spacing, None)))
+    before = np.max(np.abs(_interior_defect(v, p, lvl)))
+    assert _coarsest_step(v, p, lvl)
+    return before, np.max(np.abs(_interior_defect(v, p, lvl)))
 
 
 def test_one_coarsest_newton_step_cuts_the_defect_quadratically():
     glp, lvl, u = _coarse_gl_problem()
-    assert np.max(np.abs(solver._defect(u, glp, lvl.spacing, None))) < 1e-12
+    assert np.max(np.abs(_interior_defect(u, glp, lvl))) < 1e-12
 
     def order(p):
         (b1, a1), (b2, a2) = _newton_defects(p, lvl, u, 1e-2), _newton_defects(p, lvl, u, 1e-3)
@@ -431,8 +479,8 @@ def test_a_nonconvex_coarsest_grid_keeps_the_sweeps(monkeypatch):
         solver.relax(concave, dataclasses.replace(cfg, max_iters=100_000))
     assert visits and not any(visits)
 
-    def sweeps(u, p, lvl, f):
-        solver._smooth(u, p, lvl, f, solver._COARSEST_SWEEPS)
+    def sweeps(u, p, lvl, f, a, g):
+        solver._smooth(u, p, lvl, f, solver._COARSEST_SWEEPS, a, g)
         return False
 
     monkeypatch.setattr(solver, "_coarsest_solve", sweeps)
@@ -477,17 +525,23 @@ _SWEEPS_ONLY_CYCLES = {
 }
 
 
-@pytest.mark.parametrize("a, side, h", list(_SWEEPS_ONLY_CYCLES))
-def test_gl_relaxation_converges_over_the_square_matrix(a, side, h):
-    # GL (m = 2) with data A x on [-side/2, side/2]^2.  On the side-16
-    # squares the coarsest grid has spacing 3.2, where an unguarded Newton
-    # step overcorrects the fine grid: the runs stalled near 1e-7 to 5e-6
+def _square_matrix_case(a, side, h):
+    """GL (m = 2) with data A x = a x on [-side/2, side/2]^2, to tol 1e-9."""
     n = int(round(side / h)) + 1
     cfg = solver.RelaxConfig(
         origin=(-side / 2, -side / 2), spacing=(h, h), shape=(n, n),
         boundary=fields.make_field("harmonic_linear_map", A=[[a, 0.0], [0.0, a]]), max_iters=1000, tol=1e-9,
     )
-    result = solver.relax(potentials.make_potential("ginzburg_landau", m=2), cfg)
+    return potentials.make_potential("ginzburg_landau", m=2), cfg
+
+
+@pytest.mark.parametrize("a, side, h", list(_SWEEPS_ONLY_CYCLES))
+def test_gl_relaxation_converges_over_the_square_matrix(a, side, h):
+    # On the side-16 squares the coarsest grid has spacing 3.2, where an
+    # unguarded Newton step overcorrects the fine grid: the runs stalled
+    # near 1e-7 to 5e-6
+    glp, cfg = _square_matrix_case(a, side, h)
+    result = solver.relax(glp, cfg)
     assert result.converged and result.iterations <= _SWEEPS_ONLY_CYCLES[a, side, h]
     if side == 1:
         # the unit squares, as in the suite and the relax ladder, keep the
@@ -511,16 +565,6 @@ def _sum_formula_gl():
     return potentials.Potential("gl_by_np_sum", 2, {}, gl.zeros, w, grad, hess)
 
 
-def _two_product_defect(u, p, spacing, f):
-    # Lap_h u - grad W(u) + f as it read before: 2 * core formed for each
-    # axis, grad W subtracted and f added into new arrays
-    h1, h2 = spacing
-    core = u[1:-1, 1:-1]
-    lap = (u[2:, 1:-1] - 2 * core + u[:-2, 1:-1]) / h1**2 + (u[1:-1, 2:] - 2 * core + u[1:-1, :-2]) / h2**2
-    a = lap - np.asarray(p.grad(core))
-    return a if f is None else a + f
-
-
 def test_relaxation_with_the_column_sums_is_the_np_sum_relaxation_bit_for_bit(monkeypatch):
     # the relax ladder's h = 0.05 rung: identity data, a seeded start
     h, n = 0.05, 21
@@ -533,9 +577,59 @@ def test_relaxation_with_the_column_sums_is_the_np_sum_relaxation_bit_for_bit(mo
     )
     init = fields.GridField((-0.5, -0.5), (h, h), start)
     ours = solver.relax(potentials.make_potential("ginzburg_landau", m=2), cfg, init=init)
-    monkeypatch.setattr(solver, "_defect", _two_product_defect)
+    monkeypatch.setattr(solver, "_defect", _reference_defect)
     ref = solver.relax(_sum_formula_gl(), cfg, init=init)
-    assert ours.converged and (ours.iterations, ours.newton_steps) == (ref.iterations, ref.newton_steps)
-    for a, b in ((ours.field.values, ref.field.values), (ours.residuals, ref.residuals),
-                 (ours.energies, ref.energies)):
-        assert a.shape == b.shape and np.array_equal(a.view("<u8"), b.view("<u8"))
+    assert ours.converged
+    _assert_same_run(ours, ref)
+
+
+def _strip_case():
+    """The suite's transition strip, 81 x 6: one level, an even width."""
+    cfg = solver.RelaxConfig(
+        origin=(-4.0, 0.0), spacing=(0.1, 0.1), shape=(81, 6),
+        boundary=fields.make_field("tanh_planar"), max_iters=20_000, tol=1e-8,
+    )
+    return potentials.make_potential("double_well"), cfg
+
+
+@pytest.mark.parametrize("case", list(_SWEEPS_ONLY_CYCLES) + ["strip"],
+                         ids=lambda c: c if c == "strip" else "A{}-side{}-h{}".format(*c))
+def test_whole_row_relaxation_is_the_2d_stencil_relaxation_bit_for_bit(case, monkeypatch):
+    # the row kernel, one grad W per sweep and the carried defects against
+    # the 2-D stencil with a fresh grad W at every defect
+    p, cfg = _strip_case() if case == "strip" else _square_matrix_case(*case)
+    ours = solver.relax(p, cfg)
+    monkeypatch.setattr(solver, "_defect", _reference_defect)
+    _assert_same_run(ours, solver.relax(p, cfg))
+
+
+# grad W evaluations to relax the relax ladder's h = 0.025 rung (41 x 41,
+# four levels, 9 cycles) from the identity start: 280 with a fresh gradient
+# for each colour and each coarse defect, 145 with one per sweep and the
+# defects carried down and into the next cycle
+_LADDER_GRAD_CALLS = 145
+
+
+def _ladder_grad_calls() -> int:
+    gl, calls = potentials.make_potential("ginzburg_landau", m=2), []
+
+    def grad(u):
+        calls.append(u.shape)
+        return gl.grad(u)
+
+    counting = potentials.Potential("gl_counting", 2, {}, gl.zeros, gl.w, grad, gl.hess)
+    cfg = solver.RelaxConfig(
+        origin=(-0.5, -0.5), spacing=(0.025, 0.025), shape=(41, 41),
+        boundary=fields.make_field("harmonic_linear_map"), max_iters=400_000, tol=1e-10,
+    )
+    result = solver.relax(counting, cfg)
+    assert result.converged and (result.levels, result.iterations) == (4, 9)
+    return len(calls)
+
+
+def test_the_ladder_rung_takes_one_gradient_per_sweep(monkeypatch):
+    assert _ladder_grad_calls() == _LADDER_GRAD_CALLS
+    # must fail: a fresh gradient for each colour, two per sweep
+    defect = solver._defect
+    monkeypatch.setattr(solver, "_defect", lambda u, p, spacing, f, g: defect(u, p, spacing, f, None))
+    assert _ladder_grad_calls() > _LADDER_GRAD_CALLS
