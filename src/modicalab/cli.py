@@ -46,25 +46,10 @@ GL2 = potentials.make_potential("ginzburg_landau", m=2)
 # serialization helpers
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def write_json(path: Path, obj) -> None:
+    """obj as JSON, numpy arrays and scalars by their tolist()."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
 def _write_artifacts(out: Path, artifacts: dict) -> None:
@@ -130,15 +115,6 @@ def _planar_grid(f, h: float) -> fields.GridField:
     cx._check_count("--h", h, side * side)
     n = int(round(2.0 / h)) + 1
     return fields.sample_field(f, origin=(-1.0, -1.0), spacing=(h, h), extents=(n, n))
-
-
-def _integer(p, key: str) -> int:
-    """p[key] as an int: a value with a fractional part, or no finite number
-    at all, is a usage error, not a value to truncate."""
-    value = p[key]
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value == int(value)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _sampled_solution_gate(h: float) -> float:
@@ -214,16 +190,16 @@ def _modica(p) -> DefectReport:
 
 
 def _theorem_31(p) -> DefectReport:
-    m = _integer(p, "m")
-    D = np.ones(m) if p["D"] is None else np.asarray(p["D"], float)
-    A = np.eye(m) if p["A"] is None else np.asarray(p["A"], float)
-    cfg = estimates.DiagonalSystemConfig(D=D, A=A, M=float(p["M"]))
+    m = p["m"]
+    D = np.ones(m) if p["D"] is None else p["D"]
+    A = np.eye(m) if p["A"] is None else p["A"]
+    cfg = estimates.DiagonalSystemConfig(D=D, A=A, M=p["M"])
     return estimates.diagonal_system_check(cfg, g=None, tol=p["tol"])
 
 
 def _theorem_32(p) -> DefectReport:
-    pot = potentials.make_potential("ginzburg_landau", m=_integer(p, "m"))
-    return estimates.ball_confinement_check(pot, None, R=float(p["R"]), tol=p["tol"])
+    pot = potentials.make_potential("ginzburg_landau", m=p["m"])
+    return estimates.ball_confinement_check(pot, None, R=p["R"], tol=p["tol"])
 
 
 def _theorem_33(p) -> DefectReport:
@@ -239,8 +215,8 @@ def _theorem_33(p) -> DefectReport:
 
 
 def _theorem_34(p) -> DefectReport:
-    eps = float(p["eps"])
-    _, traj = p["orbit"](float(p["R"]), p["dt"])
+    eps = p["eps"]
+    _, traj = p["orbit"](p["R"], p["dt"])
     barrier_stats = estimates.PhiBarrier(eps=eps).validate()
     report = estimates.ode_bound_check(traj, GL2, tol=p["tol"])
     return dataclasses.replace(
@@ -253,18 +229,13 @@ def _theorem_35(p) -> DefectReport:
 
 
 def _polygon(p) -> DefectReport:
-    if p["vertices"] is not None:
-        verts = np.asarray(p["vertices"], float)
-    else:
-        N = _integer(p, "N")
+    verts, N, radius = p["vertices"], p["N"], p["radius"]
+    if verts is None:
         ang = 2.0 * math.pi * np.arange(N) / N
-        radius = float(p["radius"])
         if not math.isfinite(radius):
             raise ValueError(f"radius must be finite, got {radius!r}")
         verts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return estimates.polygon_confinement_check(
-        verts, n_samples=_integer(p, "n_samples"), seed=p["seed"], tol=p["tol"]
-    )
+    return estimates.polygon_confinement_check(verts, n_samples=p["n_samples"], seed=p["seed"], tol=p["tol"])
 
 
 def _tensor(p):
@@ -304,7 +275,7 @@ def _convexity(p):
 
 def _green(p):
     f, pot = _field(p)
-    result = planar.green_boundary_identity(f, pot, np.asarray(p["center"], float), float(p["radius"]))
+    result = planar.green_boundary_identity(f, pot, p["center"], p["radius"])
     result["field"] = p["field"]
     return result, {"green.json": result}, result["defect"] <= p["tol"]
 
@@ -312,7 +283,7 @@ def _green(p):
 def _monotone(p):
     f, pot = _field(p)
     radii = np.linspace(0.25, 2.0, 8) if p["radii"] is None else p["radii"]
-    profile = planar.monotonicity_profile(p["density"], f, pot, np.asarray(p["center"], float), radii)
+    profile = planar.monotonicity_profile(p["density"], f, pot, p["center"], radii)
     report = {
         "density": profile.density,
         "center": list(profile.center),
@@ -332,6 +303,7 @@ def _relax(p):
     required = ("potential", "domain", "boundary")
     if not (isinstance(cfg_json, dict) and all(k in cfg_json for k in required)):
         raise ValueError("the relax config must be a JSON object with the keys " + ", ".join(required))
+    cfg_json = _read("config", cfg_json)
     pot_spec, dom, bspec = (cfg_json[k] for k in required)
     pot = potentials.make_potential(pot_spec["name"], **pot_spec.get("params", {}))
     cfg = solver.RelaxConfig(
@@ -339,8 +311,8 @@ def _relax(p):
         spacing=tuple(dom["spacing"]),
         shape=tuple(dom["shape"]),
         boundary=fields.make_field(bspec["field"], **bspec.get("params", {})),
-        max_iters=_integer({"max_iters": 50_000, **cfg_json}, "max_iters"),
-        tol=float(p["tol"] if p["tol"] is not None else cfg_json.get("tol", 1e-8)),
+        max_iters=cfg_json.get("max_iters", 50_000),
+        tol=cfg_json.get("tol", 1e-8) if p["tol"] is None else p["tol"],
     )
     result = solver.relax(pot, cfg)
     log = solver.run_log(result)
@@ -437,7 +409,7 @@ def _say_connection(r):
         f"  equation residual (sup)      {r['residual_max']:.3e}",
         f"  0.5|u'|^2 - W(u)   mean      {r['modica_defect']!r}",
         f"                     spread    {r['modica_defect_spread']:.3e}",
-        f"  gradient-bound violated:     {r['liouville_violated']}",
+        f"  Liouville violated:          {r['liouville_violated']}",
         f"  internal checks pass:        {r['checks_pass']}",
     ]
 
@@ -710,6 +682,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What each --params key, and each key of a relax config, holds.  A kind
+# is the noun of its usage error, the type of its entries and the shapes it
+# takes: () for one number, None for an axis of any length, and no shape for
+# an object, read key by key, or a string.  Kinds check type and shape; each
+# range is checked where the value is used.
+KINDS = {
+    **dict.fromkeys(("R", "M", "eps", "radius", "tol"), ("a number", float, [()])),
+    **dict.fromkeys(("m", "n", "N", "n_samples", "max_iters"), ("an integer", int, [()])),
+    **dict.fromkeys(("b", "value", "center", "radii"), ("a list of numbers", float, [(None,)])),
+    **dict.fromkeys(("origin", "spacing"), ("a list of two numbers", float, [(2,)])),
+    "shape": ("a list of two integers", int, [(2,)]),
+    "A": ("a list of rows of numbers of equal length", float, [(None, None)]),
+    "vertices": ("a list of points of the plane", float, [(None, 2)]),
+    "D": ("a list of numbers, or of rows of numbers of equal length", float, [(None,), (None, None)]),
+    **dict.fromkeys(("config", "params", "potential", "domain", "boundary"), ("a JSON object", dict, None)),
+    **dict.fromkeys(("name", "field"), ("a string", str, None)),
+}
+
+
+def _read(key: str, value):
+    """value, parsed from JSON, read as the kind of `key`: numbers as Python
+    floats or ints, in nested lists of one of the kind's shapes.  A key with
+    no kind passes as it is, for the code that reads it to refuse."""
+    if key not in KINDS:
+        return value
+    noun, number, shapes = KINDS[key]
+    if shapes is None:
+        if not isinstance(value, number):
+            raise ValueError(f"{key} must be {noun}, got {value!r}")
+        return {k: _read(k, v) for k, v in value.items()} if number is dict else value
+    a = np.array(value, dtype=object)  # a ragged list is a 1-d array of lists
+    if not (any(len(s) == a.ndim and all(d in (None, n) for d, n in zip(s, a.shape)) for s in shapes)
+            and all(type(x) in (int, float) and (number is float or x % 1 == 0) for x in a.flat)):
+        raise ValueError(f"{key} must be {noun}, got {value!r}")
+    return np.frompyfunc(number, 1, 1)(a).tolist() if a.ndim else number(value)
+
+
 def _parse_params(parser, raw, words: str, check: Check, field) -> dict:
     """The --params JSON object, holding only keys the check reads."""
     if raw is None:
@@ -725,7 +734,7 @@ def _parse_params(parser, raw, words: str, check: Check, field) -> dict:
     if unknown:
         parser.error(f"--params: {words} takes no key {', '.join(unknown)};"
                      f" accepted keys: {', '.join(accepted) or 'none'}")
-    return params
+    return _read("params", params)
 
 
 def _dispatch(parser, args: dict) -> int:
@@ -751,7 +760,8 @@ def _dispatch(parser, args: dict) -> int:
     report, artifacts, ok = check({**args, **params})
     if out is not None:
         _write_artifacts(Path(out), artifacts)
-    print(json.dumps(_jsonify(report), sort_keys=True) if as_json else "\n".join(check.say(report)))
+    print(json.dumps(report, sort_keys=True, default=lambda o: o.tolist()) if as_json
+          else "\n".join(check.say(report)))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -769,7 +779,7 @@ def main(argv=None) -> int:
     except (cx.ConstructionError, solver.RelaxError, dynamics.BlowUpError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         rc = EXIT_VIOLATION
-    except (ValueError, KeyError, OSError, FloatingPointError) as e:
+    except (ValueError, KeyError, OSError, FloatingPointError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         rc = EXIT_USAGE
     finally:

@@ -245,6 +245,8 @@ def test_c10_suite_is_deterministic_and_fast(tmp_path):
     for d in ("one", "two"):
         out = tmp_path / d
         t0 = time.perf_counter()
+        # a child process: the two runs must share no module cache, as two
+        # separate invocations of the command share none
         proc = subprocess.run(
             [sys.executable, "-m", "modicalab.cli", "suite", "--out", str(out)],
             capture_output=True, text=True, timeout=300,

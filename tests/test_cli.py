@@ -1,31 +1,40 @@
 """End-to-end command-line runs: exit codes, JSON output, artifacts."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from modicalab import cli, counterexample, dynamics, fields, planar, smooth
 
-CLI = [sys.executable, "-m", "modicalab.cli"]
 
-
-def run_cli(*argv, timeout=120):
-    return subprocess.run(
-        CLI + list(argv), capture_output=True, text=True, timeout=timeout
-    )
+def run_cli(*argv):
+    """`modicalab *argv` run in this process: its exit status, counting a
+    parser error's SystemExit, and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return subprocess.CompletedProcess(["modicalab", *argv], code, out.getvalue(), err.getvalue())
 
 
 def test_no_arguments_is_a_usage_error():
-    proc = run_cli()
+    # a child process: the `python -m modicalab.cli` entry point is under test
+    proc = subprocess.run([sys.executable, "-m", "modicalab.cli"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
+    assert "the following arguments are required: command" in proc.stderr
 
 
 def test_orbit_json_reports_the_positive_defect():
@@ -79,6 +88,8 @@ def test_step_sizes_must_be_positive_and_finite(argv):
 
 
 def test_suite_runs_without_scipy(tmp_path):
+    # a child process: the import blocker must be in place before numpy and
+    # modicalab are first imported, which only a fresh interpreter allows
     code = (
         "import sys\n"
         "class BlockScipy:\n"
@@ -172,16 +183,31 @@ def test_remaining_checks_hold():
 def test_connection_verification_exit_codes():
     proc = run_cli("counterexample", "verify", "--expect-violation")
     assert proc.returncode == 0, proc.stderr
-    assert "violated:     True" in proc.stdout
+    assert "Liouville violated:          True" in proc.stdout
     proc = run_cli("counterexample", "verify")
     assert proc.returncode == 1
 
 
-def test_a_connection_that_fails_its_own_checks_never_passes_verify(capsys):
+def test_a_start_off_the_wells_violates_no_liouville_theorem(monkeypatch):
+    """The Liouville theorem needs the orbit to touch W = 0: with W read 1e-6
+    higher at the start, and nothing else moved, the connection still breaks
+    the gradient bound, and verify --expect-violation fails."""
+    w = counterexample._GlobalPotential.w
+    monkeypatch.setattr(counterexample._GlobalPotential, "w", lambda self, u: w(self, u) + 1e-6)
+    proc = run_cli("counterexample", "verify", "--expect-violation", "--json")
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["w_at_start"] == 1e-6 and report["oscillation"] > 1.0
+    assert report["checks_pass"] is True and abs(report["modica_defect"] - 0.125) < 1e-7
+    assert report["liouville_violated"] is False
+
+
+def test_a_connection_that_fails_its_own_checks_never_passes_verify():
     # dt = 0.002 lifts the O(dt^2) equation residual past its 1e-5 gate
     for expect in ([], ["--expect-violation"]):
-        assert _exit_code(["counterexample", "verify", "--dt", "0.002", *expect]) == 1, expect
-        assert "internal checks pass:        False" in capsys.readouterr().out
+        proc = run_cli("counterexample", "verify", "--dt", "0.002", *expect)
+        assert proc.returncode == 1, expect
+        assert "internal checks pass:        False" in proc.stdout
 
 
 def test_connection_runner_inverts_the_segment_at_most_four_times(tmp_path, monkeypatch):
@@ -306,10 +332,11 @@ def test_relax_bad_config_is_usage_error(tmp_path):
     ({"name": "double_well", "params": {"m": 3}}, "accepted: none"),
     ({"name": "ginzburg_landau", "params": {"bogus": 3}}, "accepted: m"),
 ])
-def test_relax_potential_params_it_does_not_take_are_usage_errors(capsys, relax_config, potential, accepted):
+def test_relax_potential_params_it_does_not_take_are_usage_errors(relax_config, potential, accepted):
     relax_config.write_text(json.dumps({**json.loads(relax_config.read_text()), "potential": potential}))
-    assert _exit_code(["relax", "--config", str(relax_config)]) == 2
-    assert accepted in capsys.readouterr().err
+    proc = run_cli("relax", "--config", str(relax_config))
+    assert proc.returncode == 2
+    assert accepted in proc.stderr
 
 
 @pytest.mark.parametrize("config", [[1, 2], {}])
@@ -324,14 +351,6 @@ def test_relax_config_needs_an_object_with_the_required_keys(tmp_path, config):
 
 # ---------------------------------------------------------------------------
 # the runner table: flags, --params keys, suite steps
-
-
-def _exit_code(argv):
-    """main's exit code, counting a parser error's SystemExit."""
-    try:
-        return cli.main(argv)
-    except SystemExit as e:
-        return e.code
 
 
 def _relax_strip(tmp_path, **extra):
@@ -357,10 +376,10 @@ def _relax_strip(tmp_path, **extra):
     (["counterexample", "build", "--expect-violation"], "does not read --expect-violation"),
     (["relax", "--config", "{strip}", "--seed", "1"], "unrecognized"),
 ])
-def test_flags_a_check_does_not_read_are_usage_errors(capsys, tmp_path, argv, reason):
-    argv = [_relax_strip(tmp_path) if a == "{strip}" else a for a in argv]
-    assert _exit_code(argv) == 2
-    assert reason in capsys.readouterr().err
+def test_flags_a_check_does_not_read_are_usage_errors(tmp_path, argv, reason):
+    proc = run_cli(*(_relax_strip(tmp_path) if a == "{strip}" else a for a in argv))
+    assert proc.returncode == 2
+    assert reason in proc.stderr
 
 
 @pytest.mark.parametrize("argv, accepted", [
@@ -372,13 +391,13 @@ def test_flags_a_check_does_not_read_are_usage_errors(capsys, tmp_path, argv, re
     (["planar", "monotone", "--params", '{"radius": 2.0}'], "accepted keys: R, center, radii"),
     (["planar", "convexity", "--field", "product_saddle", "--params", '{"R": 0.5}'], "accepted keys: none"),
 ])
-def test_unknown_params_keys_are_usage_errors(capsys, argv, accepted):
-    assert _exit_code(argv) == 2
-    err = capsys.readouterr().err
-    assert accepted in err and "Traceback" not in err
+def test_unknown_params_keys_are_usage_errors(argv, accepted):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert accepted in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_every_catalog_field_runs_through_every_field_check_without_raising(capsys):
+def test_every_catalog_field_runs_through_every_field_check_without_raising():
     """Each check that reads --field, run on each catalog field with its
     default params, exits 0, 1 or 2: a field a check cannot take, or one
     whose required params are left out, is a usage error, not a traceback."""
@@ -388,17 +407,17 @@ def test_every_catalog_field_runs_through_every_field_check_without_raising(caps
         selector = cli.COMMANDS[command][1]
         argv = [command, *([selector] if selector.startswith("--") else []), token]
         for name in fields.CATALOG_IDS:
-            codes[words, name] = cli.main(argv + ["--field", name])
+            codes[words, name] = run_cli(*argv, "--field", name).returncode
     assert len(codes) == 7 * len(fields.CATALOG_IDS)
     assert set(codes.values()) <= {0, 1, 2}, codes
 
 
 @pytest.mark.parametrize("op", ["tensor", "ufield", "monotone"])
 @pytest.mark.parametrize("name", ["gl_circle", "tanh_profile"])
-def test_planar_checks_on_a_line_field_name_the_planar_requirement(capsys, op, name):
-    assert _exit_code(["planar", op, "--field", name]) == 2
-    err = capsys.readouterr().err
-    assert "needs a planar field (n=2)" in err and "trailing axis" not in err
+def test_planar_checks_on_a_line_field_name_the_planar_requirement(op, name):
+    proc = run_cli("planar", op, "--field", name)
+    assert proc.returncode == 2
+    assert "needs a planar field (n=2)" in proc.stderr and "trailing axis" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -463,7 +482,7 @@ def test_planar_checks_on_a_line_field_name_the_planar_requirement(capsys, op, n
     pytest.param(["estimates", "--theorem", "3.2", "--params", '{"R": 1e300}'], "overflow encountered",
                  id="32-R-overflows"),
 ])
-def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
+def test_bad_input_exits_2_with_its_reason(tmp_path, argv, reason):
     if "{map-config}" in argv:
         config = {"potential": {"name": "double_well"}, "boundary": {"field": "harmonic_linear_map"},
                   "domain": {"origin": [0.0, 0.0], "spacing": [0.1, 0.1], "shape": [9, 9]}}
@@ -471,18 +490,109 @@ def test_bad_input_exits_2_with_its_reason(capsys, tmp_path, argv, reason):
         argv = [str(tmp_path / "map.json") if a == "{map-config}" else a for a in argv]
     if "{fractional-cycles}" in argv:
         argv = [_relax_strip(tmp_path, max_iters=2.5) if a == "{fractional-cycles}" else a for a in argv]
-    assert _exit_code(argv) == 2
-    err = capsys.readouterr().err
-    assert reason in err and "Traceback" not in err
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert reason in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_dt_past_the_cap_is_refused_before_the_segment_is_sampled(capsys, monkeypatch):
+def test_dt_past_the_cap_is_refused_before_the_segment_is_sampled(monkeypatch):
     def sampled(self, F):
         raise AssertionError("the segment was sampled")
 
     monkeypatch.setattr(smooth._PanelIntegral, "inverse", sampled)
-    assert _exit_code(["counterexample", "verify", "--dt", "1.5e-6"]) == 2
-    assert "dt 1.5e-06 asks for 13,100,603 samples, over the cap of 10,000,000" in capsys.readouterr().err
+    proc = run_cli("counterexample", "verify", "--dt", "1.5e-6")
+    assert proc.returncode == 2
+    assert "dt 1.5e-06 asks for 13,100,603 samples, over the cap of 10,000,000" in proc.stderr
+
+
+# JSON values that no key may turn into a traceback or a warning; 10**400
+# is an integer past the largest float
+HOSTILE = [float("nan"), float("inf"), float("-inf"), -1, 0, 1e-300, 1e300, 10**400, 2.5,
+           [], [1.0], [[1.0, 2.0]], [[1.0, 2.0], [1.0]], "x", None, True, {}]
+
+# valid values of the field keys a catalog field cannot do without, so that
+# each of its other keys is read
+_FIELD_BASE = {"value": [1.0], "A": [[1.0, 0.0], [0.0, 1.0]]}
+
+# a relaxation small enough to run once for each hostile value of each key
+_SWEPT_RELAX = {
+    "potential": {"name": "ginzburg_landau", "params": {"m": 1}},
+    "domain": {"origin": [-2.0, 0.0], "spacing": [0.25, 0.25], "shape": [17, 5]},
+    "boundary": {"field": "tanh_planar", "params": {}},
+    "max_iters": 50,
+    "tol": 1e-6,
+}
+
+
+def _swept_params():
+    """(argv, key, other params): each --params key of each check, its
+    default field's keys among them, then each key of each catalog field."""
+    for words, check in cli.CHECKS.items():
+        command, _, token = words.partition(" ")
+        if command != "suite" and "params" in cli._reads(check):
+            argv = [command, *(["--theorem"] if cli.COMMANDS[command][1] == "--theorem" else []), token]
+            for key in (*check.keys, *fields.field_keys(check.flags.get("field"))):
+                yield argv, key, {}
+    for name in fields.CATALOG_IDS:
+        keys = fields.field_keys(name)
+        for key in keys:
+            yield (["estimates", "--theorem", "modica", "--field", name], key,
+                   {k: _FIELD_BASE[k] for k in keys if k in _FIELD_BASE})
+
+
+def _key_paths(config, path=()):
+    for key, value in config.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+
+
+def _replaced(config, path, value):
+    head, *rest = path
+    return {**config, head: _replaced(config[head], rest, value) if rest else value}
+
+
+def _hostile_sweep(tmp_path, only=None) -> list:
+    """Every hostile value in every --params key and every key of a relax
+    config, or of the key `only`: a line for each run that does not exit 2
+    with a one-line reason, or 0 or 1 with no traceback and no warning."""
+    runs = [(argv + ["--params", json.dumps({**base, key: value})], key, value)
+            for argv, key, base in _swept_params() for value in HOSTILE]
+    for n, (path, value) in enumerate((p, v) for p in _key_paths(_SWEPT_RELAX) for v in HOSTILE):
+        config = tmp_path / f"config{n}.json"
+        config.write_text(json.dumps(_replaced(_SWEPT_RELAX, path, value)))
+        runs.append((["relax", "--config", str(config)], path[-1], value))
+    faults = []
+    for argv, key, value in runs:
+        if only not in (None, key):
+            continue
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                proc = run_cli(*argv)
+        except Exception as e:  # noqa: BLE001 -- a traceback, or a warning raised as one
+            fault = f"raised {type(e).__name__}: {e}"
+        else:
+            lines = [line for line in proc.stderr.splitlines() if not line.startswith("elapsed ")]
+            clean = not any("Traceback" in line or "Warning" in line for line in lines)
+            if (proc.returncode == 2 and len(lines) == 1) or (proc.returncode in (0, 1) and clean):
+                continue
+            fault = f"exit {proc.returncode}: {proc.stderr!r}"
+        faults.append(f"{' '.join(argv[:-2])}: {key} = {json.dumps(value)}: {fault}")
+    return faults
+
+
+def test_hostile_values_of_every_key_exit_2_with_a_reason_or_run_cleanly(tmp_path):
+    faults = _hostile_sweep(tmp_path)
+    assert not faults, "\n".join(faults)
+
+
+def test_the_sweep_names_a_key_left_without_a_kind(monkeypatch, tmp_path):
+    monkeypatch.delitem(cli.KINDS, "M")
+    faults = _hostile_sweep(tmp_path, only="M")
+    assert faults
+    assert all(f.startswith("estimates --theorem 3.1: M = ") for f in faults), faults
+    assert any(f.startswith('estimates --theorem 3.1: M = "x": raised TypeError') for f in faults), faults
 
 
 class _Recording(dict):
@@ -539,7 +649,7 @@ def two_suite_runs(tmp_path_factory):
             mp.setattr(dynamics, "integrate", counting)
             out = tmp_path_factory.mktemp(f"suite{k}")
             try:
-                assert cli.main(["suite", "--out", str(out)]) == 0
+                assert run_cli("suite", "--out", str(out)).returncode == 0
             finally:
                 os.close(fd)
             runs.append((out, [float(r) for r in log.read_text().split()]))
@@ -566,7 +676,7 @@ def test_suite_step_artifacts_are_the_subcommand_artifacts(two_suite_runs, tmp_p
             argv += ["--" + key.replace("_", "-")] + ([] if value is True else [repr(value)])
     if keys:
         argv += ["--params", json.dumps(keys)]
-    assert _exit_code(argv + ["--out", str(tmp_path)]) == 0
+    assert run_cli(*argv, "--out", str(tmp_path)).returncode == 0
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written
     suite_out = two_suite_runs[0][0]
@@ -662,7 +772,7 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def test_suite_workers_print_and_write_what_one_worker_does(monkeypatch, capsys, tmp_path, within_a_minute):
+def test_suite_workers_print_and_write_what_one_worker_does(monkeypatch, tmp_path, within_a_minute):
     """Four workers, more than the cores of a small box, against one: the
     same stdout and the same --out bytes, and each step's time on stderr."""
     forks, fork = [], os.fork
@@ -670,8 +780,9 @@ def test_suite_workers_print_and_write_what_one_worker_does(monkeypatch, capsys,
     runs = []
     for n in (1, 4):
         _cpus(monkeypatch, n)
-        assert cli.main(["suite", "--out", str(tmp_path / str(n))]) == 0
-        out, err = capsys.readouterr()
+        proc = run_cli("suite", "--out", str(tmp_path / str(n)))
+        assert proc.returncode == 0
+        out, err = proc.stdout, proc.stderr
         runs.append((out, {p.name: p.read_bytes() for p in sorted((tmp_path / str(n)).iterdir())}))
     assert len(forks) == 3
     assert runs[0] == runs[1]
@@ -695,7 +806,7 @@ def _raise():
     pytest.param(_exit_3, "worker exited with status 3", id="worker-dies"),
     pytest.param(_raise, "a step raised in a worker", id="step-raises"),
 ])
-def test_a_step_that_fails_in_a_worker_fails_the_suite(monkeypatch, capsys, tmp_path, within_a_minute,
+def test_a_step_that_fails_in_a_worker_fails_the_suite(monkeypatch, tmp_path, within_a_minute,
                                                          fault, reason):
     """Every runner faults in a worker and passes at once in this process,
     which waits until a worker has claimed a unit."""
@@ -712,8 +823,9 @@ def test_a_step_that_fails_in_a_worker_fails_the_suite(monkeypatch, capsys, tmp_
     for words in {words for unit in cli.SUITE for _, words, _ in unit}:
         monkeypatch.setitem(cli.CHECKS, words, dataclasses.replace(cli.CHECKS[words], run=run))
     _cpus(monkeypatch, 2)
-    assert cli.main(["suite", "--out", str(tmp_path / "out")]) == 1
-    out, err = capsys.readouterr()
+    proc = run_cli("suite", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    out, err = proc.stdout, proc.stderr
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
     assert failed, out
     assert all(f"ERROR {step}: {reason}" in err for step in failed), err
@@ -748,16 +860,17 @@ def test_the_caller_runs_the_counterexample_unit_whoever_claims_first(monkeypatc
         cli.CHECKS["counterexample verify"], run=lambda p: (ran / f"cx-{os.getpid()}").touch() or run(p)))
     _cpus(monkeypatch, 2)
     assert cli.SUITE[0] == (("counterexample-violation", "counterexample verify", {"expect_violation": True}),)
-    assert cli.main(["suite", "--out", str(tmp_path / "out")]) == 0
+    assert run_cli("suite", "--out", str(tmp_path / "out")).returncode == 0
     assert (ran / f"cx-{os.getpid()}").exists()
 
 
-def test_a_fork_that_fails_leaves_the_queue_to_the_running_workers(monkeypatch, capsys, tmp_path):
+def test_a_fork_that_fails_leaves_the_queue_to_the_running_workers(monkeypatch, tmp_path):
     def refused():
         raise BlockingIOError("fork refused")
 
     monkeypatch.setattr(os, "fork", refused)
     _cpus(monkeypatch, 2)
-    assert cli.main(["suite", "--out", str(tmp_path)]) == 0
-    assert "suite: 15/15 checks passed" in capsys.readouterr().out
+    proc = run_cli("suite", "--out", str(tmp_path))
+    assert proc.returncode == 0
+    assert "suite: 15/15 checks passed" in proc.stdout
     assert len(list(tmp_path.iterdir())) == 24

@@ -573,6 +573,8 @@ def test_import_builds_no_table():
         "print([f.cache_info().currsize for f in (counterexample._segment_clock,"
         " smooth._smoothstep_table, smooth._gauss_legendre)])\n"
     )
+    # a child process: only a cold import shows what the import builds, and
+    # earlier tests in this process have built every table
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0]"

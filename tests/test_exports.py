@@ -13,6 +13,7 @@ import modicalab
 MODULES = sorted(info.name for info in pkgutil.iter_modules(modicalab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "modicalab"
+TESTS = ROOT / "tests"
 
 # Public names that nothing in src/ or perfbench/ references, each kept on purpose.
 UNREACHED_ON_PURPOSE = {
@@ -215,3 +216,57 @@ def test_the_trailing_reduction_walk_counts_each_form():
         "np.sum(u, axis=0) + np.sum(u) + u.sum(axis=(-2, -1)) + np.prod(u, axis=-1)\n"
     )
     assert len(_trailing_reductions(source, "m.py")) == 6
+
+
+# The test functions that start a process, each with the reason it needs one:
+# every other test runs the command line in this process, where warnings
+# raise and a call costs no interpreter start.  A new one has to be added
+# here in the same change.
+CHILD_PROCESS_TESTS = {
+    "test_cli.py::test_no_arguments_is_a_usage_error": "the `python -m modicalab.cli` entry point is under test",
+    "test_cli.py::test_suite_runs_without_scipy": "its import blocker must be in place before the first import",
+    "test_acceptance.py::test_c10_suite_is_deterministic_and_fast": "compares two runs that share no module cache",
+    "test_counterexample.py::test_import_builds_no_table": "only a cold import shows what the import builds",
+}
+
+# the subprocess functions that start a process
+_STARTS = {"run", "Popen", "call", "check_call", "check_output", "getoutput", "getstatusoutput"}
+
+
+def _child_processes(source: str, name: str) -> list:
+    """'name::function' of each function in a test module's source that starts
+    a process, through subprocess or sys.executable, itself or through a
+    function of the same module that it names."""
+    functions = {node.name: node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    found = {f for f, node in functions.items() if any(
+        isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+        and (sub.value.id, sub.attr) in {("sys", "executable"), *(("subprocess", s) for s in _STARTS)}
+        for sub in ast.walk(node))}
+    while more := {f for f, node in functions.items() if f not in found and any(
+            isinstance(sub, ast.Name) and sub.id in found for sub in ast.walk(node))}:
+        found |= more
+    return sorted(f"{name}::{f}" for f in found)
+
+
+def test_child_processes_are_the_listed_ones():
+    found = {c for path in sorted(TESTS.rglob("*.py")) for c in _child_processes(path.read_text(), path.name)}
+    new = sorted(found - CHILD_PROCESS_TESTS.keys())
+    assert not new, f"tests that start a process, not in CHILD_PROCESS_TESTS with a reason: {new}"
+    stale = sorted(CHILD_PROCESS_TESTS.keys() - found)
+    assert not stale, f"CHILD_PROCESS_TESTS lists tests that start no process: {stale}"
+
+
+def test_the_child_process_walk_counts_each_start():
+    source = (
+        "import subprocess, sys\n"
+        "def test_child(): subprocess.run(['true'])\n"
+        "def test_in_process(): return subprocess.CompletedProcess([], 0)\n"
+    )
+    assert _child_processes(source, "m.py") == ["m.py::test_child"]
+    source = (
+        "import sys\n"
+        "def _spawn(code): return [sys.executable, '-c', code]\n"
+        "def test_through_a_helper(): _spawn('pass')\n"
+        "def test_without(): return 'sys.executable'\n"
+    )
+    assert _child_processes(source, "m.py") == ["m.py::_spawn", "m.py::test_through_a_helper"]
