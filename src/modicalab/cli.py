@@ -190,7 +190,8 @@ def _modica(p) -> DefectReport:
 
 
 def _theorem_31(p) -> DefectReport:
-    m = p["m"]
+    m = p["m"] if p["D"] is None and p["A"] is None else len(p["A"] if p["D"] is None else p["D"])
+    cx._check_count("m", m, 10_000 * m)  # the multiplier's ball samples
     D = np.ones(m) if p["D"] is None else p["D"]
     A = np.eye(m) if p["A"] is None else p["A"]
     cfg = estimates.DiagonalSystemConfig(D=D, A=A, M=p["M"])
@@ -198,6 +199,7 @@ def _theorem_31(p) -> DefectReport:
 
 
 def _theorem_32(p) -> DefectReport:
+    cx._check_count("m", p["m"], 10_000 * p["m"] ** 2)  # the Hessians at the ball samples
     pot = potentials.make_potential("ginzburg_landau", m=p["m"])
     return estimates.ball_confinement_check(pot, None, R=p["R"], tol=p["tol"])
 
@@ -231,10 +233,12 @@ def _theorem_35(p) -> DefectReport:
 def _polygon(p) -> DefectReport:
     verts, N, radius = p["vertices"], p["N"], p["radius"]
     if verts is None:
+        cx._check_count("N", N, 2 * N)
         ang = 2.0 * math.pi * np.arange(N) / N
         if not math.isfinite(radius):
             raise ValueError(f"radius must be finite, got {radius!r}")
         verts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    cx._check_count("n_samples", p["n_samples"], p["n_samples"] * len(verts))  # a margin per sample and edge
     return estimates.polygon_confinement_check(verts, n_samples=p["n_samples"], seed=p["seed"], tol=p["tol"])
 
 
@@ -295,6 +299,15 @@ def _monotone(p):
     return report, {"monotone.csv": profile.to_csv, "monotone.json": report}, report["monotone"]
 
 
+# the keys of a relax config that _relax reads, level by level
+RELAX_KEYS = {
+    "config": ("potential", "domain", "boundary", "max_iters", "tol"),
+    "potential": ("name", "params"),
+    "domain": ("origin", "spacing", "shape"),
+    "boundary": ("field", "params"),
+}
+
+
 def _relax(p):
     cfg_json = p["config"]
     if not isinstance(cfg_json, dict):
@@ -304,12 +317,21 @@ def _relax(p):
     if not (isinstance(cfg_json, dict) and all(k in cfg_json for k in required)):
         raise ValueError("the relax config must be a JSON object with the keys " + ", ".join(required))
     cfg_json = _read("config", cfg_json)
+    for level, obj in (("config", cfg_json), *((k, cfg_json[k]) for k in required)):
+        unknown = sorted(set(obj) - set(RELAX_KEYS[level]))
+        if unknown:
+            raise ValueError(f"the relax {level} takes no key {', '.join(unknown)};"
+                             f" accepted keys: {', '.join(RELAX_KEYS[level])}")
     pot_spec, dom, bspec = (cfg_json[k] for k in required)
     pot = potentials.make_potential(pot_spec["name"], **pot_spec.get("params", {}))
+    # the stiffness bound samples 17^m points; 17.0 ** 251 overflows
+    cx._check_count("m", pot.m, 17.0 ** pot.m if pot.m <= 250 else math.inf)
+    shape = dom["shape"]
+    cx._check_count("shape", shape, shape[0] * shape[1] * pot.m)
     cfg = solver.RelaxConfig(
         origin=tuple(dom["origin"]),
         spacing=tuple(dom["spacing"]),
-        shape=tuple(dom["shape"]),
+        shape=tuple(shape),
         boundary=fields.make_field(bspec["field"], **bspec.get("params", {})),
         max_iters=cfg_json.get("max_iters", 50_000),
         tol=cfg_json.get("tol", 1e-8) if p["tol"] is None else p["tol"],
@@ -658,6 +680,7 @@ def _command_checks(command: str) -> dict:
     return {w.partition(" ")[2]: c for w, c in CHECKS.items() if w.split(" ")[0] == command}
 
 
+@functools.cache  # built at the first call, not at import; it reads only FLAGS and the table's flags
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modicalab",

@@ -9,10 +9,12 @@ Construction, in the order the code builds it:
     square patches W(u) = 2 lam rho(|u - a|^2) on |u1 -+ 2| <= 1, |u2| <= 1.
 2.  The vertical segment orbit u = (2, y(x)) with y'' = 4 lam rho'(y^2) y,
     launched from the well with speed 1/2.  Its energy is conserved, so
-    y' = sqrt(1/4 + 4 lam rho(y^2)): the time t(y) is a quadrature and y(x)
-    its Newton inverse.  The level lam = 3/8 is the unique choice making the
-    speed hit exactly 1 when the patch plateaus, so the orbit coasts onto the
-    connecting curve at unit speed.
+    y' = sqrt(1/4 + 4 lam rho(y^2)): the time t(y) is one cumulative table,
+    the segment's clock, and the orbit reads y(x) as its Newton inverse.
+    Every segment sample the orbit holds is checked to give its time back
+    through the clock to 1e-12.  The level lam = 3/8 is the unique choice
+    making the speed hit exactly 1 when the patch plateaus, so the orbit
+    coasts onto the connecting curve at unit speed.
 3.  A closed C-infinity curve containing both segments: the upper arc is laid
     out by its tangent angle, with curvature a flat bump.  The angle depends
     on arclength only through s / ell, so the arc's end moves linearly with
@@ -39,9 +41,10 @@ Construction, in the order the code builds it:
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +52,9 @@ from . import smooth
 from .potentials import Potential, _sum_columns
 
 __all__ = [
-    "RhoSpec",
+    "rho", "drho", "d2rho",
     "CurveSpec",
     "TubePotential",
-    "SegmentSolution",
     "PeriodicConnection",
     "ConstructionError",
     "lambda_from_hamiltonian",
@@ -76,45 +78,48 @@ class ConstructionError(RuntimeError):
     pass
 
 
-def _check_count(name: str, value: float, count: float) -> None:
+def _check_count(name: str, value, count) -> None:
     """ValueError naming `name`, its value and the count when the array it
-    asks for would hold more than MAX_SAMPLES entries (count may be inf)."""
+    asks for would hold more than MAX_SAMPLES entries (count may be inf).
+    A number from 1e16 on shows as 1.000e+16, an int past the largest float
+    too, and a list of numbers entry by entry."""
+
+    def short(x, spec=""):
+        if isinstance(x, list):
+            return f"[{', '.join(map(short, x))}]"
+        return format(decimal.Decimal(x) if isinstance(x, int) else x, spec if abs(x) < 1e16 else ".3e")
+
     if not count <= MAX_SAMPLES:
-        shown = f"{count:,.0f}" if count < 1e16 else f"{count:.3e}"
-        raise ValueError(f"{name} {value!r} asks for {shown} samples, over the cap of {MAX_SAMPLES:,}")
+        raise ValueError(f"{name} {short(value)} asks for {short(count, ',.0f')} samples,"
+                         f" over the cap of {MAX_SAMPLES:,}")
 
 
 # ---------------------------------------------------------------------------
-# plateau profile
+# plateau profile rho, nondecreasing: identity below 1/4, constant 1/2 above 3/4.
+# rho' = 1 - smoothstep(2(a - 1/4)) on the transition integrates exactly to 1/2
+# at a = 3/4, because the smoothstep integrates to 1/2 over [0, 1] by symmetry.
 
 
-@dataclass(frozen=True)
-class RhoSpec:
-    """Smooth nondecreasing profile: identity below 1/4, constant 1/2 above 3/4.
+def rho(a):
+    a = np.asarray(a, float)
+    tau = np.clip(2.0 * (a - 0.25), 0.0, 1.0)
+    mid = a - 0.5 * smooth.smoothstep_integral(tau)
+    return np.where(a <= 0.25, a, np.where(a >= 0.75, 0.5, mid))
 
-    Built from the derivative side: rho' = 1 - smoothstep(2(a - 1/4)) on the
-    transition, whose integral lands exactly on 1/2 at a = 3/4 because the
-    smoothstep integrates to 1/2 over [0, 1] by symmetry.
-    """
 
-    def rho(self, a):
-        a = np.asarray(a, float)
-        tau = np.clip(2.0 * (a - 0.25), 0.0, 1.0)
-        mid = a - 0.5 * smooth.smoothstep_integral(tau)
-        return np.where(a <= 0.25, a, np.where(a >= 0.75, 0.5, mid))
+def drho(a):
+    a = np.asarray(a, float)
+    tau = 2.0 * (a - 0.25)
+    return np.where(a <= 0.25, 1.0, np.where(a >= 0.75, 0.0, 1.0 - smooth.smoothstep(tau)))
 
-    def drho(self, a):
-        a = np.asarray(a, float)
-        tau = 2.0 * (a - 0.25)
-        return np.where(a <= 0.25, 1.0, np.where(a >= 0.75, 0.0, 1.0 - smooth.smoothstep(tau)))
 
-    def d2rho(self, a):
-        a = np.asarray(a, float)
-        tau = 2.0 * (a - 0.25)
-        inside = (a > 0.25) & (a < 0.75)
-        out = np.zeros_like(a)
-        out[inside] = -2.0 * smooth.smoothstep_d(tau[inside])
-        return out
+def d2rho(a):
+    a = np.asarray(a, float)
+    tau = 2.0 * (a - 0.25)
+    inside = (a > 0.25) & (a < 0.75)
+    out = np.zeros_like(a)
+    out[inside] = -2.0 * smooth.smoothstep_d(tau[inside])
+    return out
 
 
 def lambda_from_hamiltonian() -> float:
@@ -131,62 +136,32 @@ def lambda_from_hamiltonian() -> float:
 # segment orbit
 
 
-@dataclass(frozen=True)
-class SegmentSolution:
-    t1: float  # time at which y = sqrt(3)/2 (plateau entry, speed 1)
-    t2: float  # time at which y = 1 (hand-off to the arc)
-    times: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-    inversion_residual: float  # sup_k |t(y(t_k)) - t_k| over the sample times
-    _clock: smooth._PanelIntegral = field(repr=False)  # t(y), integrand 1 / y'
-
-    def sol(self, t):
-        """(y, v) at times t in [0, t2]: Newton inversion of t(y), v = y'."""
-        y = self._clock.inverse(t)
-        return y, 1.0 / self._clock.f(y)
+# solve_segment's clock per lam, kept here so a tracer wrapping it times the build
+_CLOCKS: dict[float, smooth._PanelIntegral] = {}
 
 
-def solve_segment(lam: float, dt: float = 1e-3) -> SegmentSolution:
-    """The orbit of y'' = 4 lam rho'(y^2) y from (y, y') = (0, 1/2) up to y = 1.
+def solve_segment(lam: float) -> smooth._PanelIntegral:
+    """The clock t(y) of the orbit of y'' = 4 lam rho'(y^2) y from (y, y') =
+    (0, 1/2) up to y = 1, built once per lam.
 
-    Energy conservation gives y' = sqrt(1/4 + 4 lam rho(y^2)), so the time
-    t(y) is a quadrature and y(t) its inverse.  Returns the crossing times
-    t1 = t(sqrt(3)/2) and t2 = t(1) plus the profile sampled at step dt.
+    Energy conservation gives y' = sqrt(1/4 + 4 lam rho(y^2)), so t(y) is
+    the quadrature of the slowness 1 / y' on [0, 1]: t2 = t(1) is its total,
+    y(t) its Newton inverse and y'(t) = 1 / f(y(t)).
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    clock = _segment_clock(lam)
-    t2 = float(clock.total)
-    _check_count("dt", dt, t2 / dt)
-    times = np.arange(0.0, t2, dt)
-    y = clock.inverse(times)
-    residual = float(np.max(np.abs(clock(y) - times)))
-    if residual > 1e-12:
-        raise ConstructionError(f"segment inversion residual {residual:.3e} exceeds 1e-12")
-    return SegmentSolution(
-        t1=float(clock(math.sqrt(0.75))), t2=t2, times=times, y=y, v=1.0 / clock.f(y),
-        inversion_residual=residual, _clock=clock,
-    )
+    if lam not in _CLOCKS:
+        # rho is nondecreasing with rho(0) = 0, so (y')^2 is least at y = 0 or y = 1
+        floor = 0.25 + min(0.0, 4.0 * lam * float(rho(1.0)))
+        if floor <= 0.0:
+            raise ConstructionError(f"segment orbit stalls before y = 1: (y')^2 reaches {floor:.3e}")
 
+        def slowness(y):
+            return 1.0 / np.sqrt(0.25 + 4.0 * lam * rho(y * y))
 
-@cache
-def _segment_clock(lam: float) -> smooth._PanelIntegral:
-    """The segment's clock t(y) on [0, 1], integrand the slowness 1 / y'; built
-    once per lam, so assemble reads t2 before solve_segment samples."""
-    rho = RhoSpec()
-    # rho is nondecreasing with rho(0) = 0, so (y')^2 is least at y = 0 or y = 1
-    floor = 0.25 + min(0.0, 4.0 * lam * float(rho.rho(1.0)))
-    if floor <= 0.0:
-        raise ConstructionError(f"segment orbit stalls before y = 1: (y')^2 reaches {floor:.3e}")
+        def slowness_d(y):
+            return -4.0 * lam * drho(y * y) * y * (0.25 + 4.0 * lam * rho(y * y)) ** -1.5
 
-    def slowness(y):
-        return 1.0 / np.sqrt(0.25 + 4.0 * lam * rho.rho(y * y))
-
-    def slowness_d(y):
-        return -4.0 * lam * rho.drho(y * y) * y * (0.25 + 4.0 * lam * rho.rho(y * y)) ** -1.5
-
-    return smooth._PanelIntegral(slowness, slowness_d, 0.0, 1.0, 512)
+        _CLOCKS[lam] = smooth._PanelIntegral(slowness, slowness_d, 0.0, 1.0, 512)
+    return _CLOCKS[lam]
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +407,18 @@ def build_curve() -> CurveSpec:
 class _Patch:
     """W = 2 lam rho(|v|^2) in the offset v = u - a from a well, shape (..., 2)."""
 
-    rho: RhoSpec
     lam: float
 
     def w(self, v):
-        return 2.0 * self.lam * self.rho.rho(_sum_columns(v * v))
+        return 2.0 * self.lam * rho(_sum_columns(v * v))
 
     def grad(self, v):
-        return 4.0 * self.lam * self.rho.drho(_sum_columns(v * v))[..., None] * v
+        return 4.0 * self.lam * drho(_sum_columns(v * v))[..., None] * v
 
     def hess(self, v):
         a = _sum_columns(v * v)
-        d1 = self.rho.drho(a)[..., None, None]
-        d2 = self.rho.d2rho(a)[..., None, None]
+        d1 = drho(a)[..., None, None]
+        d2 = d2rho(a)[..., None, None]
         return 4.0 * self.lam * (d1 * np.eye(2) + 2.0 * d2 * v[..., :, None] * v[..., None, :])
 
 
@@ -491,10 +465,10 @@ class _GlobalPotential:
     the limit there.  A point with a NaN coordinate is in no region, and its
     W, gradient and Hessian are NaN."""
 
-    def __init__(self, rho: RhoSpec, curve: CurveSpec, lam: float, eps: float):
+    def __init__(self, curve: CurveSpec, lam: float, eps: float):
         self.curve = curve
         self.lam = lam
-        self.patch = _Patch(rho, lam)
+        self.patch = _Patch(lam)
         self.tube = TubePotential(curve, lam, eps)
         x, y = curve._gamma_nodes.T
         xmax = float(np.max(np.abs(x))) + eps + 0.1
@@ -578,15 +552,7 @@ class _GlobalPotential:
         return out.reshape(np.shape(u)[:-1] + (2, 2))
 
     def as_potential(self) -> Potential:
-        return Potential(
-            name="counterexample",
-            m=2,
-            params={"lam": self.lam, "eps": self.tube.eps, **self.curve.shape_params()},
-            zeros=(A_PLUS.copy(), A_MINUS.copy()),
-            _w=self.w,
-            _grad=self.grad,
-            _hess=self.hess,
-        )
+        return Potential("counterexample", 2, self.w, self.grad, self.hess)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +573,7 @@ class PeriodicConnection:
     u: np.ndarray
     v: np.ndarray
     curve: CurveSpec
-    segment: SegmentSolution
+    clock: smooth._PanelIntegral  # the segment's t(y), integrand the slowness 1 / y'
     _global: _GlobalPotential = field(repr=False)
 
     @cached_property
@@ -629,19 +595,23 @@ class PeriodicConnection:
         xr = np.where(half, x - 0.5 * self.T, x)
         return half, xr, xr <= self.t2, (xr > self.t2) & (xr <= self.t3), xr > self.t3
 
+    def _clock_times(self, xr):
+        """Clock time of folded times xr: xr up the right segment, t2 + t3 - xr down the left."""
+        return np.where(xr <= self.t2, xr, np.clip(self.t2 + self.t3 - xr, 0.0, self.t2))
+
     def orbit(self, x):
         """(u, v) at arbitrary times, vectorized; period-wrapped."""
         half, xr, ph_a, ph_b, ph_c = self._phases(x)
         u = np.empty((len(xr), 2))
         v = np.empty((len(xr), 2))
-        # up the right segment, then down the left one run backwards in time
-        for seg, side, xi in ((ph_a, 1.0, xr), (ph_c, -1.0, np.clip(self.t2 + self.t3 - xr, 0.0, self.t2))):
+        t = self._clock_times(xr)
+        for seg, side in ((ph_a, 1.0), (ph_c, -1.0)):
             if np.any(seg):
-                y, vy = self.segment.sol(xi[seg])
+                y = self.clock.inverse(t[seg])
                 u[seg, 0] = 2.0 * side
                 u[seg, 1] = y
                 v[seg, 0] = 0.0
-                v[seg, 1] = side * vy
+                v[seg, 1] = side * (1.0 / self.clock.f(y))
         if np.any(ph_b):
             s = xr[ph_b] - self.t2
             u[ph_b] = self.curve.gamma(s)
@@ -689,26 +659,25 @@ class PeriodicConnection:
 
 def assemble(dt: float = 1e-3) -> PeriodicConnection:
     """Build the full periodic connection, sampled at step about dt, and run
-    junction consistency checks."""
+    the inversion and junction consistency checks."""
     lam = lambda_from_hamiltonian()
     curve = build_curve()
-    # T needs only the clock's t2 and the curve: a dt past the cap is refused
-    # before the segment is sampled (and one not positive by solve_segment)
-    t2 = float(_segment_clock(lam).total)
+    clock = solve_segment(lam)
+    # T needs only the clock's t2 and the curve: dt is checked before the
+    # orbit is sampled, and leaves at least two steps in the period
+    t2 = float(clock.total)
     t3 = t2 + curve.L
     T = 2.0 * (t2 + t3)
-    if dt > 0.0:
-        _check_count("dt", dt, T / dt + 1.0)
-    seg = solve_segment(lam, dt=dt)
+    if not (math.isfinite(dt) and 0.0 < dt <= 0.5 * T):
+        raise ValueError(f"dt must be positive and at most half the period {T!r}, got {dt!r}")
+    _check_count("dt", dt, T / dt + 1.0)
     eps = min(0.1, lam / (2.0 * curve.max_kappa))
-    glob = _GlobalPotential(RhoSpec(), curve, lam, eps)
-
     n = int(round(T / dt))
     times = (T / n) * np.arange(n + 1)
 
     pc = PeriodicConnection(
         lam=lam,
-        t1=seg.t1,
+        t1=float(clock(math.sqrt(0.75))),
         t2=t2,
         t3=t3,
         T=T,
@@ -717,13 +686,20 @@ def assemble(dt: float = 1e-3) -> PeriodicConnection:
         u=np.zeros((n + 1, 2)),
         v=np.zeros((n + 1, 2)),
         curve=curve,
-        segment=seg,
-        _global=glob,
+        clock=clock,
+        _global=_GlobalPotential(curve, lam, eps),
     )
     u, v = pc.orbit(times)
     pc.u[:] = u
     pc.v[:] = v
 
+    # the segment heights the orbit holds give back, through the clock, the
+    # times they were inverted from (the second half-period is reflected)
+    half, xr, ph_a, _, ph_c = pc._phases(times)
+    seg = ph_a | ph_c
+    residual = float(np.max(np.abs(clock(np.where(half, -u[:, 1], u[:, 1])[seg]) - pc._clock_times(xr)[seg])))
+    if residual > 1e-12:
+        raise ConstructionError(f"segment inversion residual {residual:.3e} exceeds 1e-12")
     _junction_consistency(pc)
     return pc
 
@@ -759,9 +735,8 @@ def verify_counterexample(pc: PeriodicConnection, tol: float = 1e-7) -> dict:
     defect = float(np.mean(P))
     spread = float(np.max(np.abs(P - 0.125)))
     residual = pc.ode_residual()
-    u0, v0 = pc.orbit(np.array([0.0]))
-    uh, _ = pc.orbit(np.array([0.5 * pc.T]))
-    w0 = float(pc.potential.w(u0[0]))
+    ends, _ = pc.orbit(np.array([0.0, 0.5 * pc.T]))
+    w0 = float(pc.potential.w(ends[0]))
     oscillation = float(np.max(np.linalg.norm(pc.u - pc.u[0], axis=1)))
     return {
         "lambda": pc.lam,
@@ -773,8 +748,8 @@ def verify_counterexample(pc: PeriodicConnection, tol: float = 1e-7) -> dict:
         "residual_max": residual,
         "modica_defect": defect,
         "modica_defect_spread": spread,
-        "endpoint_start": [float(u0[0, 0]), float(u0[0, 1])],
-        "endpoint_half": [float(uh[0, 0]), float(uh[0, 1])],
+        "endpoint_start": ends[0].tolist(),
+        "endpoint_half": ends[1].tolist(),
         "w_at_start": w0,
         "oscillation": oscillation,
         "liouville_violated": bool(w0 <= 1e-12 and oscillation > 1.0),

@@ -41,8 +41,6 @@ class Potential:
 
     name: str
     m: int
-    params: dict
-    zeros: tuple
     _w: Callable
     _grad: Callable
     _hess: Callable
@@ -77,9 +75,7 @@ def _make_double_well():
     def hess(u):
         return (3.0 * u[..., 0] ** 2 - 1.0)[..., None, None]
 
-    return Potential(
-        "double_well", 1, {}, (np.array([-1.0]), np.array([1.0])), w, grad, hess
-    )
+    return Potential("double_well", 1, w, grad, hess)
 
 
 def _sum_columns(a):
@@ -130,8 +126,7 @@ def _make_ginzburg_landau(m=2):
         eye = np.eye(m)
         return q[..., None, None] * eye + 2.0 * u[..., :, None] * u[..., None, :]
 
-    zeros = tuple(np.eye(m)[i] for i in range(m)) + (np.eye(m)[0] * -1.0,)
-    return Potential("ginzburg_landau", m, {"m": m}, zeros, w, grad, hess)
+    return Potential("ginzburg_landau", m, w, grad, hess)
 
 
 def _make_n_well(N=3):
@@ -164,11 +159,7 @@ def _make_n_well(N=3):
         wxy = -2.0 * h.imag
         return np.stack([wxx, wxy, wxy, wyy], axis=-1).reshape(u.shape[:-1] + (2, 2))
 
-    zeros = tuple(
-        np.array([math.cos(2 * math.pi * k / N), math.sin(2 * math.pi * k / N)])
-        for k in range(N)
-    )
-    return Potential("n_well", 2, {"N": N}, zeros, w, grad, hess)
+    return Potential("n_well", 2, w, grad, hess)
 
 
 def _regular_polygon(N, radius=1.0):
@@ -218,8 +209,7 @@ def _make_polygon_product(vertices=None):
                 out = out + 4.0 * pik[..., None, None] * d[..., i, :, None] * d[..., k, None, :]
         return out
 
-    zeros = tuple(verts[i].copy() for i in range(N))
-    return Potential("polygon_product", 2, {"vertices": verts.tolist()}, zeros, w, grad, hess)
+    return Potential("polygon_product", 2, w, grad, hess)
 
 
 def _make_quadratic(m=2):
@@ -234,7 +224,7 @@ def _make_quadratic(m=2):
     def hess(u):
         return np.broadcast_to(np.eye(m), u.shape[:-1] + (m, m)).copy()
 
-    return Potential("quadratic", m, {"m": m}, (np.zeros(m),), w, grad, hess)
+    return Potential("quadratic", m, w, grad, hess)
 
 
 def _make_zero(m=2):
@@ -250,7 +240,7 @@ def _make_zero(m=2):
     def hess(u):
         return np.zeros(u.shape[:-1] + (m, m))
 
-    return Potential("zero", m, {"m": m}, (), w, grad, hess)
+    return Potential("zero", m, w, grad, hess)
 
 
 _BUILDERS = {

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -211,11 +212,12 @@ def test_a_connection_that_fails_its_own_checks_never_passes_verify():
 
 
 def test_connection_runner_inverts_the_segment_at_most_four_times(tmp_path, monkeypatch):
-    """Only the orbit's own samples and its two endpoints invert t(y); the
-    report and the trajectory array read the stored samples."""
+    """Only the orbit's own samples, one inversion per segment, and its two
+    endpoints, in one call, invert t(y); the inversion gate, the report and
+    the trajectory array read the stored samples."""
     calls = []
-    sol = counterexample.SegmentSolution.sol
-    monkeypatch.setattr(counterexample.SegmentSolution, "sol", lambda self, t: calls.append(t) or sol(self, t))
+    inverse = smooth._PanelIntegral.inverse
+    monkeypatch.setattr(smooth._PanelIntegral, "inverse", lambda self, F: calls.append(F) or inverse(self, F))
     _, artifacts, ok = cli.CHECKS["counterexample verify"]({"expect_violation": True})
     cli._write_artifacts(tmp_path, artifacts)
     assert ok
@@ -309,6 +311,11 @@ def test_relax_from_config(relax_config, tmp_path):
     pytest.param({"domain": {"origin": [-3.0, 0.0], "spacing": [0.0, 0.15], "shape": [41, 5]}},
                  "spacing", id="spacing-0"),
     pytest.param({"tol": float("nan")}, "tol", id="tol-nan"),
+    # counts no allocator grants: refused before anything is allocated
+    pytest.param({"domain": {"origin": [0.0, 0.0], "spacing": [0.1, 0.1], "shape": [10**6, 10**6]}},
+                 "shape [1000000, 1000000] asks for 1,000,000,000,000 samples, over the cap", id="shape-past-the-cap"),
+    pytest.param({"potential": {"name": "ginzburg_landau", "params": {"m": 10**12}}},
+                 "m 1000000000000 asks for inf samples, over the cap", id="stiffness-m-past-the-cap"),
 ])
 def test_relax_bad_numbers_are_usage_errors(relax_config, change, reason):
     cfg = json.loads(relax_config.read_text())
@@ -347,6 +354,20 @@ def test_relax_config_needs_an_object_with_the_required_keys(tmp_path, config):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert all(key in proc.stderr for key in ("potential", "domain", "boundary")), proc.stderr
+
+
+@pytest.mark.parametrize("change, level, unknown, accepted", [
+    ({"max_iter": 1}, "config", "max_iter", "potential, domain, boundary, max_iters, tol"),
+    ({"tolerance": 0.5}, "config", "tolerance", "potential, domain, boundary, max_iters, tol"),
+    ({"domain": {"origin": [-3.0, 0.0], "spacing": [0.15, 0.15], "shape": [41, 5], "extra": 1}},
+     "domain", "extra", "origin, spacing, shape"),
+    ({"boundary": {"field": "tanh_planar", "parms": {}}}, "boundary", "parms", "field, params"),
+])
+def test_relax_config_keys_nothing_reads_are_usage_errors(relax_config, change, level, unknown, accepted):
+    relax_config.write_text(json.dumps({**json.loads(relax_config.read_text()), **change}))
+    proc = run_cli("relax", "--config", str(relax_config))
+    assert proc.returncode == 2
+    assert f"the relax {level} takes no key {unknown}; accepted keys: {accepted}" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +497,16 @@ def test_planar_checks_on_a_line_field_name_the_planar_requirement(op, name):
                  "--dt 1e-12 asks for 7,255,197,456,938 samples, over the cap of 10,000,000", id="orbit-dt-past-the-cap"),
     pytest.param(["planar", "tensor", "--h", "1e-7"],
                  "--h 1e-07 asks for 400,000,040,000,001 samples, over the cap of 10,000,000", id="h-past-the-cap"),
+    pytest.param(["estimates", "--theorem", "3.1", "--params", '{"m": 100000}'],
+                 "m 100000 asks for 1,000,000,000 samples, over the cap", id="31-m-past-the-cap"),
+    pytest.param(["estimates", "--theorem", "3.1", "--params", '{"m": 1%s}' % ("0" * 400)],
+                 "m 1.000e+400 asks for 1.000e+404 samples, over the cap", id="31-m-past-the-largest-float"),
+    pytest.param(["estimates", "--theorem", "3.2", "--params", '{"m": 1000000000000}'],
+                 "m 1000000000000 asks for 1.000e+28 samples, over the cap", id="32-m-past-the-cap"),
+    pytest.param(["estimates", "--theorem", "polygon", "--params", '{"n_samples": 1000000000000}'],
+                 "n_samples 1000000000000 asks for 5,000,000,000,000 samples", id="polygon-n-samples-past-the-cap"),
+    pytest.param(["estimates", "--theorem", "polygon", "--params", '{"N": 1000000000000, "n_samples": 0}'],
+                 "N 1000000000000 asks for 2,000,000,000,000 samples", id="polygon-N-past-the-cap"),
     # an overflow is refused, not read as a verdict
     pytest.param(["planar", "green", "--params", '{"radius": 1e300}'], "overflow encountered",
                  id="green-radius-overflows"),
@@ -505,9 +536,9 @@ def test_dt_past_the_cap_is_refused_before_the_segment_is_sampled(monkeypatch):
     assert "dt 1.5e-06 asks for 13,100,603 samples, over the cap of 10,000,000" in proc.stderr
 
 
-# JSON values that no key may turn into a traceback or a warning; 10**400
-# is an integer past the largest float
-HOSTILE = [float("nan"), float("inf"), float("-inf"), -1, 0, 1e-300, 1e300, 10**400, 2.5,
+# JSON values that no key may turn into a traceback or a warning; 10**12
+# is a count no allocator grants, 10**400 an integer past the largest float
+HOSTILE = [float("nan"), float("inf"), float("-inf"), -1, 0, 1e-300, 1e300, 10**12, 10**400, 2.5,
            [], [1.0], [[1.0, 2.0]], [[1.0, 2.0], [1.0]], "x", None, True, {}]
 
 # valid values of the field keys a catalog field cannot do without, so that
@@ -552,10 +583,27 @@ def _replaced(config, path, value):
     return {**config, head: _replaced(config[head], rest, value) if rest else value}
 
 
+def _fault(argv, usage=False):
+    """None when `modicalab *argv` exits 2 with a one-line reason, or with
+    an argparse usage error if `usage`, or exits 0 or 1 with no traceback
+    and no warning; else what went wrong."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proc = run_cli(*argv)
+    except Exception as e:  # noqa: BLE001 -- a traceback, or a warning raised as one
+        return f"raised {type(e).__name__}: {e}"
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("elapsed ")]
+    usage = usage and len(lines) > 1 and lines[0].startswith("usage: ") and ": error: " in lines[-1]
+    clean = not any("Traceback" in line or "Warning" in line for line in lines)
+    if (proc.returncode == 2 and (len(lines) == 1 or usage)) or (proc.returncode in (0, 1) and clean):
+        return None
+    return f"exit {proc.returncode}: {proc.stderr!r}"
+
+
 def _hostile_sweep(tmp_path, only=None) -> list:
     """Every hostile value in every --params key and every key of a relax
-    config, or of the key `only`: a line for each run that does not exit 2
-    with a one-line reason, or 0 or 1 with no traceback and no warning."""
+    config, or of the key `only`: a line for each run `_fault` objects to."""
     runs = [(argv + ["--params", json.dumps({**base, key: value})], key, value)
             for argv, key, base in _swept_params() for value in HOSTILE]
     for n, (path, value) in enumerate((p, v) for p in _key_paths(_SWEPT_RELAX) for v in HOSTILE):
@@ -564,21 +612,8 @@ def _hostile_sweep(tmp_path, only=None) -> list:
         runs.append((["relax", "--config", str(config)], path[-1], value))
     faults = []
     for argv, key, value in runs:
-        if only not in (None, key):
-            continue
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                proc = run_cli(*argv)
-        except Exception as e:  # noqa: BLE001 -- a traceback, or a warning raised as one
-            fault = f"raised {type(e).__name__}: {e}"
-        else:
-            lines = [line for line in proc.stderr.splitlines() if not line.startswith("elapsed ")]
-            clean = not any("Traceback" in line or "Warning" in line for line in lines)
-            if (proc.returncode == 2 and len(lines) == 1) or (proc.returncode in (0, 1) and clean):
-                continue
-            fault = f"exit {proc.returncode}: {proc.stderr!r}"
-        faults.append(f"{' '.join(argv[:-2])}: {key} = {json.dumps(value)}: {fault}")
+        if only in (None, key) and (fault := _fault(argv)):
+            faults.append(f"{' '.join(argv[:-2])}: {key} = {json.dumps(value)}: {fault}")
     return faults
 
 
@@ -593,6 +628,47 @@ def test_the_sweep_names_a_key_left_without_a_kind(monkeypatch, tmp_path):
     assert faults
     assert all(f.startswith("estimates --theorem 3.1: M = ") for f in faults), faults
     assert any(f.startswith('estimates --theorem 3.1: M = "x": raised TypeError') for f in faults), faults
+
+
+# command-line values that no flag may turn into a traceback or a warning
+HOSTILE_FLAGS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "2.5", "x", ""]
+
+
+def _flag_sweep(tmp_path, only=None) -> list:
+    """Every hostile value in every flag that each check reads, or in the
+    flag `only`, given as --flag=value so that a value starting with '-'
+    reaches the flag's type too: a line for each run `_fault` objects to.
+    The flags a check requires hold valid values while another is swept."""
+    valid = {"R": "0.5", "config": _relax_strip(tmp_path)}
+    faults = []
+    for words, check in cli.CHECKS.items():
+        command, _, token = words.partition(" ")
+        if command == "suite":
+            continue
+        argv = [command, *(["--theorem"] if cli.COMMANDS[command][1] == "--theorem" else []), *token.split()]
+        for flag in sorted(cli._reads(check) - {"expect_violation"} - ({only} ^ {None} and set(cli.FLAGS) - {only})):
+            given = {k: v for k, v in valid.items() if k in check.flags and k != flag}
+            for value in HOSTILE_FLAGS:
+                run = argv + [f"--{k}={v}" for k, v in given.items()] + [f"--{flag.replace('_', '-')}={value}"]
+                if fault := _fault(run, usage=True):
+                    faults.append(f"{' '.join(argv)} --{flag}={value}: {fault}")
+    return faults
+
+
+def test_hostile_values_of_every_flag_exit_2_with_a_reason_or_run_cleanly(tmp_path):
+    faults = _flag_sweep(tmp_path)
+    assert not faults, "\n".join(faults)
+
+
+def test_the_flag_sweep_names_a_flag_whose_type_lets_a_type_error_through(monkeypatch, tmp_path):
+    """--dt read as text: argparse accepts every value, and the runner's
+    arithmetic on it raises TypeError.  (A type that raises TypeError itself
+    is argparse's usage error, which passes.)"""
+    monkeypatch.setitem(cli.FLAGS, "dt", {**cli.FLAGS["dt"], "type": str})
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    faults = _flag_sweep(tmp_path, only="dt")
+    assert any(f.startswith("counterexample verify --dt=2.5: raised TypeError") for f in faults), faults
+    assert all(" --dt=" in f for f in faults), faults
 
 
 class _Recording(dict):

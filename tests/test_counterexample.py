@@ -16,42 +16,51 @@ def test_plateau_level_from_energy_bookkeeping():
 
 
 def test_rho_profile_shape():
-    rho = cx.RhoSpec()
     a = np.linspace(-0.5, 2.0, 501)
-    r = rho.rho(a)
+    r = cx.rho(a)
     assert np.all(r[a <= 0.25] == a[a <= 0.25])  # identity below the blend
     assert np.all(r[a >= 0.75] == 0.5)  # plateau above it
     assert np.all(np.diff(r) >= 0.0)
-    assert np.all(rho.drho(a) >= 0.0)
-    d2 = rho.d2rho(a)
+    assert np.all(cx.drho(a) >= 0.0)
+    d2 = cx.d2rho(a)
     assert np.all(d2[(a <= 0.25) | (a >= 0.75)] == 0.0)
 
 
 def test_rho_derivative_consistency():
-    rho = cx.RhoSpec()
     a = np.linspace(0.26, 0.74, 97)
     h = 1e-6
-    fd = (rho.rho(a + h) - rho.rho(a - h)) / (2 * h)
-    assert np.max(np.abs(fd - rho.drho(a))) < 1e-8
+    fd = (cx.rho(a + h) - cx.rho(a - h)) / (2 * h)
+    assert np.max(np.abs(fd - cx.drho(a))) < 1e-8
 
 
 def test_segment_crossings_and_drift(assembled):
-    seg = assembled.pc.segment
-    assert 0.0 < seg.t1 < seg.t2
-    y0, v0 = seg.sol(0.0)
-    assert abs(y0) < 1e-14 and abs(v0 - 0.5) < 1e-14
-    y1, _ = seg.sol(seg.t1)
-    assert abs(y1 - math.sqrt(0.75)) < 1e-10
-    y2, v2 = seg.sol(seg.t2)
-    assert abs(y2 - 1.0) < 1e-10
-    assert abs(v2 - 1.0) < 1e-8  # unit speed at hand-off (H = 1/8, W = 3/8)
-    assert seg.inversion_residual <= 1e-12
+    """The orbit on the right segment: at rest height 0 with speed 1/2, the
+    plateau entry sqrt(3)/2 at t1, and y = 1 at unit speed at t2."""
+    pc = assembled.pc
+    assert 0.0 < pc.t1 < pc.t2
+    u, v = pc.orbit(np.array([0.0, pc.t1, pc.t2]))
+    assert np.all(u[:, 0] == 2.0) and np.all(v[:, 0] == 0.0)
+    assert abs(u[0, 1]) < 1e-14 and abs(v[0, 1] - 0.5) < 1e-14
+    assert abs(u[1, 1] - math.sqrt(0.75)) < 1e-10
+    assert abs(u[2, 1] - 1.0) < 1e-10
+    assert abs(v[2, 1] - 1.0) < 1e-8  # unit speed at hand-off (H = 1/8, W = 3/8)
+
+
+def test_a_segment_read_off_the_clock_fails_the_inversion_gate(monkeypatch):
+    """Heights 1e-9 above the clock's inverse, and nothing else moved, make
+    assemble refuse the connection."""
+    inverse = smooth._PanelIntegral.inverse
+    monkeypatch.setattr(smooth._PanelIntegral, "inverse", lambda self, F: inverse(self, F) + 1e-9)
+    with pytest.raises(cx.ConstructionError, match="segment inversion residual"):
+        cx.assemble()
 
 
 def test_segment_rejects_bad_step_and_stalling_level():
-    for dt in (0.0, -1e-3, math.nan, math.inf):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            cx.solve_segment(0.375, dt=dt)
+    """assemble refuses a step that samples no orbit, and the clock a level
+    at which the orbit stalls."""
+    for dt in (0.0, -1e-3, math.nan, math.inf, 1e300):  # 1e300 rounds to no step in the period
+        with pytest.raises(ValueError, match="dt must be positive and at most half the period"):
+            cx.assemble(dt=dt)
     # (y')^2 = 1/4 + 4 lam rho(y^2) reaches 0 before y = 1 once lam <= -1/8
     with pytest.raises(cx.ConstructionError, match="stalls"):
         cx.solve_segment(-0.125)
@@ -82,8 +91,8 @@ def test_half_length_closes_the_arc(assembled):
 
 
 def test_segment_profile_monotone(assembled):
-    seg = assembled.pc.segment
-    assert np.all(np.diff(seg.y) > 0.0)
+    pc = assembled.pc
+    assert np.all(np.diff(pc.u[pc.times <= pc.t2, 1]) > 0.0)
 
 
 def test_curve_endpoints_and_unit_speed(assembled):
@@ -210,9 +219,9 @@ def _inverted_w_grad(pc, x):
     g = np.zeros((len(x), 2))
     ph_b = (xr > pc.t2) & (xr <= pc.t3)
     for ph, xi in ((xr <= pc.t2, xr), (xr > pc.t3, np.clip(pc.t2 + pc.t3 - xr, 0.0, pc.t2))):
-        y = pc.segment.sol(xi[ph])[0]
-        w[ph] = 2.0 * pc.lam * cx.RhoSpec().rho(y**2)
-        g[ph, 1] = 4.0 * pc.lam * cx.RhoSpec().drho(y**2) * y
+        y = pc.clock.inverse(xi[ph])
+        w[ph] = 2.0 * pc.lam * cx.rho(y**2)
+        g[ph, 1] = 4.0 * pc.lam * cx.drho(y**2) * y
     s = xr[ph_b] - pc.t2
     g[ph_b] = pc.curve.kappa(s)[:, None] * pc.curve.normal(s)
     g[half] *= -1.0
@@ -511,7 +520,7 @@ def tables():
         "smoothstep": smooth._smoothstep_table(),
         "tangent-angle": curve._ieta,
         "arc": curve._arc,
-        "segment-clock": cx._segment_clock(cx.lambda_from_hamiltonian()),
+        "segment-clock": cx.solve_segment(cx.lambda_from_hamiltonian()),
     }
 
 
@@ -557,7 +566,7 @@ def test_queries_evaluate_no_kernel(assembled, monkeypatch):
     pc.curve.gamma(s)
     pc.curve.theta(s)
     pc.curve.tangent(s)
-    pc.segment.sol(np.linspace(0.0, pc.t2, 1000))
+    pc.orbit(np.linspace(0.0, pc.t2, 1000))  # the right segment only
     smooth.smoothstep_integral(np.linspace(-0.5, 1.5, 1000))
     assert sum(evaluated) == 0
     pc.curve.kappa(s)
@@ -570,14 +579,14 @@ def test_import_builds_no_table():
     code = (
         "import modicalab.cli\n"
         "from modicalab import counterexample, smooth\n"
-        "print([f.cache_info().currsize for f in (counterexample._segment_clock,"
-        " smooth._smoothstep_table, smooth._gauss_legendre)])\n"
+        "print([len(counterexample._CLOCKS)] + [f.cache_info().currsize for f in"
+        " (smooth._smoothstep_table, smooth._gauss_legendre, modicalab.cli.build_parser)])\n"
     )
     # a child process: only a cold import shows what the import builds, and
     # earlier tests in this process have built every table
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0]"
 
 
 def _one_shot(f, df, a, b, panels):
@@ -616,7 +625,8 @@ def test_every_table_matches_its_one_shot_build(monkeypatch):
 
     smooth._smoothstep_table()  # the segment clock's integrand reads it
     monkeypatch.setattr(smooth, "_PanelIntegral", Recorded)
-    cx._segment_clock.__wrapped__(cx.lambda_from_hamiltonian())
+    monkeypatch.setattr(cx, "_CLOCKS", {})  # a fresh build, not the cached clock
+    cx.solve_segment(cx.lambda_from_hamiltonian())
     smooth._smoothstep_table.__wrapped__()
     dynamics.shoot_heteroclinic(potentials.make_potential("double_well"), -1.0, 1.0)
     cx.build_curve()
@@ -674,7 +684,8 @@ def test_a_nan_read_is_nan_and_leaves_the_other_lanes_alone(tables, assembled):
             assert np.all(np.isnan(mixed[..., 3]))
             assert np.array_equal(_bits(np.delete(mixed, 3, axis=-1)), _bits(P(x)))
         pc = assembled.pc
-        y, v = pc.segment.sol(np.array([np.nan, 0.5]))
+        y = pc.clock.inverse(np.array([np.nan, 0.5]))
+        v = 1.0 / pc.clock.f(y)
         assert np.isnan(y[0]) and np.isnan(v[0]) and np.isfinite(y[1]) and np.isfinite(v[1])
         g = pc.curve.gamma(np.array([np.nan, 1.0]))
         assert np.all(np.isnan(g[0])) and np.all(np.isfinite(g[1]))

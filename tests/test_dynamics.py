@@ -292,7 +292,7 @@ def test_a_potential_that_raises_past_the_blowup_still_reports_the_blowup():
             raise ValueError("non-finite state")
         return quad.grad(u)
 
-    picky = potentials.Potential("picky", 1, {}, quad.zeros, quad.w, finite_grad, quad.hess)
+    picky = potentials.Potential("picky", 1, quad.w, finite_grad, quad.hess)
     # at dt = 100 the state grows about 1e4-fold per step: past 1e6 at step 2, inf within the block
     start = dynamics.PhasePoint(np.array([1.0]), np.array([1.0]))
     with np.errstate(all="ignore"):
@@ -405,8 +405,7 @@ def test_heteroclinic_rejects_interior_zero():
         q, dq = x**4 - x**2, 4.0 * x**3 - 2.0 * x
         return (2.0 * dq**2 + 2.0 * q * (12.0 * x**2 - 2.0))[..., None, None]
 
-    p = potentials.Potential("triple", 1, {}, (np.array([-1.0]), np.array([0.0]), np.array([1.0])),
-                             w, grad, hess)
+    p = potentials.Potential("triple", 1, w, grad, hess)
     with pytest.raises(ValueError, match="vanishes between the wells"):
         dynamics.shoot_heteroclinic(p, -1.0, 1.0)
 
@@ -425,6 +424,6 @@ def test_heteroclinic_rejects_a_degenerate_well():
         x = u[..., 0]
         return (-2.0 * (1.0 - x**2) ** 3 + 12.0 * x**2 * (1.0 - x**2) ** 2)[..., None, None]
 
-    p = potentials.Potential("quartic_wells", 1, {}, (np.array([-1.0]), np.array([1.0])), w, grad, hess)
+    p = potentials.Potential("quartic_wells", 1, w, grad, hess)
     with pytest.raises(RuntimeError, match="max_span"):
         dynamics.shoot_heteroclinic(p, -1.0, 1.0)

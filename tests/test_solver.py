@@ -302,7 +302,7 @@ def test_unstable_potential_blows_up():
     def hess(u):
         return np.broadcast_to(-50.0 * np.eye(1), u.shape[:-1] + (1, 1))
 
-    concave = potentials.Potential("concave", 1, {}, (), w, grad, hess)
+    concave = potentials.Potential("concave", 1, w, grad, hess)
     bump = fields.make_field("constant", value=[0.1], n=2)
     # 11 x 11 runs on two levels, 17 x 17 on four
     for n in (11, 17):
@@ -444,7 +444,7 @@ def test_one_coarsest_newton_step_cuts_the_defect_quadratically():
 
     assert order(glp) >= 1.8
     # must fail: without the D2W blocks in J the step is Picard's, linear
-    picard = potentials.Potential("gl-picard", 2, {}, (), glp.w, glp.grad,
+    picard = potentials.Potential("gl-picard", 2, glp.w, glp.grad,
                                   lambda v: np.zeros(v.shape + (2,)))
     assert order(picard) < 1.5
 
@@ -465,7 +465,7 @@ def test_the_suite_solves_take_newton_on_the_coarsest_grid_within_nine_cycles(h)
 def test_a_nonconvex_coarsest_grid_keeps_the_sweeps(monkeypatch):
     # the concave W of test_unstable_potential_blows_up, on four levels
     concave = potentials.Potential(
-        "concave", 1, {}, (), lambda u: -25.0 * np.sum(u * u, axis=-1), lambda u: -50.0 * u,
+        "concave", 1, lambda u: -25.0 * np.sum(u * u, axis=-1), lambda u: -50.0 * u,
         lambda u: np.broadcast_to(-50.0 * np.eye(1), u.shape[:-1] + (1, 1)))
     cfg = solver.RelaxConfig(
         origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(17, 17),
@@ -562,7 +562,7 @@ def _sum_formula_gl():
         return q[..., None, None] * np.eye(2) + 2.0 * u[..., :, None] * u[..., None, :]
 
     gl = potentials.make_potential("ginzburg_landau", m=2)
-    return potentials.Potential("gl_by_np_sum", 2, {}, gl.zeros, w, grad, hess)
+    return potentials.Potential("gl_by_np_sum", 2, w, grad, hess)
 
 
 def test_relaxation_with_the_column_sums_is_the_np_sum_relaxation_bit_for_bit(monkeypatch):
@@ -617,7 +617,7 @@ def _ladder_grad_calls() -> int:
         calls.append(u.shape)
         return gl.grad(u)
 
-    counting = potentials.Potential("gl_counting", 2, {}, gl.zeros, gl.w, grad, gl.hess)
+    counting = potentials.Potential("gl_counting", 2, gl.w, grad, gl.hess)
     cfg = solver.RelaxConfig(
         origin=(-0.5, -0.5), spacing=(0.025, 0.025), shape=(41, 41),
         boundary=fields.make_field("harmonic_linear_map"), max_iters=400_000, tol=1e-10,
