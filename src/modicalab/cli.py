@@ -189,11 +189,21 @@ def _modica(p) -> DefectReport:
     )
 
 
+def _fixed_by(p, key: str, others) -> None:
+    """Refuse `key` given with one of `others`, which fixes it; None is not given."""
+    given = [k for k in others if p[k] is not None]
+    if p[key] is not None and given:
+        raise ValueError(f"--params: {key} cannot be given with {given[0]}, which fixes it")
+
+
 def _theorem_31(p) -> DefectReport:
-    m = p["m"] if p["D"] is None and p["A"] is None else len(p["A"] if p["D"] is None else p["D"])
+    _fixed_by(p, "m", ("D", "A"))
+    D, A, m = p["D"], p["A"], 2 if p["m"] is None else p["m"]
+    if D is not None or A is not None:
+        m = len(A if D is None else D)
     cx._check_count("m", m, 10_000 * m)  # the multiplier's ball samples
-    D = np.ones(m) if p["D"] is None else p["D"]
-    A = np.eye(m) if p["A"] is None else p["A"]
+    D = np.ones(m) if D is None else D
+    A = np.eye(m) if A is None else A
     cfg = estimates.DiagonalSystemConfig(D=D, A=A, M=p["M"])
     return estimates.diagonal_system_check(cfg, g=None, tol=p["tol"])
 
@@ -231,7 +241,10 @@ def _theorem_35(p) -> DefectReport:
 
 
 def _polygon(p) -> DefectReport:
-    verts, N, radius = p["vertices"], p["N"], p["radius"]
+    _fixed_by(p, "N", ("vertices",))
+    _fixed_by(p, "radius", ("vertices",))
+    verts = p["vertices"]
+    N, radius = 5 if p["N"] is None else p["N"], 1.0 if p["radius"] is None else p["radius"]
     if verts is None:
         cx._check_count("N", N, 2 * N)
         ang = 2.0 * math.pi * np.arange(N) / N
@@ -464,7 +477,7 @@ CHECKS = {
         "modica", _modica, {"tol": 1e-9, "field": "tanh_planar", "dt": None},
         summary="pointwise gradient bound 0.5|grad u|^2 <= W(u) on a field"),
     "estimates 3.1": _estimate(
-        "3.1", _theorem_31, {"tol": 1e-7}, {"m": 2, "D": None, "A": None, "M": 1.0},
+        "3.1", _theorem_31, {"tol": 1e-7}, {"m": None, "D": None, "A": None, "M": 1.0},
         summary="diagonal reaction-diffusion system: P-function constants and bound"),
     "estimates 3.2": _estimate(
         "3.2", _theorem_32, {"tol": 1e-7}, {"m": 2, "R": 1.0},
@@ -480,7 +493,7 @@ CHECKS = {
         summary="convex-well floor: when small gradients force the estimate"),
     "estimates polygon": _estimate(
         "polygon", _polygon, {"tol": 1e-12, "seed": 0},
-        {"vertices": None, "N": 5, "radius": 1.0, "n_samples": 100},
+        {"vertices": None, "N": None, "radius": None, "n_samples": 100},
         summary="product potential on a convex polygon: radial confinement"),
     "planar tensor": Check(_tensor, {"field": _GL, "h": 0.02}, say=lambda r: [
         f"div T residual: {r['residual_h']:.3e} at h={r['h']!r},"

@@ -589,8 +589,10 @@ class PeriodicConnection:
     def _phases(self, x):
         """Times folded into the first half-period: the mask of the reflected
         second half, the folded time xr, and the masks of the right segment,
-        the arc and the left segment."""
-        x = np.mod(np.atleast_1d(np.asarray(x, float)), self.T)
+        the arc and the left segment; a time that is not finite folds to NaN
+        and is in none of them."""
+        with np.errstate(invalid="ignore"):  # inf mod T is NaN
+            x = np.mod(np.atleast_1d(np.asarray(x, float)), self.T)
         half = x >= 0.5 * self.T
         xr = np.where(half, x - 0.5 * self.T, x)
         return half, xr, xr <= self.t2, (xr > self.t2) & (xr <= self.t3), xr > self.t3
@@ -600,10 +602,11 @@ class PeriodicConnection:
         return np.where(xr <= self.t2, xr, np.clip(self.t2 + self.t3 - xr, 0.0, self.t2))
 
     def orbit(self, x):
-        """(u, v) at arbitrary times, vectorized; period-wrapped."""
+        """(u, v) at arbitrary times, vectorized; period-wrapped.  The rows of
+        a time that is not finite are NaN."""
         half, xr, ph_a, ph_b, ph_c = self._phases(x)
-        u = np.empty((len(xr), 2))
-        v = np.empty((len(xr), 2))
+        u = np.full((len(xr), 2), np.nan)
+        v = np.full((len(xr), 2), np.nan)
         t = self._clock_times(xr)
         for seg, side in ((ph_a, 1.0), (ph_c, -1.0)):
             if np.any(seg):

@@ -110,12 +110,18 @@ def _which(i: int, B: int) -> str:
     return f"trajectory {i}: " if B > 1 else ""
 
 
-def _check_rows(p, dt, uu, vv, lo, hi) -> None:
+def _close_block(p, dt, uu, vv, H, lo, hi) -> None:
     """Raise BlowUpError for the first step in lo < k <= hi of the (steps + 1,
     B, m) samples whose state leaves [-_BLOWUP, _BLOWUP]^m, naming its first
-    failing trajectory and attaching that trajectory's valid prefix."""
+    failing trajectory and attaching that trajectory's valid prefix; else
+    write H = 0.5|v|^2 - W(u), _trajectory's bits, into entries lo..hi of
+    each trajectory's H array (one (steps + 1, B) buffer raised peak memory)."""
     inside = np.abs(uu[lo + 1 : hi + 1]) <= _BLOWUP  # False on inf and nan as well
     if inside.all():
+        v = vv[lo : hi + 1]
+        rows = 0.5 * _sum_columns(v * v) - p.w(uu[lo : hi + 1])
+        for i, Hi in enumerate(H):
+            Hi[lo : hi + 1] = rows[:, i]
         return
     rows = inside.all(axis=2)
     j = int(np.argmin(rows.all(axis=1)))
@@ -124,12 +130,12 @@ def _check_rows(p, dt, uu, vv, lo, hi) -> None:
     raise BlowUpError(_which(i, uu.shape[1]) + f"blow-up at step {k} (t = {k * dt:g})", partial)
 
 
-def _trajectories(p, dt, uu, vv, drift_tol) -> list[Trajectory]:
-    """The trajectories of the (steps + 1, B, m) samples; raises BlowUpError
-    for the first whose energy drift exceeds drift_tol."""
+def _trajectories(dt, uu, vv, H, drift_tol) -> list[Trajectory]:
+    """The trajectories of the (steps + 1, B, m) samples and H arrays; raises
+    BlowUpError for the first whose energy drift exceeds drift_tol."""
     times = dt * np.arange(uu.shape[0])
     B = uu.shape[1]
-    trajectories = [_trajectory(p, times, uu[:, i], vv[:, i]) for i in range(B)]
+    trajectories = [Trajectory(times, uu[:, i], vv[:, i], H[i]) for i in range(B)]
     for i, traj in enumerate(trajectories):
         if traj.drift() > drift_tol:
             raise BlowUpError(_which(i, B) + f"energy drift {traj.drift():.3e} > drift_tol {drift_tol:g}", traj)
@@ -151,8 +157,9 @@ def integrate_many(
     elementwise per row, and a potential evaluates each point on its own.
     Each step is written in place into row k of time-major (steps + 1, B, m)
     buffers, so every Trajectory's u and v are views of them, with no copy
-    (contiguous when B = 1).  The kick dt grad W is written into the array
-    that `p.grad` returns.
+    (contiguous when B = 1), and its H is taken a 256-step block at a time.
+    The kick dt grad W is written into one (B, m) buffer by the gradient's
+    batch kernel (`_grad.kernel`), or else copied from `p.grad`.
 
     Raises BlowUpError at the first step where a coordinate of a trajectory
     leaves [-1e6, 1e6] or stops being finite, attaching that trajectory's valid
@@ -172,31 +179,37 @@ def integrate_many(
         raise ValueError("all starting states must have the same dimension m")
     uu = np.empty((steps + 1, len(starts), m))
     vv = np.empty((steps + 1, len(starts), m))
+    H = [np.empty(steps + 1) for _ in starts]
     uu[0] = [s.u for s in starts]
     vv[0] = [s.v for s in starts]
     u, v = uu[0], vv[0]
-    grad, add, multiply = p.grad, np.add, np.multiply
-    dt64, half = np.float64(dt), np.float64(0.5 * dt)
+    if hasattr(p._grad, "kernel"):
+        grad_into = p._grad.kernel(p._check(u).shape)  # the kernel checks no shape
+    else:
+        def grad_into(x, out):
+            out[...] = p.grad(x)
+    add, multiply = np.add, np.multiply
+    dt64, half = np.array(dt, float), np.array(0.5 * dt, float)  # 0-d: a scalar is converted each call
     half_v = half * v  # the last half-drift's product is the next half-kick's
-    u_mid = np.empty_like(u)
+    u_mid, kick = np.empty_like(u), np.empty_like(u)
     for lo in range(0, steps, _BLOCK):
         hi = min(lo + _BLOCK, steps)
         try:
             with np.errstate(all="ignore"):
                 for k in range(lo + 1, hi + 1):
-                    add(u, half_v, out=u_mid)
-                    kick = grad(u_mid)
-                    kick *= dt64
-                    v = add(v, kick, out=vv[k])
-                    multiply(half, v, out=half_v)
-                    u = add(u_mid, half_v, out=uu[k])
+                    add(u, half_v, u_mid)
+                    grad_into(u_mid, kick)
+                    multiply(kick, dt64, kick)
+                    v = add(v, kick, vv[k])
+                    multiply(half, v, half_v)
+                    u = add(u_mid, half_v, uu[k])
         except Exception:
             # the potential may fail on the values computed past a blow-up,
             # and then the blow-up is the result, as the per-step test gave
-            _check_rows(p, dt, uu, vv, lo, k - 1)
+            _close_block(p, dt, uu, vv, H, lo, k - 1)
             raise
-        _check_rows(p, dt, uu, vv, lo, hi)
-    return _trajectories(p, dt, uu, vv, drift_tol)
+        _close_block(p, dt, uu, vv, H, lo, hi)
+    return _trajectories(dt, uu, vv, H, drift_tol)
 
 
 def integrate(
@@ -218,8 +231,8 @@ def integrate(
     `ginzburg_landau` with m = 2) steps on Python floats, the same IEEE
     operations in the same order as `integrate_many`'s loop, and copies
     each 256-step block into the same (steps + 1, 1, 2) buffers before the
-    same blow-up test, so the trajectory is bit-identical to its row there,
-    blow-up and drift errors included.  Every other start is
+    same blow-up test and H, so the trajectory is bit-identical to its row
+    there, blow-up and drift errors included.  Every other start is
     `integrate_many`'s single-start case.
     """
     if p.m != 2 or start.u.size != 2 or not hasattr(p._grad, "point"):
@@ -231,6 +244,7 @@ def integrate(
     half = 0.5 * dt
     uu = np.empty((steps + 1, 1, 2))
     vv = np.empty((steps + 1, 1, 2))
+    H = [np.empty(steps + 1)]
     uu[0, 0], vv[0, 0] = start.u, start.v
     x, y = start.u.tolist()
     vx, vy = start.v.tolist()
@@ -257,8 +271,8 @@ def integrate(
             put_v(vy)
         uu[lo + 1 : hi + 1] = np.reshape(block_u, (-1, 1, 2))
         vv[lo + 1 : hi + 1] = np.reshape(block_v, (-1, 1, 2))
-        _check_rows(p, dt, uu, vv, lo, hi)
-    return _trajectories(p, dt, uu, vv, drift_tol)[0]
+        _close_block(p, dt, uu, vv, H, lo, hi)
+    return _trajectories(dt, uu, vv, H, drift_tol)[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,10 @@ class Potential:
     carry a point kernel, `_grad.point(x_1, ..., x_m)`, that returns the
     gradient at one point of Python floats as a tuple, bit for bit as the
     array path gives it, inf and nan included, without raising; `grad` of a
-    tuple of floats then calls it.
+    tuple of floats then calls it.  It may carry a batch kernel too,
+    `_grad.kernel(shape)`, whose `into(u, out)` writes the gradient of an
+    array u of that shape into out, bit for bit as `grad`, through scratch
+    allocated once per kernel and with no check of u.
     """
 
     name: str
@@ -104,12 +107,34 @@ def _make_ginzburg_landau(m=2):
     def w(u):
         return 0.25 * np.square(_sum_columns(u * u) - 1.0)
 
+    one, zero = np.ones(()), np.zeros(())  # 0-d: numpy converts a float operand each call
+
+    def kernel(shape):
+        # grad's scratch for arrays of this shape, allocated once: the
+        # squares, their column sum, and the views its operations read
+        sq, q = np.empty(shape), np.empty(shape[:-1])
+        cols, q_col = [sq[..., k] for k in range(m)], q[..., None]
+        second, rest = cols[1] if m > 1 else zero, cols[2:]
+        add, multiply, subtract = np.add, np.multiply, np.subtract
+
+        def into(u, out):
+            multiply(u, u, sq)  # u**2, bit for bit
+            if m < 8:
+                # _sum_columns' order, whose +0.0 start changes no square
+                add(cols[0], second, q)
+                for c in rest:
+                    add(q, c, q)
+            else:
+                q[...] = _sum_columns(sq)
+            subtract(q, one, q)
+            return multiply(q_col, u, out)
+
+        return into
+
     def grad(u):
-        # u * u is u**2, and _sum_columns the reduction over the value axis,
-        # both bit for bit; on a grid that reduction was the slow part
-        q = _sum_columns(u * u)[..., None]
-        q -= 1.0
-        return q * u
+        return kernel(u.shape)(u, np.empty(u.shape))
+
+    grad.kernel = kernel
 
     if m == 2:
         def point(x, y):

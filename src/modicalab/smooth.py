@@ -142,17 +142,18 @@ class _PanelIntegral:
         # fmax equals x for every clipped non-NaN x, and sends NaN to panel 0,
         # where it reads NaN
         k = np.minimum(((np.fmax(x, self.a) - self.a) / self.h).astype(int), self.panels - 1)
-        t = (x - self.edges[k]) / self.h
+        k1 = k + 1
+        t = (x - np.take(self.edges, k)) / self.h
         u = 1.0 - t
-        t3 = t**3
-        F0, F1 = self.table[..., k], self.table[..., k + 1]
+        t3, u3 = t**3, u**3  # pow: t * t * t would round otherwise
+        F0, F1 = np.take(self.table, k, axis=-1), np.take(self.table, k1, axis=-1)
         # F0 plus the quintic's correction, the basis functions in factored form
         return F0 + (
             (F1 - F0) * t3 * (10.0 + t * (6.0 * t - 15.0))
-            + self.slope[..., k] * t * u**3 * (1.0 + 3.0 * t)
-            - self.slope[..., k + 1] * t3 * u * (4.0 - 3.0 * t)
-            + 0.5 * self.bend[..., k] * t**2 * u**3
-            + 0.5 * self.bend[..., k + 1] * t3 * u**2
+            + np.take(self.slope, k, axis=-1) * t * u3 * (1.0 + 3.0 * t)
+            - np.take(self.slope, k1, axis=-1) * t3 * u * (4.0 - 3.0 * t)
+            + 0.5 * np.take(self.bend, k, axis=-1) * t**2 * u3
+            + 0.5 * np.take(self.bend, k1, axis=-1) * t3 * u**2
         )
 
     def inverse(self, F):

@@ -316,9 +316,11 @@ def _vcycle(u: np.ndarray, p: Potential, levels: list, f, a, g) -> bool:
     if len(levels) == 1:
         return _coarsest_solve(u, p, lvl, f, a, g)
     _smooth(u, p, lvl, f, _PRE_SWEEPS, a, g)
+    a, g = _defect(u, p, lvl.spacing, f, None)
     u_hat = u[::2, ::2].copy()
-    a_H, g_H = _defect(u_hat, p, levels[1].spacing, None, None)
-    f_H = _restrict(_defect(u, p, lvl.spacing, f, None)[0][:, 1:-1]) - a_H[:, 1:-1]
+    # grad W at the injected interior nodes is the fine gradient's, bit for bit
+    a_H, g_H = _defect(u_hat, p, levels[1].spacing, None, None if g is None else g[1::2, ::2])
+    f_H = _restrict(a[:, 1:-1]) - a_H[:, 1:-1]
     a_H[:, 1:-1] += f_H
     v = u_hat.copy()
     newton = _vcycle(v, p, levels[1:], f_H, a_H, g_H)

@@ -418,6 +418,23 @@ def test_unknown_params_keys_are_usage_errors(argv, accepted):
     assert accepted in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("theorem, params, named", [
+    ("3.1", {"m": 5, "D": [1, 1]}, ("m", "D")),
+    ("3.1", {"m": 2, "A": [[1, 0], [0, 1]]}, ("m", "A")),
+    ("polygon", {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "N": 7}, ("N", "vertices")),
+    ("polygon", {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "radius": 1.0}, ("radius", "vertices")),
+])
+def test_a_key_given_with_the_key_that_fixes_it_is_a_usage_error(theorem, params, named):
+    # the key would be read and then ignored; a value equal to its default
+    # is refused too, since only the keys given count
+    proc = run_cli("estimates", "--theorem", theorem, "--params", json.dumps(params))
+    assert proc.returncode == 2
+    assert all(key in proc.stderr for key in named) and "Traceback" not in proc.stderr
+    # must fail: either key alone runs
+    for key in params:
+        assert run_cli("estimates", "--theorem", theorem, "--params", json.dumps({key: params[key]})).returncode == 0
+
+
 def test_every_catalog_field_runs_through_every_field_check_without_raising():
     """Each check that reads --field, run on each catalog field with its
     default params, exits 0, 1 or 2: a field a check cannot take, or one

@@ -147,6 +147,17 @@ def test_orbit_period_wrap_and_antisymmetry(assembled):
     assert np.max(np.abs(ua + ub)) < 1e-10
 
 
+def test_orbit_rows_of_times_that_are_not_finite_are_nan(assembled):
+    pc = assembled.pc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, v = pc.orbit(np.array([np.nan, np.inf, 0.0, -np.inf]))
+    assert np.isnan(u[[0, 1, 3]]).all() and np.isnan(v[[0, 1, 3]]).all()
+    u0, v0 = pc.orbit(np.array([0.0]))
+    assert np.array_equal(u[2].view("<u8"), u0[0].view("<u8"))
+    assert np.array_equal(v[2].view("<u8"), v0[0].view("<u8"))
+
+
 def test_global_potential_wells(assembled):
     pot = assembled.pc.potential
     for well in (cx.A_PLUS, cx.A_MINUS):

@@ -170,6 +170,60 @@ def test_a_planar_gl_orbit_never_calls_the_array_gradient():
         dynamics.integrate_many(fast, [start], 1e-3, 600)
 
 
+def test_integrate_many_on_gl_never_calls_the_allocating_gradient(monkeypatch):
+    # the batch loop writes GL's gradient through its kernel into one buffer
+    starts = [dynamics.orbit_family(R).start_state() for R in (0.3, 0.5, 0.9)]
+    ref = dynamics.integrate_many(GL, starts, 1e-3, 600)
+    # a gradient with no kernel goes through the adapter, with the same bits
+    plain = dataclasses.replace(GL, _grad=lambda u: GL._grad(u))
+    for a, b in zip(ref, dynamics.integrate_many(plain, starts, 1e-3, 600)):
+        assert _same_bits(a.u, b.u) and _same_bits(a.v, b.v) and _same_bits(a.H, b.H)
+
+    def refuse(self, u):
+        raise AssertionError("Potential.grad called")
+
+    monkeypatch.setattr(potentials.Potential, "grad", refuse)
+    for a, b in zip(ref, dynamics.integrate_many(GL, starts, 1e-3, 600)):
+        assert _same_bits(a.u, b.u) and _same_bits(a.v, b.v) and _same_bits(a.H, b.H)
+    # must fail: the adapter's potential calls it
+    with pytest.raises(AssertionError, match="Potential.grad called"):
+        dynamics.integrate_many(plain, starts, 1e-3, 600)
+    # the kernel checks no shape, so the loop checks the starts' dimension first
+    with pytest.raises(ValueError, match="trailing axis of length 2"):
+        dynamics.integrate_many(GL, [dynamics.PhasePoint(np.zeros(3), np.zeros(3))], 1e-3, 10)
+
+
+def _own_H(p, traj):
+    return 0.5 * potentials._sum_columns(traj.v * traj.v) - p.w(traj.u)
+
+
+def test_each_trajectory_h_is_its_own_energy_row_for_row():
+    # H is taken a 256-step block at a time on the whole batch; each row
+    # must be the bits of 0.5|v|^2 - W(u) on that trajectory alone
+    starts = [dynamics.orbit_family(R).start_state() for R in (0.2, 0.6, 0.8)]
+    starts.append(dynamics.PhasePoint(np.array([0.3, -0.1]), np.array([0.2, 0.4])))
+    for steps in (1, 255, 256, 257, 700):
+        trajs = dynamics.integrate_many(GL, starts, 1e-3, steps)
+        trajs.append(dynamics.integrate(GL, starts[-1], 1e-3, steps))
+        for traj in trajs:
+            assert len(traj.H) == steps + 1 and _same_bits(traj.H, _own_H(GL, traj))
+    # the drift error's whole trajectory, from both loops
+    start = dynamics.PhasePoint(np.array([0.5, 0.0]), np.array([0.1, 0.3]))
+    for run in (lambda: dynamics.integrate(GL, start, 0.1, 600, drift_tol=1e-6),
+                lambda: dynamics.integrate_many(GL, [starts[0], start], 0.1, 600, drift_tol=1e-6)):
+        with pytest.raises(dynamics.BlowUpError, match="energy drift") as info:
+            run()
+        assert _same_bits(info.value.trajectory.H, _own_H(GL, info.value.trajectory))
+    # the valid prefix of a blow-up in the second block, from both loops
+    wild = dynamics.PhasePoint(np.array([3.0, 0.0]), np.zeros(2))
+    for run in (lambda: dynamics.integrate(GL, wild, 1e-3, 1000),
+                lambda: dynamics.integrate_many(GL, [starts[0], wild], 1e-3, 1000)):
+        with pytest.raises(dynamics.BlowUpError, match="blow-up at step 640") as info:
+            run()
+        partial = info.value.trajectory
+        assert len(partial.H) == 640 and _same_bits(partial.H, _own_H(GL, partial))
+
+
 def test_integrate_many_blowup_names_the_trajectory():
     quad = potentials.make_potential("quadratic", m=2)
     calm = [dynamics.PhasePoint(np.array([0.0, 0.0]), np.array([0.0, 0.0]))] * 2

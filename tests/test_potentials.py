@@ -199,6 +199,33 @@ def test_the_planar_gl_point_kernel_gives_the_array_gradient_bit_for_bit():
         assert np.array_equal(other.grad(u), other.grad(np.array(u)))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_the_gl_batch_kernel_gives_the_array_gradient_bit_for_bit(m):
+    # dynamics.integrate_many writes each step's gradient through the kernel
+    # into one buffer; m = 8 is the first that sums the squares by numpy's
+    # own reduction
+    p = potentials.make_potential("ginzburg_landau", m=m)
+    rng = np.random.default_rng(7)
+    U = rng.standard_normal((2000, m)) * 10.0 ** rng.integers(-8, 8, (2000, m))
+    U[0], U[1], U[2] = -0.0, 1e-160, -1e-160
+    U[3, 0], U[4, -1], U[5, 0], U[5, -1] = np.inf, -np.inf, np.nan, -np.nan
+    U[6, 0], U[7, -1] = -0.0, np.nan
+    into = p._grad.kernel(U.shape)
+    out = np.full(U.shape, 7.0)
+    assert into(U, out) is out
+    assert np.array_equal(out.view("<u8"), p.grad(U).view("<u8"))
+    # grad's formula before it had a kernel, with numpy's own reduction
+    q = np.sum(U**2, axis=-1)[..., None]
+    q -= 1.0
+    assert np.array_equal(out.view("<u8"), (q * U).view("<u8"))
+    # the scratch is reused: a second call on other values gives their gradient
+    V = U[::-1].copy()
+    assert np.array_equal(into(V, out).view("<u8"), p.grad(V).view("<u8"))
+    for shape in [(m,), (9, 7, m)]:
+        W = rng.standard_normal(shape)
+        assert np.array_equal(p._grad.kernel(shape)(W, np.empty(shape)).view("<u8"), p.grad(W).view("<u8"))
+
+
 def test_wrong_dimension_raises():
     p = potentials.make_potential("ginzburg_landau", m=2)
     with pytest.raises(ValueError, match="trailing axis"):
