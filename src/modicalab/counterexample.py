@@ -26,15 +26,17 @@ Construction, in the order the code builds it:
     potential is two local pieces behind one region resolver: the patch
     piece in the offset from the well on the side of u1 = 0, the tube piece
     (mirrored through u2 = 0) at the arc coordinates of one closest-point
-    projection, and the constant lam everywhere else.  The projection starts
-    at the nearest of about 1024 arc nodes, iterates Newton on the cubic
-    Hermite interpolant of the arc's node table (positions and unit
-    tangents), and finishes with one Newton step on the tabulated curve,
-    whose position and tangent angle are each one quintic Hermite read of a
-    cumulative table, with no quadrature per point.  The Hessian off the
+    projection, and the constant lam everywhere else.  A point whose
+    distances to the coarse search's sparse nodes already put it past the
+    tube is not projected.  The projection starts at the nearest of about
+    1024 arc nodes, iterates Newton on the cubic Hermite interpolant of the
+    arc's node table (positions and unit tangents), and finishes with one
+    Newton step on the tabulated curve, whose position and tangent angle
+    are each one quintic Hermite read of a cumulative table, with no
+    quadrature per point.  The Hessian off the
     patches is a central difference of the gradient whose stencil points
-    start their Newton from their centre's projection, so every evaluated
-    point is projected cold once.
+    take one exact Newton step from their centre's projection, so every
+    evaluated point is projected cold at most once.
 5.  The full orbit: up the right segment, across the arc, down the left
     segment, then reflected through the origin for the second half-period.
 """
@@ -290,35 +292,48 @@ class CurveSpec:
         cx, cy = pos[::stride, 0].copy(), pos[::stride, 1].copy()
         return cand_s, cx, cy, 8.0 * float(np.max(np.hypot(np.diff(cx), np.diff(cy)))) * (1.0 + 1e-9)
 
-    def _coarse(self, pts):
+    def _coarse(self, pts, reach):
         """Arclength of the nearest candidate of `_candidates`, the first in
-        index order on ties, as the full search `_nearest` gives it.
+        index order on ties, as the full search `_nearest` gives it, or NaN
+        for a row farther than `reach` from the whole curve.
 
-        The squared distance to every 16th candidate picks a sparse winner,
-        and the window of the 81 candidates in its block and the two blocks
-        on each side is searched in full.  By the triangle inequality a row
-        is certified once every sparse node outside the window's blocks is
-        farther than the window's best by more than the block radius
-        (Fukunaga and Narendra, IEEE Trans. Computers C-24, 1975).  The
+        In blocks of 2048 rows, the squared distance to every 16th candidate
+        picks a sparse winner, and the window of the 81 candidates in its
+        block and the two blocks on each side is searched in full.  By the
+        triangle inequality a row is certified once every sparse node
+        outside the window's blocks is farther than the window's best by
+        more than the block radius (Fukunaga and Narendra, IEEE Trans.
+        Computers C-24, 1975).  Every point of the curve lies within 9
+        candidate chords, 9/8 of the block radius, of a sparse node: 8 to
+        the middle of its block and one to spare, as the tests check on the
+        built curve.  So a row farther than reach plus that margin from
+        every sparse node is farther than reach from the curve, and its
+        start is NaN, whatever its window gives.  The
         other rows, NaN and overflow among them, take `_nearest`.  Both
         searches compute each distance by the same float expression, so the
         result is the full search's bit for bit."""
         if len(pts) == 0:  # nothing to search, so no node table to build
             return np.empty(0)
         cand_s, cx, cy, radius = self._candidates
-        rows = np.arange(len(pts))
-        px, py = pts[:, 0, None], pts[:, 1, None]
-        sparse = (px - cx[::16]) ** 2 + (py - cy[::16]) ** 2
-        j = np.argmin(sparse, axis=1)
-        lo = np.clip(16 * j - 40, 0, len(cx) - 81)
         windows = np.lib.stride_tricks.sliding_window_view
-        d = (px - windows(cx, 81)[lo]) ** 2 + (py - windows(cy, 81)[lo]) ** 2
-        k = np.argmin(d, axis=1)
-        sparse[rows[:, None], np.clip(j[:, None] + np.arange(-2, 3), 0, sparse.shape[1] - 1)] = np.inf
-        # the relative margin covers the rounding of the squared distances
-        certified = np.sqrt(np.min(sparse, axis=1)) > (np.sqrt(d[rows, k]) + radius) * (1.0 + 1e-12)
-        s = cand_s[lo + k]
-        s[~certified] = self._nearest(pts[~certified])
+        wx, wy = windows(cx, 81), windows(cy, 81)
+        # the relative margins cover the rounding of the squared distances
+        far = ((reach + 1.125 * radius) * (1.0 + 1e-12)) ** 2
+        s = np.empty(len(pts))
+        for b in range(0, len(pts), 2048):  # a block's distances stay in cache
+            block = pts[b : b + 2048]
+            rows = np.arange(len(block))
+            px, py = block[:, 0, None], block[:, 1, None]
+            sparse = (px - cx[::16]) ** 2 + (py - cy[::16]) ** 2
+            j = np.argmin(sparse, axis=1)
+            away = sparse[rows, j] > far
+            lo = np.clip(16 * j - 40, 0, len(cx) - 81)
+            d = (px - wx[lo]) ** 2 + (py - wy[lo]) ** 2
+            k = np.argmin(d, axis=1)
+            sparse[rows[:, None], np.clip(j[:, None] + np.arange(-2, 3), 0, sparse.shape[1] - 1)] = np.inf
+            certified = away | (np.sqrt(np.min(sparse, axis=1)) > (np.sqrt(d[rows, k]) + radius) * (1.0 + 1e-12))
+            s[b : b + 2048] = np.where(away, np.nan, cand_s[lo + k])
+            s[b : b + 2048][~certified] = self._nearest(block[~certified])
         return s
 
     def _nearest(self, pts):
@@ -331,34 +346,44 @@ class CurveSpec:
             s[lo : lo + 512] = cand_s[np.argmin((px - cx) ** 2 + (py - cy) ** 2, axis=1)]
         return s
 
-    def _newton(self, pts, s):
+    def _newton(self, pts, s, hermite_steps):
         """Arc coordinates (s, mu) of points (n, 2) from Newton starts s (n,)
-        on the tangency condition <p - gamma(s), gamma'(s)> = 0: four steps on
-        the Hermite interpolant, then one on the tabulated curve, whose gamma
-        and normal also give the returned (s, mu)."""
+        on the tangency condition <p - gamma(s), gamma'(s)> = 0:
+        `hermite_steps` steps on the Hermite interpolant, then one on the
+        tabulated curve, whose gamma and normal also give the returned
+        (s, mu).  A row whose start is NaN is not iterated: its (s, mu) are
+        NaN."""
+        out = np.full((2, len(s)), np.nan)
+        live = ~np.isnan(s)
+        pts, s = pts[live], s[live]
         if len(s) == 0:  # nothing to project, so no node table to build
-            return s, s.copy()
+            return out[0], out[1]
 
         def step(s, num, den):
             return np.clip(s + num / np.where(np.abs(den) < 0.1, 0.1, den), 0.0, self.L)
 
-        for _ in range(4):
+        for _ in range(hermite_steps):
             g, d1, d2 = self._hermite(s)
             diff = pts - g
             s = step(s, _sum_columns(diff * d1), _sum_columns(d1 * d1) - _sum_columns(diff * d2))
         tvec, nvec = self._frame(s)
         diff = pts - self.gamma(s)
         s = step(s, _sum_columns(diff * tvec), 1.0 - self.kappa(s) * _sum_columns(diff * nvec))
-        return s, _sum_columns((pts - self.gamma(s)) * self.normal(s))
+        out[0, live] = s
+        out[1, live] = _sum_columns((pts - self.gamma(s)) * self.normal(s))
+        return out[0], out[1]
 
-    def project(self, pts):
+    def project(self, pts, reach):
         """Arc coordinates (s, mu) of planar points near the arc, cold: the
-        nearest of the coarse nodes starts `_newton`, which iterates on the
-        Hermite interpolant of the node table and finishes on the tabulated
-        curve.
+        nearest of the coarse nodes starts `_newton`, which takes four steps
+        on the Hermite interpolant of the node table and finishes on the
+        tabulated curve.  A point that `_coarse` finds farther than reach
+        from every point of the curve is not projected, and its (s, mu) are
+        NaN: Newton would end at a foot of the normal from it, where |mu| is
+        its distance to the curve, over reach.
         """
         pts = np.atleast_2d(np.asarray(pts, float))
-        return self._newton(pts, self._coarse(pts))
+        return self._newton(pts, self._coarse(pts, reach), 4)
 
 
 def build_curve() -> CurveSpec:
@@ -491,18 +516,18 @@ class _GlobalPotential:
     def _regions(self, u, s0):
         """`_patches` plus the tube rows: their indices, their arc coordinates
         (s, mu) on the upper arc after folding u_2 to |u_2|, and the sign of
-        u_2 that mirrors them back.  The projection is cold for s0 None;
-        otherwise its Newton starts from s0, one start per point, and a
-        point whose start is NaN is known to lie past the tube's support,
-        so it is not projected and counts as outside the tube."""
+        u_2 that mirrors them back.  The boxed rows off the patches are
+        projected cold for s0 None, and a row that `_coarse` finds farther
+        than eps from the curve is never projected; otherwise each row's
+        Newton takes the exact step from its start in s0 alone.  A row
+        whose start is NaN lies past the tube, and counts as outside it."""
         flat, patch, v = self._patches(u)
         q, boxed = self._folded(flat)
         rows = np.flatnonzero(~patch & boxed)
         if s0 is None:
-            s, mu = self.curve.project(q[rows])
+            s, mu = self.curve.project(q[rows], self.tube.eps)
         else:
-            rows = rows[~np.isnan(s0[rows])]
-            s, mu = self.curve._newton(q[rows], s0[rows])
+            s, mu = self.curve._newton(q[rows], s0[rows], 0)
         tube = np.abs(mu) <= self.tube.eps
         rows = rows[tube]
         return flat, patch, v, rows, s[tube], mu[tube], np.where(flat[rows, 1] < 0.0, -1.0, 1.0)
@@ -532,10 +557,12 @@ class _GlobalPotential:
         """Closed form on the patches; elsewhere the symmetrized central
         difference quotient of `grad` with step h = 1e-5.  Each centre with a
         stencil point in the tube's box is projected once, cold, and its four
-        stencil points start their Newton from the centre's arc coordinate,
-        all in one batch.  A centre farther than the tube's support plus 2h
-        from the arc has its stencil points past the support, where the
-        tube's gradient is zero, so they are not projected."""
+        stencil points, all in one batch, take one exact Newton step from
+        the centre's arclength, about h from their own.  A centre farther
+        than the tube's support plus 2h from the arc has its stencil points
+        past the support, where the tube's gradient is zero, so they are
+        not projected; nor is the centre itself when `_coarse` already
+        finds it that far from every point of the curve."""
         flat, patch, v = self._patches(u)
         out = np.empty((len(flat), 2, 2))
         out[patch] = self.patch.hess(v[patch])
@@ -544,8 +571,9 @@ class _GlobalPotential:
         stencil = np.concatenate([rest + e[0], rest + e[1], rest - e[0], rest - e[1]])
         near = np.any(self._folded(stencil)[1].reshape(4, -1), axis=0)
         s0 = np.full(len(rest), np.nan)
-        s, mu = self.curve.project(self._folded(rest[near])[0])
-        s0[near] = np.where(np.abs(mu) <= self.tube.support + 2.0 * h, s, np.nan)
+        reach = self.tube.support + 2.0 * h
+        s, mu = self.curve.project(self._folded(rest[near])[0], reach)
+        s0[near] = np.where(np.abs(mu) <= reach, s, np.nan)
         g = self._grad(stencil, np.tile(s0, 4)).reshape(4, len(rest), 2)
         H = np.stack([(g[0] - g[2]) / (2.0 * h), (g[1] - g[3]) / (2.0 * h)], axis=-1)
         out[~patch] = 0.5 * (H + np.swapaxes(H, 1, 2))

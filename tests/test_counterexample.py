@@ -216,7 +216,7 @@ def test_lower_tube_mirrors_the_upper_one(assembled):
     g_up, g_low = p.grad(upper), p.grad(lower)
     assert np.array_equal(g_low[:, 0], g_up[:, 0])
     assert np.array_equal(g_low[:, 1], -g_up[:, 1])
-    in_tube = np.abs(curve.project(upper)[1]) <= eps
+    in_tube = np.abs(curve.project(upper, np.inf)[1]) <= eps
     assert np.count_nonzero(np.any(g_up != 0.0, axis=1) & in_tube) > 100  # the tube is sampled
 
 
@@ -291,10 +291,10 @@ def test_project_coarse_search_matches_the_broadcast_search(assembled):
         _arc_points(pc, 700, 11), patch, background, mirror_axis, mirror_pairs,
         mirror_pairs * np.array([-1.0, 1.0]), curve._node_table[0][::32], interior, corners,
     ])
-    assert np.array_equal(curve._coarse(pts), _broadcast_nearest(curve, pts))
+    assert np.array_equal(curve._coarse(pts, np.inf), _broadcast_nearest(curve, pts))
     # on u_1 = 0 the mirror ties resolve to the first half, as in the broadcast search
-    assert np.all(curve._coarse(mirror_axis) <= curve.ell)
-    assert curve._coarse(np.empty((0, 2))).shape == (0,)
+    assert np.all(curve._coarse(mirror_axis, np.inf) <= curve.ell)
+    assert curve._coarse(np.empty((0, 2)), np.inf).shape == (0,)
 
 
 def _coarse_work(curve, pts, monkeypatch):
@@ -309,7 +309,7 @@ def _coarse_work(curve, pts, monkeypatch):
         return nearest(self, q)
 
     monkeypatch.setattr(cx.CurveSpec, "_nearest", counted)
-    curve._coarse(pts)
+    curve._coarse(pts, np.inf)
     monkeypatch.setattr(cx.CurveSpec, "_nearest", nearest)
     _, cand_x, cand_y, radius = curve._candidates
     i = np.arange(len(cand_x))
@@ -428,14 +428,14 @@ def test_projection_matches_six_exact_newton_steps(assembled):
     rng = np.random.default_rng(17)
     s_true = rng.uniform(0.0, curve.L, 800)
     pts = curve.gamma(s_true) + rng.uniform(-1.2, 1.2, 800)[:, None] * pc.eps_tube * curve.normal(s_true)
-    s = curve._coarse(pts)
+    s = curve._coarse(pts, np.inf)
     for _ in range(6):
         tvec, nvec = curve._frame(s)
         diff = pts - curve.gamma(s)
         den = 1.0 - curve.kappa(s) * np.sum(diff * nvec, axis=-1)
         s = np.clip(s + np.sum(diff * tvec, axis=-1) / np.where(np.abs(den) < 0.1, 0.1, den), 0.0, curve.L)
     mu = np.sum((pts - curve.gamma(s)) * curve.normal(s), axis=-1)
-    got_s, got_mu = curve.project(pts)
+    got_s, got_mu = curve.project(pts, np.inf)
     assert np.max(np.abs(got_s - s)) <= 1e-13
     assert np.max(np.abs(got_mu - mu)) <= 1e-13
 
@@ -459,29 +459,37 @@ def test_hessian_projects_each_point_once(assembled, monkeypatch):
     assert counts["gamma"] <= 4
 
 
+def _newton_rows(monkeypatch):
+    """A list that gets, for each `_newton` call from here on, its Hermite
+    steps and the rows it iterates: those whose start is finite."""
+    calls = []
+    newton = cx.CurveSpec._newton
+
+    def counted(self, pts, s, hermite_steps):
+        calls.append((hermite_steps, int(np.count_nonzero(~np.isnan(s)))))
+        return newton(self, pts, s, hermite_steps)
+
+    monkeypatch.setattr(cx.CurveSpec, "_newton", counted)
+    return calls
+
+
 def _stencil_newton_rows(pc, X, monkeypatch):
     """(stencil rows one hess call runs Newton on, stencil points off the
     patches and in the tube's box whose centre's cold |mu| is at most
     5 eps / 6 + 2h, those centres): what the stencil projects, what the
-    gradient needs, and the bound on both."""
-    rows = {"project": 0, "_newton": 0}
-    for name in rows:
-        method = getattr(cx.CurveSpec, name)
-
-        def counted(self, pts, *args, _name=name, _method=method):
-            rows[_name] += len(pts)
-            return _method(self, pts, *args)
-
-        monkeypatch.setattr(cx.CurveSpec, name, counted)
+    gradient needs, and the bound on both.  The stencil's Newton calls are
+    the ones that take no Hermite step."""
+    calls = _newton_rows(monkeypatch)
     pc.potential.hess(X)
     monkeypatch.undo()
     g, h = pc._global, 1e-5
     flat, patch, _ = g._patches(X)
     rest = flat[~patch]
-    inside = np.abs(pc.curve.project(g._folded(rest)[0])[1]) <= 5.0 * pc.eps_tube / 6.0 + 2.0 * h
+    inside = np.abs(pc.curve.project(g._folded(rest)[0], np.inf)[1]) <= 5.0 * pc.eps_tube / 6.0 + 2.0 * h
     stencil = np.concatenate([rest + d for d in h * np.concatenate([np.eye(2), -np.eye(2)])])
     live = (~g._patches(stencil)[1] & g._folded(stencil)[1]).reshape(4, -1)
-    return rows["_newton"] - rows["project"], int(np.count_nonzero(live[:, inside])), int(np.count_nonzero(inside))
+    projected = sum(rows for steps, rows in calls if steps == 0)
+    return projected, int(np.count_nonzero(live[:, inside])), int(np.count_nonzero(inside))
 
 
 def test_hessian_stencil_newton_stops_at_the_tube_support(assembled, monkeypatch):
@@ -496,6 +504,145 @@ def test_hessian_stencil_newton_stops_at_the_tube_support(assembled, monkeypatch
     monkeypatch.setattr(cx.TubePotential, "support", property(lambda self: self.eps / 2.0 - 2e-5))
     projected, needed, _ = _stencil_newton_rows(pc, X, monkeypatch)
     assert projected < needed
+
+
+def test_hessian_runs_the_hermite_steps_only_for_its_centres(assembled, monkeypatch):
+    """One hess call takes four Hermite steps on the centres it projects
+    cold and none on the stencil points, which take the exact step alone."""
+    X = _hessian_probe_points(assembled.pc)
+    calls = _newton_rows(monkeypatch)
+    rows = []
+    hermite = cx.CurveSpec._hermite
+    monkeypatch.setattr(cx.CurveSpec, "_hermite", lambda self, s: rows.append(len(s)) or hermite(self, s))
+    assembled.pc.potential.hess(X)
+    (cold, centres), (warm, stencil) = calls
+    assert (cold, warm) == (4, 0)
+    assert rows == [centres] * 4
+    assert 0 < centres < stencil
+
+
+def test_the_one_step_stencil_stays_within_the_quotients_noise(assembled, monkeypatch):
+    """hess against a copy whose stencil points take four Hermite steps from
+    their centre's arclength before the exact step: within 2e-8, the noise
+    floor of the difference quotient with h = 1e-5."""
+    pc = assembled.pc
+    X = np.concatenate([_hessian_probe_points(pc), _arc_points(pc, 2000, 37, width=1.2)])
+    got = pc.potential.hess(X)
+    newton = cx.CurveSpec._newton
+    monkeypatch.setattr(cx.CurveSpec, "_newton", lambda self, pts, s, hermite_steps: newton(self, pts, s, 4))
+    four_steps = pc.potential.hess(X)
+    assert 0.0 < np.max(np.abs(got - four_steps)) <= 2e-8
+
+
+def _every_boxed_row_projected(monkeypatch):
+    """The far test switched off: `_coarse` starts every row's Newton,
+    whatever the reach, so every boxed row off the patches is projected."""
+    coarse = cx.CurveSpec._coarse
+    monkeypatch.setattr(cx.CurveSpec, "_coarse", lambda self, pts, reach: coarse(self, pts, np.inf))
+
+
+def _reach_points(pc, n, seed):
+    """Points at |mu| = eps +- 1e-12, and points whose distance to the
+    nearest sparse node is the far test's bound, reach plus 9/8 of the
+    block radius, times 1 +- 1e-9, for both reaches: eps and 5 eps / 6 + 2h."""
+    curve, eps = pc.curve, pc.eps_tube
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, curve.L, n)
+    mu = rng.choice([-eps, eps], n) + rng.choice([-1e-12, 1e-12], n)
+    edge = curve.gamma(s) + mu[:, None] * curve.normal(s)
+    _, cand_x, cand_y, radius = curve._candidates
+    nodes = np.stack([cand_x[::16], cand_y[::16]], -1)
+    near = curve.gamma(s) + rng.uniform(-0.4, 0.4, n)[:, None] * curve.normal(s)
+    d = np.linalg.norm(near[:, None, :] - nodes[None, :, :], axis=-1)
+    k = np.argmin(d, axis=1)
+    bound = rng.choice([eps, 5.0 * eps / 6.0 + 2e-5], n) + 1.125 * radius
+    r = bound * (1.0 + rng.choice([-1e-9, 1e-9], n)) / d[np.arange(n), k]
+    return np.concatenate([edge, nodes[k] + r[:, None] * (near - nodes[k])])
+
+
+def test_rows_the_sparse_distances_put_past_the_reach_are_left_out_exactly(assembled, monkeypatch):
+    """w, grad and hess equal, bit for bit, those of a path that projects
+    every boxed row off the patches, on probe and tube points, tube-edge
+    points and points on the far test's bound.  Must fail: the margin alone,
+    with a reach of 0, leaves out tube rows.  Half the reach would not
+    fail: the tube moves w off lam only within 5 eps / 6 = 0.083 of the
+    curve, at most 0.102 from a sparse node, under eps / 2 plus the
+    margin, 0.112."""
+    pc = assembled.pc
+    p, curve = pc.potential, pc.curve
+    X = np.concatenate([_hessian_probe_points(pc), _arc_points(pc, 1000, 31), _reach_points(pc, 2000, 31)])
+    X[:, 1] *= np.random.default_rng(31).choice([-1.0, 1.0], len(X))
+    got = [p.w(X), p.grad(X), p.hess(X)]
+    q = pc._global._folded(X)[0]
+    far = np.isnan(curve._coarse(q, pc.eps_tube))
+    assert np.count_nonzero(far) > 500 and np.count_nonzero(~far & (got[0] == pc.lam)) > 500
+    _every_boxed_row_projected(monkeypatch)
+    every = [p.w(X), p.grad(X), p.hess(X)]
+    for a, b in zip(got, every):
+        assert np.array_equal(a, b)
+    monkeypatch.undo()
+    project = cx.CurveSpec.project
+    monkeypatch.setattr(cx.CurveSpec, "project", lambda self, pts, reach: project(self, pts, 0.0))
+    assert not np.array_equal(p.w(X), got[0])
+
+
+def test_every_point_of_the_curve_lies_within_the_margin_of_a_sparse_node(assembled):
+    """The far test's bound: every node-table position, and the curve midway
+    between them, lies within 9/8 of the block radius of the sparse node
+    nearest it in index order; half that margin does not hold."""
+    curve = assembled.pc.curve
+    pos = curve._node_table[0]
+    _, cand_x, cand_y, radius = curve._candidates
+    stride = 16 * max(1, len(pos) // 1024)  # table nodes per sparse node
+    s_half = curve.ell * curve._arc.edges
+    s = np.concatenate([s_half, curve.L - s_half[-2::-1]])
+    i = np.arange(len(pos))
+    mid = curve.gamma(0.5 * (s[1:] + s[:-1]))
+    sparse = np.stack([cand_x[::16], cand_y[::16]], -1)
+    spread = max(
+        np.max(np.linalg.norm(pos - sparse[np.rint(i / stride).astype(int)], axis=1)),
+        np.max(np.linalg.norm(mid - sparse[np.rint((i[:-1] + 0.5) / stride).astype(int)], axis=1)),
+    )
+    assert 0.5625 * radius < spread <= 1.125 * radius
+
+
+def test_certified_far_points_reach_neither_newton_nor_the_full_search(assembled, monkeypatch):
+    """Boxed points off the patches that the sparse distances put past the
+    tube take no Newton row and no full-search row, and read lam."""
+    pc = assembled.pc
+    curve = pc.curve
+    rng = np.random.default_rng(41)
+    x0, x1, y0, y1 = pc._global._bbox
+    pts = rng.uniform([x0, y0], [x1, y1], (4000, 2))
+    _, patch, _ = pc._global._patches(pts)
+    pts = pts[~patch]
+    pts = pts[np.isnan(curve._coarse(pts, pc.eps_tube))][:200]
+    assert len(pts) == 200
+    calls = _newton_rows(monkeypatch)
+    full = []
+    nearest = cx.CurveSpec._nearest
+    monkeypatch.setattr(cx.CurveSpec, "_nearest", lambda self, q: full.append(len(q)) or nearest(self, q))
+    assert np.array_equal(pc.potential.w(pts), np.full(200, pc.lam))
+    assert np.array_equal(pc.potential.grad(pts), np.zeros((200, 2)))
+    assert sum(rows for _, rows in calls) == 0 and sum(full) == 0
+
+
+# rows that one w call on `_hessian_probe_points` runs Newton on: 246 with
+# every boxed row off the patches projected, 189 with the rows that the
+# coarse search's sparse distances put past the tube left out
+_W_NEWTON_ROWS = 189
+
+
+def test_w_runs_newton_only_on_rows_that_can_reach_the_tube(assembled, monkeypatch):
+    X = _hessian_probe_points(assembled.pc)
+    calls = _newton_rows(monkeypatch)
+    assembled.pc.potential.w(X)
+    assert sum(rows for _, rows in calls) == _W_NEWTON_ROWS
+    # must fail: with the far test switched off every boxed row is projected
+    calls.clear()
+    _every_boxed_row_projected(monkeypatch)
+    assembled.pc.potential.w(X)
+    assert sum(rows for _, rows in calls) > _W_NEWTON_ROWS
 
 
 def test_hamiltonian_series_is_constant(assembled):
